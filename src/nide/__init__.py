@@ -21,7 +21,7 @@ from .bench import (
     run_experiment,
 )
 from .denoise import DenoiseConfig, DenoiseResult, denoise, select_threshold, soft_threshold
-from .gaussian_stats import abs_noise_cdf, erf, erf_std, shifted_abs_cdf, std_normal_cdf
+from .gaussian_stats import abs_noise_cdf, erf_std, shifted_abs_cdf, std_normal_cdf
 from .noise_model import (
     NoiseSpec,
     calibrate_noise_to_snr,
@@ -72,7 +72,6 @@ __all__ = [
     "dwt_forward",
     "dwt_inverse",
     "empirical_signature",
-    "erf",
     "erf_std",
     "estimate_profile",
     "estimate_sigma_mad",

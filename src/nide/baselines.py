@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .denoise import DenoiseConfig, DenoiseResult, soft_threshold
+from .denoise import DenoiseConfig, DenoiseResult, _finite_samples, soft_threshold
 from .noise_model import estimate_sigma_mad
 from .wavelet import dwt_forward, dwt_inverse
 
@@ -116,7 +116,7 @@ def denoise_with(method: str, observed, config: DenoiseConfig = DenoiseConfig())
         return denoise(observed, config)
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {BASELINE_METHODS + ('nide',)}")
-    observed = np.asarray(observed, dtype=float)
+    observed = _finite_samples(observed)
     coeffs = dwt_forward(observed, config.levels)
     if config.sigma is not None:
         sigma = float(config.sigma)
@@ -140,6 +140,5 @@ def denoise_with(method: str, observed, config: DenoiseConfig = DenoiseConfig())
         threshold=float(max(thresholds)),
         denoised=dwt_inverse(shrunk),
         coefficients_kept=kept,
-        band=None,
         sigma_used=sigma,
     )

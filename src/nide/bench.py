@@ -173,13 +173,17 @@ class ExperimentResult:
         raise KeyError((signal, method, snr_db))
 
 
-def _method_config(config: ExperimentConfig, method: str, sigma_known: float) -> DenoiseConfig:
+def _noise_profile(noise: NoiseSpec, n: int):
+    """The correlation profile the colored band needs, or None for white noise."""
+    return theoretical_profile(noise, max_lag=n - 1) if noise.kind != "white" else None
+
+
+def _method_config(config: ExperimentConfig, method: str, sigma_known: float,
+                   profile) -> DenoiseConfig:
     sigma = sigma_known if config.sigma_policy == "known" else None
-    profile = None
-    if method == "nide" and config.noise.kind != "white":
-        profile = theoretical_profile(config.noise, max_lag=config.n - 1)
     return DenoiseConfig(
-        levels=config.levels, lam=config.lam, sigma=sigma, profile=profile
+        levels=config.levels, lam=config.lam, sigma=sigma,
+        profile=profile if method == "nide" else None,
     )
 
 
@@ -191,6 +195,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     comparisons are paired.
     """
     signals = {name: gen_signal(name, config.n).samples for name in config.signals}
+    profile = _noise_profile(config.noise, config.n)
     mses = {
         (s, m, snr): np.empty(config.trials)
         for s in config.signals
@@ -207,7 +212,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 observed = truth + raw_noise * scale
                 sigma_known = config.noise.sigma * scale
                 for method in config.methods:
-                    cfg = _method_config(config, method, sigma_known)
+                    cfg = _method_config(config, method, sigma_known, profile)
                     result = denoise_with(method, observed, cfg)
                     mses[(name, method, snr)][trial] = normalized_mse(
                         result.denoised, truth, config.mse_denominator
@@ -289,6 +294,7 @@ def lambda_sweep(
     truth_norm = np.linalg.norm(truth)
     lambdas = [float(l) for l in lambdas]
     errors = {l: np.empty(trials) for l in lambdas}
+    profile = _noise_profile(noise, n)
     for trial in range(trials):
         raw_noise = gen_noise(noise, n, _trial_seed(seed, trial))
         scale = truth_norm * 10.0 ** (-snr_db / 20.0) / np.linalg.norm(raw_noise)
@@ -296,11 +302,6 @@ def lambda_sweep(
         sigma_known = noise.sigma * scale
         for lam in lambdas:
             sigma = sigma_known if sigma_policy == "known" else None
-            profile = (
-                theoretical_profile(noise, max_lag=n - 1)
-                if noise.kind != "white"
-                else None
-            )
             cfg = DenoiseConfig(levels=levels, lam=lam, sigma=sigma, profile=profile)
             result = denoise(observed, cfg)
             errors[lam][trial] = normalized_mse(result.denoised, truth, mse_denominator)
@@ -563,6 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--ar", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--z-max", dest="z_max", type=float, default=None,
+                   help="upper end of the z grid (coverage: default 4 sigma)")
+    p.add_argument("--floor", type=float, default=None,
+                   help="per-z coverage floor of the coverage check (default 0.999)")
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("lambda-sweep", help="mean MSE per band-width multiplier")
@@ -635,8 +640,9 @@ def _cmd_mc(args) -> int:
         params["theta"] = args.theta
     if args.ar is not None:
         params["ar"] = args.ar
-    if args.lam is not None:
-        params["lam"] = args.lam
+    for key in ("lam", "z_max", "floor"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     report = mc_validate(args.check, params, runs=args.runs, seed=args.seed)
     print(report.text())
     if args.out:
@@ -704,7 +710,7 @@ def _cmd_denoise_file(args) -> int:
         print(f"warning: zero-padding input from {n} to {target} samples", file=sys.stderr)
         padded = np.concatenate([samples, np.zeros(target - n)])
     noise = NoiseSpec.parse(args.noise)
-    profile = theoretical_profile(noise, max_lag=target - 1) if noise.kind != "white" else None
+    profile = _noise_profile(noise, target)
     cfg = DenoiseConfig(levels=args.levels, lam=args.lam, sigma=args.sigma, profile=profile)
     result = denoise(padded, cfg)
     with open(args.out, "w") as fh:

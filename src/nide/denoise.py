@@ -8,13 +8,23 @@ pure noise and is invalidated; the last in-band value is the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from .noise_model import estimate_sigma_mad
-from .signature import ConfidenceBand, CorrelationProfile, colored_band, white_band
-from .wavelet import CoefficientSet, dwt_forward, dwt_inverse
+from .signature import (
+    ConfidenceBand,
+    CorrelationProfile,
+    _band_edges,
+    _band_moments,
+    _checked_grid,
+    colored_band,
+    white_band,
+)
+from .wavelet import dwt_forward, dwt_inverse
 
 __all__ = [
     "DenoiseConfig",
@@ -27,6 +37,10 @@ __all__ = [
 # Below this fraction of the largest coefficient the noise scale is treated
 # as zero: the band degenerates to a line and thresholding must be skipped.
 SIGMA_FLOOR_RATIO = 1e-12
+
+# Points in the first block of the top-down band scan; each further block
+# is twice as long.
+SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -59,11 +73,35 @@ class DenoiseConfig:
 
 @dataclass
 class DenoiseResult:
+    """Output of one pipeline run.
+
+    ``band`` is the noise band the threshold was selected against.  It is
+    built from ``band_factory`` on first read and cached, and it is ``None``
+    when no band was used (noise-free passthrough, baseline rules).
+    """
+
     threshold: float
     denoised: np.ndarray
     coefficients_kept: int
-    band: ConfidenceBand | None
     sigma_used: float
+    band_factory: Callable[[], ConfidenceBand] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def band(self) -> ConfidenceBand | None:
+        return None if self.band_factory is None else self.band_factory()
+
+
+def _finite_samples(observed) -> np.ndarray:
+    """``observed`` as a float array; raises ValueError on NaN or infinity."""
+    observed = np.asarray(observed, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(observed))
+    if bad:
+        raise ValueError(
+            f"observed samples must be finite; found {bad} NaN or infinite value(s)"
+        )
+    return observed
 
 
 def soft_threshold(coeffs, t: float) -> np.ndarray:
@@ -74,32 +112,35 @@ def soft_threshold(coeffs, t: float) -> np.ndarray:
     return np.sign(coeffs) * np.maximum(np.abs(coeffs) - t, 0.0)
 
 
-def _band_for(z_grid, sigma, n, lam, profile):
-    if profile is None or profile.is_white():
-        return white_band(z_grid, sigma, n, lam)
-    return colored_band(z_grid, sigma, profile, n, lam)
+def _select(a, sigma, n, lam, profile) -> float:
+    """Threshold for the ascending absolute coefficients ``a``.
 
+    Band membership is tested at the midpoint plotting position
+    (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
+    the clamped band, so a curve that departed and never returned would
+    still report its maximum as "in band"; the half-step removes that
+    artifact without moving interior points by more than half a grid step.
 
-def _select(coeffs, sigma, n, lam, profile):
-    """Threshold and band for a coefficient vector; shared implementation."""
-    a = np.sort(np.abs(np.asarray(coeffs, dtype=float).ravel()))
+    The threshold is the *last* in-band point, so the band is evaluated
+    from the top of the curve down, in blocks of ``SCAN_BLOCK``,
+    ``2 * SCAN_BLOCK``, ... points, and the scan stops at the first block
+    holding an in-band point.  Each point gets the same band values as in a
+    band built over the whole curve.
+    """
     if a.size == 0:
         raise ValueError("coefficient vector must be nonempty")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    n = a.size if n is None else int(n)
-    band = _band_for(a, sigma, n, lam, profile)
-    # Band membership is tested at the midpoint plotting position
-    # (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
-    # the clamped band, so a curve that departed and never returned would
-    # still report its maximum as "in band"; the half-step removes that
-    # artifact without moving interior points by more than half a grid step.
-    g_mid = (np.arange(1, a.size + 1) - 0.5) / a.size
-    inside = band.contains(g_mid)
-    if not inside.any():
-        return 0.0, band
-    tstar = float(a[np.nonzero(inside)[0][-1]])
-    return tstar, band
+    _checked_grid(a, sigma, n, lam)
+    end, size = a.size, SCAN_BLOCK
+    while end > 0:
+        start = max(end - size, 0)
+        center, var = _band_moments(a[start:end], sigma, n, profile)
+        lower, upper = _band_edges(center, var, lam)
+        g_mid = (np.arange(start + 1, end + 1) - 0.5) / a.size
+        inside = np.flatnonzero((g_mid >= lower) & (g_mid <= upper))
+        if inside.size:
+            return float(a[start + inside[-1]])
+        end, size = start, 2 * size
+    return 0.0
 
 
 def select_threshold(coeffs, sigma: float, n: int | None = None,
@@ -111,8 +152,8 @@ def select_threshold(coeffs, sigma: float, n: int | None = None,
     everything).  ``n`` defaults to the number of coefficients and controls
     the band width; ``profile`` switches to the correlated-noise band.
     """
-    tstar, _ = _select(coeffs, sigma, n, lam, profile)
-    return tstar
+    a = np.sort(np.abs(np.asarray(coeffs, dtype=float).ravel()))
+    return _select(a, sigma, a.size if n is None else int(n), lam, profile)
 
 
 def denoise(observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
@@ -120,8 +161,7 @@ def denoise(observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
 
     The observed vector must have dyadic length at least ``2**config.levels``.
     """
-    observed = np.asarray(observed, dtype=float)
-    coeffs = dwt_forward(observed, config.levels)
+    coeffs = dwt_forward(_finite_samples(observed), config.levels)
     if config.sigma is not None:
         sigma = float(config.sigma)
     else:
@@ -139,11 +179,11 @@ def denoise(observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
             threshold=0.0,
             denoised=dwt_inverse(coeffs),
             coefficients_kept=int(np.count_nonzero(scope)),
-            band=None,
             sigma_used=sigma,
         )
 
-    tstar, band = _select(scope, sigma, None, config.lam, config.profile)
+    a = np.sort(np.abs(scope))
+    tstar = _select(a, sigma, a.size, config.lam, config.profile)
 
     shrunk = coeffs.copy()
     shrunk.detail_bands = [soft_threshold(b, tstar) for b in shrunk.detail_bands]
@@ -154,6 +194,10 @@ def denoise(observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
         threshold=tstar,
         denoised=dwt_inverse(shrunk),
         coefficients_kept=kept,
-        band=band,
         sigma_used=sigma,
+        band_factory=(
+            partial(white_band, a, sigma, a.size, config.lam)
+            if config.profile is None
+            else partial(colored_band, a, sigma, config.profile, a.size, config.lam)
+        ),
     )

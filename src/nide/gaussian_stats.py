@@ -1,4 +1,4 @@
-"""Scalar Gaussian primitives: error functions and the two absolute-value CDFs.
+"""Scalar Gaussian primitives: the error function and the two absolute-value CDFs.
 
 Two cumulative curves drive everything else in this package:
 
@@ -16,7 +16,6 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "erf",
     "erf_std",
     "std_normal_cdf",
     "abs_noise_cdf",
@@ -26,19 +25,8 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-def erf(x):
-    """Error function normalized to a half: ``(1/sqrt(pi)) * int_0^x exp(-t^2) dt``.
-
-    This is *half* the textbook error function; its range is (-0.5, 0.5).
-    The half-normalized form is what the band-confidence mapping in
-    :mod:`nide.signature` uses.  For the conventional function use
-    :func:`erf_std`.
-    """
-    return 0.5 * special.erf(x)
-
-
 def erf_std(x):
-    """Conventional error function, ``erf_std(x) = 2 * erf(x)``, range (-1, 1)."""
+    """Conventional error function ``(2/sqrt(pi)) int_0^x exp(-t^2) dt``, range (-1, 1)."""
     return special.erf(x)
 
 

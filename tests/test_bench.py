@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
+import nide.bench
 from nide.bench import (
     ExperimentConfig,
     MC_CHECKS,
+    lambda_sweep,
     main,
     mc_validate,
     normalized_mse,
     run_experiment,
 )
-from nide.noise_model import NoiseSpec
+from nide.noise_model import NoiseSpec, theoretical_profile
 
 
 class TestNormalizedMse:
@@ -42,6 +44,24 @@ class TestNormalizedMse:
 
 
 class TestRunExperiment:
+    def test_colored_profile_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counting_profile(*args, **kwargs):
+            calls.append(args)
+            return theoretical_profile(*args, **kwargs)
+
+        monkeypatch.setattr(nide.bench, "theoretical_profile", counting_profile)
+        noise = NoiseSpec.ar1(0.8)
+        config = ExperimentConfig(
+            signals=("blocks",), snr_db=(4.0, 8.0), methods=("nide", "visu"),
+            noise=noise, trials=3, seed=2, n=256, sigma_policy="known",
+        )
+        run_experiment(config)
+        assert len(calls) == 1
+        lambda_sweep("blocks", 8.0, [4.0, 4.5], trials=3, seed=2, noise=noise, n=256)
+        assert len(calls) == 2
+
     def test_single_trial_matches_hand_run(self):
         from nide.denoise import DenoiseConfig, denoise
         from nide.noise_model import gen_noise
@@ -222,6 +242,18 @@ class TestCli:
         # includes z = 4 sigma where the normal approximation under-covers
         payload = json.loads(report.read_text())
         assert payload["check"] == "coverage"
+
+    def test_mc_coverage_grid_flags(self, tmp_path):
+        report = tmp_path / "mc.json"
+        argv = ["mc", "--check", "coverage", "--runs", "300", "--z-max", "3",
+                "--out", str(report)]
+        assert main(argv + ["--floor", "0.99"]) == 0
+        payload = json.loads(report.read_text())
+        assert (payload["params"]["z_max"], payload["params"]["floor"]) == (3.0, 0.99)
+        assert max(row["z"] for row in payload["rows"]) == 3.0
+        # A floor no coverage can reach fails the same grid.
+        assert main(argv + ["--floor", "1.01"]) == 2
+        assert json.loads(report.read_text())["params"]["floor"] == 1.01
 
     def test_lambda_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"

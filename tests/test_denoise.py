@@ -1,12 +1,38 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfinv
 
+from nide.baselines import denoise_with
 from nide.denoise import DenoiseConfig, denoise, select_threshold, soft_threshold
 from nide.noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise, theoretical_profile
 from nide.signals import gen_signal
-from nide.signature import white_band
+from nide.signature import CorrelationProfile, colored_band, white_band
+from nide.wavelet import dwt_forward
+
+SCAN_PROFILES = {
+    "white": None,
+    "ar1(0.8)": theoretical_profile(NoiseSpec.ar1(0.8), 2047),
+    "ar1(-0.6)": theoretical_profile(NoiseSpec.ar1(-0.6), 2047),
+    "ma": theoretical_profile(NoiseSpec.ma([1.0, 0.5, 0.25]), 2047),
+    "rho=+1": CorrelationProfile(rho=np.array([1.0, 1.0, 0.5])),
+    "rho=-1": CorrelationProfile(rho=np.array([1.0, -1.0, 0.3, 1.0])),
+}
+
+
+def full_band(a, sigma, n, lam, profile):
+    if profile is None or profile.is_white():
+        return white_band(a, sigma, n, lam)
+    return colored_band(a, sigma, profile, n, lam)
+
+
+def reference_threshold(coeffs, sigma, n, lam, profile):
+    """Last sorted |coefficient| whose midpoint position lies in the full band."""
+    a = np.sort(np.abs(np.asarray(coeffs, dtype=float)))
+    g_mid = (np.arange(1, a.size + 1) - 0.5) / a.size
+    inside = np.nonzero(full_band(a, sigma, n, lam, profile).contains(g_mid))[0]
+    return float(a[inside[-1]]) if inside.size else 0.0
 
 
 class TestSoftThreshold:
@@ -103,6 +129,62 @@ class TestSelectThreshold:
             select_threshold([], sigma=1.0)
         with pytest.raises(ValueError):
             select_threshold([1.0], sigma=0.0)
+        with pytest.raises(ValueError):
+            select_threshold([1.0], sigma=1.0, lam=-1.0)
+        with pytest.raises(ValueError):
+            select_threshold([1.0], sigma=1.0, n=0)
+
+
+class TestBandScan:
+    """The top-down blockwise scan returns exactly the last in-band point of
+    the band built over the whole sorted curve."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profile=st.sampled_from(sorted(SCAN_PROFILES)),
+        size=st.integers(1, 3000),
+        spikes=st.integers(0, 1200),
+        amplitude=st.floats(0.0, 40.0),
+        lam=st.sampled_from([0.0, 1.0, 3.0, 4.5, 8.0]),
+        sigma=st.floats(0.05, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_band(self, profile, size, spikes, amplitude, lam, sigma, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(0.0, sigma, size)
+        coeffs[: min(spikes, size)] += amplitude * sigma
+        prof = SCAN_PROFILES[profile]
+        expected = reference_threshold(coeffs, sigma, size, lam, prof)
+        assert select_threshold(coeffs, sigma, lam=lam, profile=prof) == expected
+
+    @pytest.mark.parametrize("profile", sorted(SCAN_PROFILES))
+    def test_all_in_band(self, profile):
+        # Coefficients at the midpoint quantiles of |N(0, 1)|: the curve is F.
+        m = 1000
+        coeffs = np.sqrt(2.0) * erfinv((np.arange(1, m + 1) - 0.5) / m)
+        prof = SCAN_PROFILES[profile]
+        tstar = select_threshold(coeffs, 1.0, lam=4.5, profile=prof)
+        assert tstar == coeffs.max() == reference_threshold(coeffs, 1.0, m, 4.5, prof)
+
+    @pytest.mark.parametrize("profile", sorted(SCAN_PROFILES))
+    def test_none_in_band(self, profile):
+        # Every coefficient far above the noise: F = 1 and the band is {1}.
+        coeffs = np.linspace(100.0, 200.0, 700)
+        prof = SCAN_PROFILES[profile]
+        assert select_threshold(coeffs, 1.0, lam=4.5, profile=prof) == 0.0
+        assert reference_threshold(coeffs, 1.0, 700, 4.5, prof) == 0.0
+
+    @pytest.mark.parametrize("profile", sorted(SCAN_PROFILES))
+    def test_threshold_several_blocks_deep(self, profile):
+        # 600 large coefficients on top of 1400 noise ones: the scan passes
+        # blocks of 64, 128 and 256 points before reaching T*.
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(0.0, 1.0, 2000)
+        coeffs[:600] = rng.uniform(20.0, 60.0, 600)
+        prof = SCAN_PROFILES[profile]
+        tstar = select_threshold(coeffs, 1.0, lam=4.5, profile=prof)
+        assert tstar == reference_threshold(coeffs, 1.0, 2000, 4.5, prof)
+        assert np.count_nonzero(np.abs(coeffs) > tstar) >= 64 + 128 + 256
 
 
 class TestDenoisePipeline:
@@ -113,6 +195,7 @@ class TestDenoisePipeline:
         assert rel < 1e-6
         assert result.threshold == 0.0
         assert result.band is None
+        assert denoise_with("visu", truth).band is None
 
     def test_pure_noise_is_suppressed(self):
         n, hits = 2048, 0
@@ -174,6 +257,30 @@ class TestDenoisePipeline:
         assert result.threshold >= 0
         assert result.sigma_used > 0
         assert result.band.n == details.size
+
+    @pytest.mark.parametrize("profile", [None, SCAN_PROFILES["ar1(0.8)"]])
+    def test_band_built_on_request_equals_full_band(self, profile):
+        truth = gen_signal("blocks", 2048).samples
+        observed = truth + gen_noise(NoiseSpec.white(1.0), 2048, 8)
+        config = DenoiseConfig(sigma=1.0, profile=profile)
+        result = denoise(observed, config)
+        a = np.sort(np.abs(dwt_forward(observed, 5).detail_values()))
+        expected = full_band(a, 1.0, a.size, 4.5, profile)
+        band = result.band
+        assert band is result.band  # built once, then cached
+        for name in ("z_grid", "lower", "upper", "center"):
+            assert np.array_equal(getattr(band, name), getattr(expected, name)), name
+        assert (band.lam, band.n) == (expected.lam, expected.n)
+
+    @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_samples(self, method, bad):
+        observed = gen_noise(NoiseSpec.white(1.0), 256, 2)
+        observed[17] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            denoise_with(method, observed)
+        with pytest.raises(ValueError, match="must be finite"):
+            denoise(observed)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nide.gaussian_stats import (
     abs_noise_cdf,
-    erf,
     erf_std,
     shifted_abs_cdf,
     std_normal_cdf,
@@ -31,13 +30,7 @@ def erf_trapezoid(x, points=200_001):
 
 class TestErf:
     def test_zero(self):
-        assert erf(0.0) == 0.0
         assert erf_std(0.0) == 0.0
-
-    def test_half_convention(self):
-        for x in (0.3, 1.0, 2.5):
-            assert erf(x) == pytest.approx(0.5 * erf_std(x), rel=0, abs=1e-15)
-        assert 0 < erf(50.0) <= 0.5
 
     def test_against_series_oracle(self):
         # frozen from the series oracle

@@ -230,9 +230,54 @@ class TestCorrelationProfile:
         assert prof.max_lag == 2
         assert not prof.is_white()
         assert CorrelationProfile(rho=np.array([1.0])).is_white()
+        mixed = CorrelationProfile(rho=np.array([1.0, 1e-7, -0.5, 0.0, 1.0 + 1e-13]))
+        assert mixed.active_lags.tolist() == [2, 4]
+        assert CorrelationProfile(rho=np.array([1.0, 9e-7, -9e-7])).is_white()
+
+
+def per_lag_variance_bound(z, sigma, profile, n):
+    """The variance bound as one pass per lag: the reference the vectorized
+    kernel must match in every bit."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    F = abs_noise_cdf(z, sigma)
+    var = F * (1.0 - F) / n
+    rho = profile.rho
+    for k in range(1, min(rho.size, n)):
+        r = rho[k]
+        if abs(r) < 1e-6:
+            continue
+        if 1.0 + r > 0:
+            t_plus = abs_noise_cdf(np.sqrt(2.0) * z / np.sqrt(1.0 + r), sigma)
+        else:
+            t_plus = np.ones_like(z)
+        if 1.0 - r > 0:
+            t_minus = abs_noise_cdf(np.sqrt(2.0) * z / np.sqrt(1.0 - r), sigma)
+        else:
+            t_minus = np.ones_like(z)
+        var = var + (2.0 * (n - k) / n**2) * (t_plus * t_minus - F * F)
+    return var
 
 
 class TestColoredVarianceBound:
+    @pytest.mark.parametrize(
+        "rho, n, points",
+        [
+            (theoretical_profile(NoiseSpec.ar1(0.8), 2047).rho, 2048, 1984),
+            (theoretical_profile(NoiseSpec.ar1(-0.6), 2047).rho, 2048, 64),
+            (theoretical_profile(NoiseSpec.ma([1.0, 0.5, 0.25]), 2047).rho, 2048, 300),
+            (np.array([1.0, 1.0, -1.0, 0.4, 1e-7, -0.2]), 5, 257),
+            (np.array([1.0, 1.0, -1.0, 0.4, 1e-7, -0.2]), 3, 10),
+            # 1374 active lags x 4096 points: summed in many slices of lags
+            (theoretical_profile(NoiseSpec.ar1(0.99), 4095).rho, 4096, 4096),
+        ],
+    )
+    def test_matches_per_lag_loop_exactly(self, rho, n, points):
+        profile = CorrelationProfile(rho=rho)
+        z = np.sort(np.abs(np.random.default_rng(points).normal(0.0, 1.7, points)))
+        z[0] = 0.0
+        expected = per_lag_variance_bound(z, 1.7, profile, n)
+        assert np.array_equal(colored_variance_bound(z, 1.7, profile, n), expected)
+
     def test_white_profile_reduces_exactly(self):
         z = np.linspace(0.1, 4, 30)
         prof = CorrelationProfile(rho=np.array([1.0, 0.0, 0.0]))
