@@ -566,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--z-max", dest="z_max", type=float, default=None,
                    help="upper end of the z grid (coverage: default 4 sigma)")
-    p.add_argument("--floor", type=float, default=None,
-                   help="per-z coverage floor of the coverage check (default 0.999)")
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("lambda-sweep", help="mean MSE per band-width multiplier")
@@ -640,7 +638,7 @@ def _cmd_mc(args) -> int:
         params["theta"] = args.theta
     if args.ar is not None:
         params["ar"] = args.ar
-    for key in ("lam", "z_max", "floor"):
+    for key in ("lam", "z_max"):
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
     report = mc_validate(args.check, params, runs=args.runs, seed=args.seed)

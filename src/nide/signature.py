@@ -191,10 +191,8 @@ def _pair_cdf(z, spread, sigma):
     """Rows ``F(sqrt(2) z / sqrt(spread_k))`` for ``spread = 1 +/- rho``;
     a row is 1, the continuity limit, where ``spread_k`` is 0."""
     live = spread > 0
-    if live.all():
-        return abs_noise_cdf(_SQRT2 * z / np.sqrt(spread[:, None]), sigma)
-    out = np.ones((spread.size, z.size))
-    out[live] = abs_noise_cdf(_SQRT2 * z / np.sqrt(spread[live, None]), sigma)
+    out = abs_noise_cdf(_SQRT2 * z / np.sqrt(np.where(live, spread, 1.0)[:, None]), sigma)
+    out[~live] = 1.0
     return out
 
 

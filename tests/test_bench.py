@@ -243,17 +243,13 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["check"] == "coverage"
 
-    def test_mc_coverage_grid_flags(self, tmp_path):
+    def test_mc_coverage_z_max_flag(self, tmp_path):
         report = tmp_path / "mc.json"
-        argv = ["mc", "--check", "coverage", "--runs", "300", "--z-max", "3",
-                "--out", str(report)]
-        assert main(argv + ["--floor", "0.99"]) == 0
+        main(["mc", "--check", "coverage", "--runs", "300", "--z-max", "3",
+              "--out", str(report)])
         payload = json.loads(report.read_text())
-        assert (payload["params"]["z_max"], payload["params"]["floor"]) == (3.0, 0.99)
+        assert payload["params"]["z_max"] == 3.0
         assert max(row["z"] for row in payload["rows"]) == 3.0
-        # A floor no coverage can reach fails the same grid.
-        assert main(argv + ["--floor", "1.01"]) == 2
-        assert json.loads(report.read_text())["params"]["floor"] == 1.01
 
     def test_lambda_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
