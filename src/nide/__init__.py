@@ -25,7 +25,6 @@ from .gaussian_stats import abs_noise_cdf, erf_std, shifted_abs_cdf, std_normal_
 from .noise_model import (
     NoiseSpec,
     calibrate_noise_to_snr,
-    estimate_profile,
     estimate_sigma_mad,
     gen_noise,
     theoretical_profile,
@@ -73,7 +72,6 @@ __all__ = [
     "dwt_inverse",
     "empirical_signature",
     "erf_std",
-    "estimate_profile",
     "estimate_sigma_mad",
     "expected_noisy_curve",
     "gen_noise",

@@ -8,11 +8,11 @@ defined.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .denoise import DenoiseConfig, DenoiseResult, _finite_samples, soft_threshold
-from .noise_model import estimate_sigma_mad
-from .wavelet import dwt_forward, dwt_inverse
+from .denoise import DenoiseConfig, DenoiseResult, _nide_rule, _one
 
 __all__ = [
     "visu_threshold",
@@ -27,13 +27,22 @@ __all__ = [
 BASELINE_METHODS = ("visu", "sure", "bayes")
 
 
-def visu_threshold(n: int, sigma: float) -> float:
-    """Universal threshold ``sigma * sqrt(2 ln n)``."""
+def _squares(sigma) -> np.ndarray:
+    """``sigma**2`` elementwise with Python's float power, which can round
+    differently from numpy's array square; the scalar rules used the former."""
+    sigma = np.asarray(sigma, dtype=float)
+    return np.array([s**2 for s in sigma.ravel().tolist()]).reshape(sigma.shape)
+
+
+def visu_threshold(n: int, sigma):
+    """Universal threshold ``sigma * sqrt(2 ln n)``; one per element of ``sigma``."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if sigma < 0:
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma < 0):
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    return float(sigma * np.sqrt(2.0 * np.log(n)))
+    t = sigma * np.sqrt(2.0 * np.log(n))
+    return float(t) if t.ndim == 0 else t
 
 
 def sure_risk(band, sigma: float, t: float) -> float:
@@ -47,22 +56,25 @@ def sure_risk(band, sigma: float, t: float) -> float:
     return float(n * sigma**2 - 2.0 * sigma**2 * below + np.sum(np.minimum(band**2, t**2)))
 
 
-def sure_minimizer(band, sigma: float) -> float:
-    """Threshold minimizing :func:`sure_risk` over candidates ``{0} | sorted |band|``."""
+def sure_minimizer(band, sigma):
+    """Threshold minimizing :func:`sure_risk` over candidates ``{0} | sorted |band|``,
+    per row of ``band`` (last axis), with one ``sigma`` per row."""
     band = np.asarray(band, dtype=float)
-    n = band.size
+    n = band.shape[-1]
     if n == 0:
         raise ValueError("band must be nonempty")
-    sq = np.sort(band**2)
-    candidates = np.concatenate([[0.0], np.sqrt(sq)])
-    cumsq = np.concatenate([[0.0], np.cumsum(sq)])
+    sq = np.concatenate([np.zeros(band.shape[:-1] + (1,)), np.sort(band**2, axis=-1)], axis=-1)
+    candidates, cumsq = np.sqrt(sq), np.cumsum(sq, axis=-1)
     k = np.arange(n + 1)  # number of |x| <= candidate (ties share the value)
-    risks = n * sigma**2 - 2.0 * sigma**2 * k + (cumsq + (n - k) * candidates**2)
-    return float(candidates[np.argmin(risks)])
+    s2 = _squares(sigma)[..., None]
+    risks = n * s2 - 2.0 * s2 * k + (cumsq + (n - k) * candidates**2)
+    best = np.take_along_axis(candidates, np.argmin(risks, axis=-1)[..., None], axis=-1)[..., 0]
+    return float(best) if best.ndim == 0 else best
 
 
-def sure_threshold(band, sigma: float) -> float:
-    """Hybrid SURE threshold for one detail band.
+def sure_threshold(band, sigma):
+    """Hybrid SURE threshold for one detail band, per row of ``band`` (last
+    axis) with one ``sigma`` per row; a float for a 1-D band.
 
     When the band passes the standard sparsity test (centered energy below
     ``(log2 n)^(3/2) / sqrt(n)``) the SURE estimate is unreliable and the
@@ -70,36 +82,58 @@ def sure_threshold(band, sigma: float) -> float:
     universal threshold.
     """
     band = np.asarray(band, dtype=float)
-    n = band.size
+    n = band.shape[-1]
     if n == 0:
         raise ValueError("band must be nonempty")
-    if not sigma > 0:
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all(sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     universal = visu_threshold(n, sigma)
-    energy_excess = (np.sum((band / sigma) ** 2) - n) / n
-    sparsity_cut = np.log2(n) ** 1.5 / np.sqrt(n)
-    if energy_excess <= sparsity_cut:
-        return universal
-    return min(sure_minimizer(band, sigma), universal)
+    energy_excess = (np.sum((band / sigma[..., None]) ** 2, axis=-1) - n) / n
+    sparse = energy_excess <= np.log2(n) ** 1.5 / np.sqrt(n)
+    t = np.where(sparse, universal, np.minimum(sure_minimizer(band, sigma), universal))
+    return float(t) if t.ndim == 0 else t
 
 
-def bayes_threshold(band, sigma: float) -> float:
+def bayes_threshold(band, sigma):
     """Bayes threshold ``sigma^2 / sigma_x`` with
-    ``sigma_x = sqrt(max(var(band) - sigma^2, 0))``.
+    ``sigma_x = sqrt(max(var(band) - sigma^2, 0))``, per row of ``band``
+    (last axis) with one ``sigma`` per row; a float for a 1-D band.
 
     A band whose variance does not exceed the noise variance is treated as
     pure noise: the threshold is ``max |band|``, which zeroes it.
     """
     band = np.asarray(band, dtype=float)
-    if band.size == 0:
+    if band.shape[-1] == 0:
         raise ValueError("band must be nonempty")
-    if not sigma > 0:
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all(sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    variance = np.mean(band**2)  # detail bands are zero mean
-    sigma_x = np.sqrt(max(variance - sigma**2, 0.0))
-    if sigma_x == 0.0:
-        return float(np.max(np.abs(band)))
-    return float(sigma**2 / sigma_x)
+    s2 = _squares(sigma)
+    variance = np.mean(band**2, axis=-1)  # detail bands are zero mean
+    sigma_x = np.sqrt(np.maximum(variance - s2, 0.0))
+    noise_only = sigma_x == 0.0
+    t = np.where(noise_only, np.max(np.abs(band), axis=-1), s2 / np.where(noise_only, 1.0, sigma_x))
+    return float(t) if t.ndim == 0 else t
+
+
+def _baseline_rule(method, coeffs, sigma, config):
+    """Pipeline rule of a classical threshold: one per row for ``visu``, one
+    per row and detail level for ``sure`` and ``bayes``.  The detail bands
+    are always the scope, and sigma is floored at the smallest normal float."""
+    sigma = np.maximum(sigma, np.finfo(float).tiny)
+    bands = coeffs.detail_bands
+    if method == "visu":
+        t = visu_threshold(coeffs.values.shape[-1], sigma)[..., None]
+    else:
+        rule = sure_threshold if method == "sure" else bayes_threshold
+        per_level = np.stack([rule(b, sigma) for b in bands], axis=-1)
+        t = np.repeat(per_level, [b.shape[-1] for b in bands], axis=-1)
+    return coeffs.detail_values(), t, sigma, None
+
+
+# The nide.denoise._pipeline rule of every method.
+_RULES = {"nide": _nide_rule, **{m: partial(_baseline_rule, m) for m in BASELINE_METHODS}}
 
 
 def denoise_with(method: str, observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
@@ -110,35 +144,10 @@ def denoise_with(method: str, observed, config: DenoiseConfig = DenoiseConfig())
     ``threshold`` is the largest threshold applied.  ``nide`` is accepted for
     uniform dispatch and defers to :func:`nide.denoise.denoise`.
     """
+    if method not in _RULES:
+        raise ValueError(f"unknown method {method!r}; choose from {tuple(_RULES)}")
     if method == "nide":
         from .denoise import denoise
 
         return denoise(observed, config)
-    if method not in BASELINE_METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {BASELINE_METHODS + ('nide',)}")
-    observed = _finite_samples(observed)
-    coeffs = dwt_forward(observed, config.levels)
-    if config.sigma is not None:
-        sigma = float(config.sigma)
-    else:
-        sigma = estimate_sigma_mad(coeffs.detail_bands[0])
-    sigma = max(sigma, np.finfo(float).tiny)
-
-    if method == "visu":
-        thresholds = [visu_threshold(observed.size, sigma)] * config.levels
-    elif method == "sure":
-        thresholds = [sure_threshold(b, sigma) for b in coeffs.detail_bands]
-    else:
-        thresholds = [bayes_threshold(b, sigma) for b in coeffs.detail_bands]
-
-    shrunk = coeffs.copy()
-    shrunk.detail_bands = [
-        soft_threshold(b, t) for b, t in zip(shrunk.detail_bands, thresholds)
-    ]
-    kept = int(sum(np.count_nonzero(b) for b in shrunk.detail_bands))
-    return DenoiseResult(
-        threshold=float(max(thresholds)),
-        denoised=dwt_inverse(shrunk),
-        coefficients_kept=kept,
-        sigma_used=sigma,
-    )
+    return _one(observed, config, _RULES[method])

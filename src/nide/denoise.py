@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .gaussian_stats import abs_noise_cdf
 from .noise_model import estimate_sigma_mad
 from .signature import (
     ConfidenceBand,
@@ -22,6 +23,7 @@ from .signature import (
     _band_moments,
     _checked_grid,
     colored_band,
+    colored_variance_bound,
     white_band,
 )
 from .wavelet import dwt_forward, dwt_inverse
@@ -93,27 +95,24 @@ class DenoiseResult:
         return None if self.band_factory is None else self.band_factory()
 
 
-def _finite_samples(observed) -> np.ndarray:
-    """``observed`` as a float array; raises ValueError on NaN or infinity."""
-    observed = np.asarray(observed, dtype=float)
-    bad = np.count_nonzero(~np.isfinite(observed))
-    if bad:
-        raise ValueError(
-            f"observed samples must be finite; found {bad} NaN or infinite value(s)"
-        )
-    return observed
-
-
-def soft_threshold(coeffs, t: float) -> np.ndarray:
-    """Shrink toward zero: ``sgn(c) * max(|c| - t, 0)`` elementwise."""
-    if t < 0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
+def soft_threshold(coeffs, t, out=None) -> np.ndarray:
+    """Shrink toward zero: ``sgn(c) * max(|c| - t, 0)`` elementwise; ``t`` is one
+    threshold, one per row or one per coefficient, and ``out=coeffs`` shrinks in place."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"threshold must be nonnegative, got {np.min(t)}")
     coeffs = np.asarray(coeffs, dtype=float)
-    return np.sign(coeffs) * np.maximum(np.abs(coeffs) - t, 0.0)
+    sign = np.sign(coeffs)
+    shrunk = np.abs(coeffs, out=np.empty_like(coeffs) if out is None else out)
+    shrunk -= t
+    np.maximum(shrunk, 0.0, out=shrunk)
+    return np.multiply(shrunk, sign, out=shrunk)
 
 
-def _select(a, sigma, n, lam, profile) -> float:
-    """Threshold for the ascending absolute coefficients ``a``.
+def _select(a, sigma, n, lam, profile, rows) -> np.ndarray:
+    """Thresholds for the rows ``rows`` of ``a`` (ascending absolute
+    coefficients, shape ``(rows, m)``) with per-row noise scales ``sigma``;
+    the other rows get 0.
 
     Band membership is tested at the midpoint plotting position
     (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
@@ -123,24 +122,32 @@ def _select(a, sigma, n, lam, profile) -> float:
 
     The threshold is the *last* in-band point, so the band is evaluated
     from the top of the curve down, in blocks of ``SCAN_BLOCK``,
-    ``2 * SCAN_BLOCK``, ... points, and the scan stops at the first block
-    holding an in-band point.  Each point gets the same band values as in a
-    band built over the whole curve.
+    ``2 * SCAN_BLOCK``, ... points, and a row leaves the scan at the first
+    block holding one of its in-band points.  Each point gets the same band
+    values as in a band built over its whole row.
     """
-    if a.size == 0:
+    if a.shape[-1] == 0:
         raise ValueError("coefficient vector must be nonempty")
-    _checked_grid(a, sigma, n, lam)
-    end, size = a.size, SCAN_BLOCK
-    while end > 0:
+    _checked_grid(a, sigma[rows], n, lam)
+    t = np.zeros(a.shape[0])
+    end, size = a.shape[-1], SCAN_BLOCK
+    while end > 0 and rows.size:
         start = max(end - size, 0)
-        center, var = _band_moments(a[start:end], sigma, n, profile)
+        z, s = a[rows, start:end], sigma[rows, None]
+        if profile is None:
+            center, var = _band_moments(z, s, n)
+        else:
+            # The width comes from the public bound, as in colored_band.
+            center, var = abs_noise_cdf(z, s), colored_variance_bound(z, s, profile, n)
         lower, upper = _band_edges(center, var, lam)
-        g_mid = (np.arange(start + 1, end + 1) - 0.5) / a.size
-        inside = np.flatnonzero((g_mid >= lower) & (g_mid <= upper))
-        if inside.size:
-            return float(a[start + inside[-1]])
+        g_mid = (np.arange(start + 1, end + 1) - 0.5) / a.shape[-1]
+        inside = (g_mid >= lower) & (g_mid <= upper)
+        hit = inside.any(axis=-1)
+        last = end - start - 1 - np.argmax(inside[:, ::-1], axis=-1)
+        t[rows[hit]] = z[hit, last[hit]]
+        rows = rows[~hit]
         end, size = start, 2 * size
-    return 0.0
+    return t
 
 
 def select_threshold(coeffs, sigma: float, n: int | None = None,
@@ -152,8 +159,62 @@ def select_threshold(coeffs, sigma: float, n: int | None = None,
     everything).  ``n`` defaults to the number of coefficients and controls
     the band width; ``profile`` switches to the correlated-noise band.
     """
-    a = np.sort(np.abs(np.asarray(coeffs, dtype=float).ravel()))
-    return _select(a, sigma, a.size if n is None else int(n), lam, profile)
+    a = np.sort(np.abs(np.asarray(coeffs, dtype=float).ravel()))[None]
+    n = a.size if n is None else int(n)
+    return float(_select(a, np.asarray([sigma], dtype=float), n, lam, profile, np.arange(1))[0])
+
+
+def _pipeline(observed, config: DenoiseConfig, rule, sigma=None):
+    """Denoise every row of ``observed``, shape ``(rows, N)``, with ``rule``.
+
+    Each step runs once for all rows.  The noise scale is ``sigma`` (per
+    row) if given, else ``config.sigma``, else the MAD estimate of the
+    finest details.  ``rule(coeffs, sigma, config)`` returns the coefficient
+    view to shrink, thresholds broadcastable to it, the noise scale to report
+    and the per-row band factories (or None).  Returns, per row, the largest
+    threshold applied, the output, the kept count, sigma and the band factory.
+    """
+    observed = np.asarray(observed, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(observed))
+    if bad:
+        raise ValueError(f"observed samples must be finite; found {bad} NaN or infinite value(s)")
+    coeffs = dwt_forward(observed, config.levels)
+    sigma = config.sigma if sigma is None else sigma
+    if sigma is None:
+        sigma = estimate_sigma_mad(coeffs.detail_bands[0])
+    else:
+        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1])
+    scope, t, sigma, bands = rule(coeffs, sigma, config)
+    soft_threshold(scope, t, out=scope)
+    return np.max(t, axis=-1), dwt_inverse(coeffs), np.count_nonzero(scope, axis=-1), sigma, bands
+
+
+def _nide_rule(coeffs, sigma, config):
+    """The invalidation threshold of each row.  A row whose noise scale is
+    negligible next to its largest coefficient passes through: 0, no band."""
+    scope = coeffs.values if config.threshold_scope == "all" else coeffs.detail_values()
+    magnitude = np.abs(coeffs.values)
+    peak = magnitude.max(axis=-1, initial=0.0)
+    live = (sigma > SIGMA_FLOOR_RATIO * peak) & (peak != 0.0)
+    a = magnitude[..., : scope.shape[-1]]  # the scope is a prefix of the values
+    a.sort(axis=-1)
+    t = _select(a, sigma, a.shape[-1], config.lam, config.profile, np.flatnonzero(live))
+    band = white_band if config.profile is None else partial(colored_band, profile=config.profile)
+    bands = [
+        partial(band, curve, s, n=curve.size, lam=config.lam) if ok else None
+        for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
+    ]
+    return scope, t[:, None], sigma, bands
+
+
+def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:
+    """One signal through :func:`_pipeline`, as a :class:`DenoiseResult`."""
+    observed = np.asarray(observed, dtype=float)
+    if observed.ndim > 1:
+        raise ValueError(f"observed must be a 1-D sample vector, got shape {observed.shape}")
+    threshold, denoised, kept, sigma, bands = _pipeline(observed[None], config, rule)
+    return DenoiseResult(float(threshold[0]), denoised[0], int(kept[0]), float(sigma[0]),
+                         bands[0] if bands else None)
 
 
 def denoise(observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
@@ -161,43 +222,4 @@ def denoise(observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
 
     The observed vector must have dyadic length at least ``2**config.levels``.
     """
-    coeffs = dwt_forward(_finite_samples(observed), config.levels)
-    if config.sigma is not None:
-        sigma = float(config.sigma)
-    else:
-        sigma = estimate_sigma_mad(coeffs.detail_bands[0])
-
-    if config.threshold_scope == "details":
-        scope = coeffs.detail_values()
-    else:
-        scope = coeffs.flatten()
-
-    peak = float(np.max(np.abs(coeffs.flatten()), initial=0.0))
-    if sigma <= SIGMA_FLOOR_RATIO * peak or peak == 0.0:
-        # Noise-free input: the band collapses to a line, pass through.
-        return DenoiseResult(
-            threshold=0.0,
-            denoised=dwt_inverse(coeffs),
-            coefficients_kept=int(np.count_nonzero(scope)),
-            sigma_used=sigma,
-        )
-
-    a = np.sort(np.abs(scope))
-    tstar = _select(a, sigma, a.size, config.lam, config.profile)
-
-    shrunk = coeffs.copy()
-    shrunk.detail_bands = [soft_threshold(b, tstar) for b in shrunk.detail_bands]
-    if config.threshold_scope == "all":
-        shrunk.approx_band = soft_threshold(shrunk.approx_band, tstar)
-    kept = int(np.sum(np.abs(scope) > tstar))
-    return DenoiseResult(
-        threshold=tstar,
-        denoised=dwt_inverse(shrunk),
-        coefficients_kept=kept,
-        sigma_used=sigma,
-        band_factory=(
-            partial(white_band, a, sigma, a.size, config.lam)
-            if config.profile is None
-            else partial(colored_band, a, sigma, config.profile, a.size, config.lam)
-        ),
-    )
+    return _one(observed, config, _nide_rule)

@@ -42,8 +42,9 @@ def abs_noise_cdf(z, sigma):
     ----------
     z : float or ndarray
         Nonnegative evaluation points.
-    sigma : float
-        Noise standard deviation, must be positive.
+    sigma : float or ndarray
+        Noise standard deviation, must be positive; an array broadcasts
+        against ``z``.
 
     Returns
     -------
@@ -51,7 +52,7 @@ def abs_noise_cdf(z, sigma):
         ``F(z)`` in [0, 1], nondecreasing in ``z``.
     """
     z = np.asarray(z, dtype=float)
-    if not sigma > 0:
+    if not np.all(np.asarray(sigma) > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     if np.any(z < 0):
         raise ValueError("z must be nonnegative")

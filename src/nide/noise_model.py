@@ -22,7 +22,6 @@ __all__ = [
     "theoretical_profile",
     "calibrate_noise_to_snr",
     "estimate_sigma_mad",
-    "estimate_profile",
 ]
 
 # Gaussian consistency constant: median(|N(0,1)|) = 0.6745 (to 4 digits).
@@ -150,32 +149,23 @@ def calibrate_noise_to_snr(signal, noise, snr_db: float) -> np.ndarray:
     return noise * scale
 
 
-def estimate_sigma_mad(finest_detail) -> float:
+def estimate_sigma_mad(finest_detail):
     """Robust noise-scale estimate: ``median(|coeffs|) / 0.6745``.
 
     ``finest_detail`` should be the finest-scale detail band, which is noise
-    dominated for signals with sparse fine-scale structure.
+    dominated for signals with sparse fine-scale structure.  One estimate
+    per row (last axis) of a ``(rows, n)`` stack; a float for a 1-D band.
     """
-    band = np.asarray(finest_detail, dtype=float)
-    if band.size == 0:
+    band = np.abs(np.atleast_1d(np.asarray(finest_detail, dtype=float)))
+    m = band.shape[-1]
+    if m == 0:
         raise ValueError("finest detail band must be nonempty")
-    return float(np.median(np.abs(band)) / MAD_SCALE)
+    # np.median's value from a partition at one position; np.median partitions
+    # at two for even m, which costs several times as much.
+    band.partition(m // 2, axis=-1)
+    median = band[..., m // 2]
+    if m % 2 == 0:
+        median = (band[..., : m // 2].max(axis=-1) + median) / 2
+    sigma = median / MAD_SCALE
+    return float(sigma) if sigma.ndim == 0 else sigma
 
-
-def estimate_profile(noise_like, max_lag: int) -> CorrelationProfile:
-    """Biased sample autocorrelation normalized by lag 0, clamped to [-1, 1]."""
-    x = np.asarray(noise_like, dtype=float)
-    if x.size == 0:
-        raise ValueError("input must be nonempty")
-    max_lag = min(max_lag, x.size - 1)
-    x = x - x.mean()
-    denom = np.dot(x, x)
-    if denom == 0:
-        rho = np.zeros(max_lag + 1)
-        rho[0] = 1.0
-        return CorrelationProfile(rho=rho)
-    rho = np.empty(max_lag + 1)
-    rho[0] = 1.0
-    for k in range(1, max_lag + 1):
-        rho[k] = np.dot(x[:-k], x[k:]) / denom
-    return CorrelationProfile(rho=np.clip(rho, -1.0, 1.0))

@@ -168,7 +168,7 @@ def confidence_to_lambda(p: float) -> float:
 
 
 def _check_band_args(sigma, n, lam=0.0) -> None:
-    if not sigma > 0:
+    if not np.all(np.asarray(sigma) > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -182,17 +182,18 @@ def _checked_grid(z_grid, sigma, n, lam) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if np.any(z < 0):
         raise ValueError("z_grid must be nonnegative")
-    if np.any(np.diff(z) < 0):
+    if np.any(z[..., 1:] < z[..., :-1]):
         raise ValueError("z_grid must be ascending")
     return z
 
 
 def _pair_cdf(z, spread, sigma):
-    """Rows ``F(sqrt(2) z / sqrt(spread_k))`` for ``spread = 1 +/- rho``;
-    a row is 1, the continuity limit, where ``spread_k`` is 0."""
+    """Rows ``F(sqrt(2) z / sqrt(spread_k))`` for ``spread = 1 +/- rho``, a
+    leading lag axis against ``z``; a row is 1, the continuity limit, where
+    ``spread_k`` is 0."""
     live = spread > 0
-    out = abs_noise_cdf(_SQRT2 * z / np.sqrt(np.where(live, spread, 1.0)[:, None]), sigma)
-    out[~live] = 1.0
+    out = abs_noise_cdf(_SQRT2 * z / np.sqrt(np.where(live, spread, 1.0)), sigma)
+    out[~live.ravel()] = 1.0
     return out
 
 
@@ -203,7 +204,8 @@ def _band_moments(z, sigma, n, profile=None):
     :func:`colored_variance_bound` for its active lags below ``n``, evaluated
     as one (lags x points) array per slice of lags and added to the variance
     one lag at a time in ascending order, so the sum is the same in every
-    bit as a loop over the lags.  Arguments are not validated here.
+    bit as a loop over the lags.  ``z`` may have any shape and ``sigma``
+    broadcasts against it.  Arguments are not validated here.
     """
     center = abs_noise_cdf(z, sigma)
     var = center * (1.0 - center) / n
@@ -214,8 +216,8 @@ def _band_moments(z, sigma, n, profile=None):
     center_sq = center * center
     for start in range(0, lags.size, rows):
         k = lags[start : start + rows]
-        r = profile.rho[k]
-        terms = (2.0 * (n - k) / n**2)[:, None] * (
+        r = profile.rho[k].reshape((-1,) + (1,) * z.ndim)
+        terms = (2.0 * (n - k) / n**2).reshape(r.shape) * (
             _pair_cdf(z, 1.0 + r, sigma) * _pair_cdf(z, 1.0 - r, sigma) - center_sq
         )
         terms[0] += var

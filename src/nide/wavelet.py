@@ -4,6 +4,8 @@ The analysis pair is ``a = (x[2i] + x[2i+1]) / sqrt(2)``,
 ``d = (x[2i] - x[2i+1]) / sqrt(2)``, applied recursively to the
 approximation.  The transform is orthonormal, so coefficient energy equals
 signal energy and white Gaussian noise stays white with the same variance.
+Both directions act on the last axis, so a ``(rows, N)`` stack of signals
+is transformed in one call.
 """
 
 from __future__ import annotations
@@ -19,90 +21,80 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass
 class CoefficientSet:
-    """Leveled Haar coefficients of a dyadic-length signal.
+    """Leveled Haar coefficients of dyadic-length signals, in one flat array.
 
-    ``detail_bands`` runs finest to coarsest; ``approx_band`` is the
-    approximation at the coarsest level.  Flattening order (finest detail
-    first, approximation last) is fixed so serialized coefficient vectors are
-    stable.
+    ``values`` has shape ``(..., N)`` in the canonical order: detail bands
+    finest to coarsest, then the approximation at the coarsest level.
+    ``detail_bands``, ``approx_band`` and ``detail_values()`` are views of
+    it, so writing into them writes into ``values``.
     """
 
+    values: np.ndarray
     levels: int
-    detail_bands: list[np.ndarray]
-    approx_band: np.ndarray
-    original_length: int
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        n = self.values.shape[-1] if self.values.ndim else 0
+        if n < 2 or (n & (n - 1)) != 0:
+            raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+        max_levels = n.bit_length() - 1
+        if not 1 <= self.levels <= max_levels:
+            raise ValueError(f"levels must be in [1, {max_levels}], got {self.levels}")
+
+    @property
+    def detail_bands(self) -> list[np.ndarray]:
+        """Detail bands, finest first."""
+        n = self.values.shape[-1]
+        return [self.values[..., n - (n >> j) : n - (n >> (j + 1))] for j in range(self.levels)]
+
+    @property
+    def approx_band(self) -> np.ndarray:
+        n = self.values.shape[-1]
+        return self.values[..., n - (n >> self.levels) :]
 
     def detail_values(self) -> np.ndarray:
         """All detail coefficients pooled, finest band first."""
-        return np.concatenate(self.detail_bands)
+        n = self.values.shape[-1]
+        return self.values[..., : n - (n >> self.levels)]
 
     def flatten(self) -> np.ndarray:
         """Canonical flat layout: detail bands finest to coarsest, then approx."""
-        return np.concatenate(self.detail_bands + [self.approx_band])
+        return self.values
 
     def energy(self) -> float:
-        return float(np.sum(self.flatten() ** 2))
-
-    def copy(self) -> "CoefficientSet":
-        return CoefficientSet(
-            levels=self.levels,
-            detail_bands=[b.copy() for b in self.detail_bands],
-            approx_band=self.approx_band.copy(),
-            original_length=self.original_length,
-        )
-
-    def validate(self) -> None:
-        total = sum(b.size for b in self.detail_bands) + self.approx_band.size
-        if total != self.original_length:
-            raise ValueError(
-                f"band sizes sum to {total}, expected {self.original_length}"
-            )
-        size = self.original_length
-        for band in self.detail_bands:
-            size //= 2
-            if band.size != size:
-                raise ValueError("detail band lengths must halve per level")
-        if self.approx_band.size != size:
-            raise ValueError("approx band must match the coarsest detail band")
+        return float(np.sum(self.values**2))
 
 
 def dwt_forward(signal, levels: int) -> CoefficientSet:
-    """Multilevel Haar analysis of a length ``2**k`` signal.
+    """Multilevel Haar analysis along the last axis of ``signal``.
 
     Parameters
     ----------
     signal : array_like
-        Real samples; the length must be a power of two.
+        Real samples, shape ``(..., N)``; ``N`` must be a power of two.
     levels : int
-        Number of decomposition levels, at most ``log2(len(signal))``.
+        Number of decomposition levels, at most ``log2(N)``.
     """
     x = np.asarray(signal, dtype=float)
-    n = x.size
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
-    max_levels = int(np.log2(n))
-    if not 1 <= levels <= max_levels:
-        raise ValueError(f"levels must be in [1, {max_levels}], got {levels}")
-    details = []
+    coeffs = CoefficientSet(np.empty(x.shape), levels)
     approx = x
-    for _ in range(levels):
-        details.append((approx[0::2] - approx[1::2]) / _SQRT2)
-        approx = (approx[0::2] + approx[1::2]) / _SQRT2
-    return CoefficientSet(
-        levels=levels,
-        detail_bands=details,
-        approx_band=approx,
-        original_length=n,
-    )
+    for band in coeffs.detail_bands:
+        even, odd = approx[..., 0::2], approx[..., 1::2]
+        np.subtract(even, odd, out=band)
+        band /= _SQRT2
+        approx = np.add(even, odd)
+        approx /= _SQRT2
+    coeffs.approx_band[...] = approx
+    return coeffs
 
 
 def dwt_inverse(coeffs: CoefficientSet) -> np.ndarray:
     """Exact inverse of :func:`dwt_forward`."""
-    coeffs.validate()
     approx = coeffs.approx_band
     for detail in reversed(coeffs.detail_bands):
-        out = np.empty(2 * approx.size, dtype=float)
-        out[0::2] = (approx + detail) / _SQRT2
-        out[1::2] = (approx - detail) / _SQRT2
+        out = np.empty(approx.shape[:-1] + (2 * approx.shape[-1],))
+        np.add(approx, detail, out=out[..., 0::2])
+        np.subtract(approx, detail, out=out[..., 1::2])
+        out /= _SQRT2
         approx = out
     return approx

@@ -1,0 +1,212 @@
+"""Denoising a (rows, N) stack in one pipeline call equals denoising each row.
+
+The references below are the scalar, one-signal code the batched pipeline
+replaced, kept here verbatim in substance: Python-float sigma, per-level
+rules on 1-D bands, the threshold from a band built over the whole sorted
+curve, and the per-trial benchmark loop.  Every comparison is exact.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nide.baselines import _RULES, denoise_with
+from nide.bench import ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, run_experiment
+from nide.denoise import SCAN_BLOCK, DenoiseConfig, _pipeline
+from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
+from nide.signals import SIGNAL_NAMES, gen_signal
+from nide.signature import colored_band, white_band
+from nide.wavelet import CoefficientSet, dwt_forward, dwt_inverse
+
+N, LEVELS, LAM = 512, 5, 4.5
+METHODS = ("nide", "visu", "sure", "bayes")
+NOISES = {
+    "white": NoiseSpec.white(),
+    "ar1(0.8)": NoiseSpec.ar1(0.8),
+    "ar1(-0.6)": NoiseSpec.ar1(-0.6),
+    "ma": NoiseSpec.ma([1.0, 0.5, 0.25]),
+}
+# Known noise scales whose square Python's float power and numpy's array
+# square round differently.
+TRAP_SIGMAS = (5.682141868614868, 0.3808171146238585, 4.151589366717423)
+
+
+def ref_visu(n, s):
+    return float(s * np.sqrt(2.0 * np.log(n)))
+
+
+def ref_sure(band, s):
+    n = band.size
+    universal = ref_visu(n, s)
+    if (np.sum((band / s) ** 2) - n) / n <= np.log2(n) ** 1.5 / np.sqrt(n):
+        return universal
+    sq = np.sort(band**2)
+    candidates = np.concatenate([[0.0], np.sqrt(sq)])
+    cumsq = np.concatenate([[0.0], np.cumsum(sq)])
+    k = np.arange(n + 1)
+    risks = n * s**2 - 2.0 * s**2 * k + (cumsq + (n - k) * candidates**2)
+    return min(float(candidates[np.argmin(risks)]), universal)
+
+
+def ref_bayes(band, s):
+    sigma_x = np.sqrt(max(np.mean(band**2) - s**2, 0.0))
+    return float(np.max(np.abs(band))) if sigma_x == 0.0 else float(s**2 / sigma_x)
+
+
+def ref_nide(scope, values, s, profile):
+    """None for a noise-free passthrough, else the last in-band point."""
+    peak = float(np.max(np.abs(values)))
+    if s <= 1e-12 * peak or peak == 0.0:
+        return None
+    a = np.sort(np.abs(scope))
+    g_mid = (np.arange(1, a.size + 1) - 0.5) / a.size
+    if profile is None:
+        band = white_band(a, s, a.size, LAM)
+    else:
+        band = colored_band(a, s, profile, a.size, LAM)
+    inside = np.flatnonzero(band.contains(g_mid))
+    return float(a[inside[-1]]) if inside.size else 0.0
+
+
+def ref_denoise(method, row, sigma, config):
+    """(threshold, denoised, kept, sigma) of the scalar one-signal pipeline."""
+    coeffs = dwt_forward(row, LEVELS)
+    bands = [b.copy() for b in coeffs.detail_bands] + [coeffs.approx_band.copy()]
+    if sigma is None:
+        sigma = float(np.median(np.abs(bands[0])) / 0.6745)
+    if method == "nide":
+        scope = np.concatenate(bands if config.threshold_scope == "all" else bands[:-1])
+        t = ref_nide(scope, coeffs.values, sigma, config.profile)
+        if t is None:
+            return 0.0, dwt_inverse(coeffs), int(np.count_nonzero(scope)), sigma
+        ts = [t] * (LEVELS + (config.threshold_scope == "all"))
+    else:
+        sigma = max(sigma, np.finfo(float).tiny)
+        if method == "visu":
+            ts = [ref_visu(row.size, sigma)] * LEVELS
+        else:
+            rule = ref_sure if method == "sure" else ref_bayes
+            ts = [rule(b, sigma) for b in bands[:-1]]
+    shrunk = [np.sign(b) * np.maximum(np.abs(b) - t, 0.0) for b, t in zip(bands, ts)]
+    kept = sum(np.count_nonzero(b) for b in shrunk)
+    shrunk += bands[len(shrunk):]
+    return max(ts), dwt_inverse(CoefficientSet(np.concatenate(shrunk), LEVELS)), kept, sigma
+
+
+def stacked_rows(seed, spec, snrs, known):
+    """Signal rows at the given SNRs (``spec`` has unit sigma), then three
+    special rows: all zeros (passthrough), unit noise against a known sigma
+    of 1e-9 (no point in band) and unit noise plus +/-30 steps (T* below the
+    first scan block with a known sigma).  Returns the rows and their known
+    sigmas."""
+    rows, sigmas = [], []
+    for i, snr in enumerate(snrs):
+        truth = gen_signal(SIGNAL_NAMES[i % len(SIGNAL_NAMES)], N).samples
+        noise = gen_noise(spec, N, seed + i)
+        s = TRAP_SIGMAS[i % len(TRAP_SIGMAS)]
+        gain = s * np.linalg.norm(noise) * 10.0 ** (snr / 20.0) / np.linalg.norm(truth)
+        rows.append(gain * truth + s * noise)
+        sigmas.append(s)
+    rng = np.random.default_rng(seed)
+    rows += [np.zeros(N), gen_noise(spec, N, seed + 101),
+             gen_noise(spec, N, seed + 102) + 30.0 * rng.choice([-1.0, 1.0], N)]
+    sigmas += [1.0, 1e-9, 1.0]
+    return np.array(rows), np.array(sigmas) if known else None
+
+
+def assert_same(got, want):
+    threshold, denoised, kept, sigma = want
+    assert got[0] == threshold
+    assert np.array_equal(got[1], denoised)
+    assert got[2] == kept
+    assert got[3] == sigma
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    noise=st.sampled_from(sorted(NOISES)),
+    known=st.booleans(),
+    scope=st.sampled_from(["details", "all"]),
+    snrs=st.lists(st.sampled_from([1.0, 4.0, 8.0, 14.0, 30.0]), min_size=1, max_size=4),
+)
+def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, scope, snrs):
+    spec = NOISES[noise]
+    profile = None if spec.kind == "white" else theoretical_profile(spec, N - 1)
+    rows, sigmas = stacked_rows(seed, spec, snrs, known)
+    for method in METHODS:
+        config = DenoiseConfig(levels=LEVELS, lam=LAM, threshold_scope=scope,
+                               profile=profile if method == "nide" else None)
+        threshold, denoised, kept, used, bands = _pipeline(rows, config, _RULES[method], sigmas)
+        for i, row in enumerate(rows):
+            sigma = None if sigmas is None else float(sigmas[i])
+            got = (threshold[i], denoised[i], kept[i], used[i])
+            single = denoise_with(method, row, replace(config, sigma=sigma))
+            assert_same(got, (single.threshold, single.denoised, single.coefficients_kept,
+                              single.sigma_used))
+            assert_same(got, ref_denoise(method, row, sigma, config))
+            if method == "nide":
+                band = bands[i] and bands[i]()
+                assert (band is None) == (single.band is None)
+                if band is not None:
+                    assert np.array_equal(band.lower, single.band.lower)
+                    assert np.array_equal(band.upper, single.band.upper)
+        if method == "nide":
+            zero, none_in_band, deep = range(len(snrs), len(snrs) + 3)
+            assert bands[zero] is None and kept[zero] == 0
+            if known:
+                assert threshold[none_in_band] == 0.0
+                assert bands[none_in_band] is not None
+                assert kept[deep] > SCAN_BLOCK
+
+
+def ref_trial_mses(config):
+    """The benchmark's per-trial loop before trials were batched."""
+    profile = None
+    if config.noise.kind != "white":
+        profile = theoretical_profile(config.noise, config.n - 1)
+    mses = {}
+    for trial in range(config.trials):
+        raw_noise = gen_noise(config.noise, config.n, _trial_seed(config.seed, trial))
+        raw_norm = np.linalg.norm(raw_noise)
+        for name in config.signals:
+            truth = gen_signal(name, config.n).samples
+            truth_norm = np.linalg.norm(truth)
+            for snr in config.snr_db:
+                scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
+                observed = truth + raw_noise * scale
+                sigma = config.noise.sigma * scale if config.sigma_policy == "known" else None
+                for method in config.methods:
+                    cfg = DenoiseConfig(levels=config.levels, lam=config.lam, sigma=sigma,
+                                        profile=profile if method == "nide" else None)
+                    denoised = denoise_with(method, observed, cfg).denoised
+                    mse = float(np.sum((denoised - truth) ** 2)) / truth_norm**2
+                    mses.setdefault((name, snr, method), []).append(mse)
+    return {key: np.array(values) for key, values in mses.items()}
+
+
+def test_paired_trials_equal_the_per_trial_loop():
+    # 70 trials at N = 2048 run as blocks of 32, 32 and 6 trials.
+    for noise, policy in ((NoiseSpec.white(), "mad"), (NoiseSpec.ar1(0.8), "known")):
+        config = ExperimentConfig(signals=("blocks",), snr_db=(4.0, 14.0), noise=noise,
+                                  trials=70, seed=3, sigma_policy=policy)
+        want = ref_trial_mses(config)
+        profile = None if noise.kind == "white" else theoretical_profile(noise, config.n - 1)
+        arms = {m: (DenoiseConfig(profile=profile if m == "nide" else None), _RULES[m])
+                for m in config.methods}
+        got = _paired_mse({"blocks": gen_signal("blocks", config.n).samples}, config.snr_db,
+                          arms, noise, config.n, config.trials, config.seed, policy,
+                          "norm-squared")
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        for row in run_experiment(config).rows:
+            values = want[(row.signal, row.snr_db, row.method)]
+            assert row.mean_mse == float(np.mean(values))
+            assert row.std_mse == float(np.std(values, ddof=1))
+        sweep = lambda_sweep("blocks", 14.0, [4.5], trials=70, seed=3, noise=noise,
+                             sigma_policy=policy)
+        values = want[("blocks", 14.0, "nide")]
+        assert sweep == [(4.5, float(np.mean(values)), float(np.std(values, ddof=1)))]

@@ -280,6 +280,25 @@ class TestCli:
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert set(sidecar) == {"threshold", "sigma_used", "lambda"}
 
+    @pytest.mark.parametrize("text", ["value\n1.0\n2.0\n", "1.0\nabc\n", "", "\n\n"])
+    @pytest.mark.parametrize("pad", ["reject", "zero"])
+    def test_denoise_file_rejects_bad_csv(self, tmp_path, capsys, text, pad):
+        infile = tmp_path / "in.csv"
+        infile.write_text(text)
+        out = tmp_path / "out.csv"
+        rc = main(["denoise-file", "--in", str(infile), "--out", str(out), "--pad", pad])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_trace_rejects_noise_free_input(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        rc = main(["trace", "--signal", "blocks", "--snr", "400", "--out", str(out)])
+        assert rc == 2
+        assert "noise free" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_denoise_file_dyadic_roundtrip(self, tmp_path):
         from nide.signals import gen_signal
 

@@ -97,15 +97,26 @@ def test_forward_validation():
         dwt_forward(np.ones(8), levels=0)
 
 
-def test_inverse_validation():
-    bad = CoefficientSet(
-        levels=1,
-        detail_bands=[np.zeros(4)],
-        approx_band=np.zeros(3),
-        original_length=8,
-    )
-    with pytest.raises(ValueError):
-        dwt_inverse(bad)
+def test_constructor_validation():
+    with pytest.raises(ValueError, match="power of two"):
+        CoefficientSet(np.zeros(12), levels=1)
+    with pytest.raises(ValueError, match="levels"):
+        CoefficientSet(np.zeros(8), levels=4)
+    with pytest.raises(ValueError, match="levels"):
+        CoefficientSet(np.zeros((3, 8)), levels=0)
+
+
+def test_stacked_rows_match_single_rows():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(5, 64))
+    stacked = dwt_forward(x, 4)
+    back = dwt_inverse(stacked)
+    for row, values, out in zip(x, stacked.values, back):
+        single = dwt_forward(row, 4)
+        assert np.array_equal(values, single.values)
+        assert np.array_equal(out, dwt_inverse(single))
+    assert [b.shape for b in stacked.detail_bands] == [(5, 32), (5, 16), (5, 8), (5, 4)]
+    assert stacked.approx_band.shape == (5, 4)
 
 
 def test_flatten_order():
