@@ -7,7 +7,7 @@ The white runs estimate the noise scale from the finest detail band; the
 colored runs hand every method the true marginal scale, since the
 finest-band median estimator is biased once the noise is correlated.
 
-Takes about 10 s at the default 100 trials (9-11 s measured on a 2-vCPU
+Takes about 8.5 s at the default 100 trials (8.4-8.7 s measured on a 2-vCPU
 machine with numpy 2.4.6); use --trials to shorten.  Tables go to
 --out-dir, by default results/ in the working directory.
 """

@@ -34,6 +34,17 @@ def _squares(sigma) -> np.ndarray:
     return np.array([s**2 for s in sigma.ravel().tolist()]).reshape(sigma.shape)
 
 
+def _rows(band, sigma):
+    """``band`` as ``(rows, n)`` and one positive sigma per row, validated."""
+    band = np.asarray(band, dtype=float)
+    if band.shape[-1] == 0:
+        raise ValueError("band must be nonempty")
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), band.shape[:-1]).ravel()
+    if not np.all(sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    return band.reshape(-1, band.shape[-1]), sigma
+
+
 def visu_threshold(n: int, sigma):
     """Universal threshold ``sigma * sqrt(2 ln n)``; one per element of ``sigma``."""
     if n < 1:
@@ -81,18 +92,14 @@ def sure_threshold(band, sigma):
     universal threshold is used instead.  The result is always capped at the
     universal threshold.
     """
-    band = np.asarray(band, dtype=float)
-    n = band.shape[-1]
-    if n == 0:
-        raise ValueError("band must be nonempty")
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    universal = visu_threshold(n, sigma)
-    energy_excess = (np.sum((band / sigma[..., None]) ** 2, axis=-1) - n) / n
-    sparse = energy_excess <= np.log2(n) ** 1.5 / np.sqrt(n)
-    t = np.where(sparse, universal, np.minimum(sure_minimizer(band, sigma), universal))
-    return float(t) if t.ndim == 0 else t
+    rows, sigma = _rows(band, sigma)
+    n = rows.shape[-1]
+    t = visu_threshold(n, sigma)
+    energy_excess = (np.sum((rows / sigma[:, None]) ** 2, axis=-1) - n) / n
+    dense = ~(energy_excess <= np.log2(n) ** 1.5 / np.sqrt(n))
+    if dense.any():  # the risk search runs only where its result is used
+        t[dense] = np.minimum(sure_minimizer(rows[dense], sigma[dense]), t[dense])
+    return float(t[0]) if np.ndim(band) == 1 else t.reshape(np.shape(band)[:-1])
 
 
 def bayes_threshold(band, sigma):
@@ -103,18 +110,14 @@ def bayes_threshold(band, sigma):
     A band whose variance does not exceed the noise variance is treated as
     pure noise: the threshold is ``max |band|``, which zeroes it.
     """
-    band = np.asarray(band, dtype=float)
-    if band.shape[-1] == 0:
-        raise ValueError("band must be nonempty")
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    rows, sigma = _rows(band, sigma)
     s2 = _squares(sigma)
-    variance = np.mean(band**2, axis=-1)  # detail bands are zero mean
+    variance = np.mean(rows**2, axis=-1)  # detail bands are zero mean
     sigma_x = np.sqrt(np.maximum(variance - s2, 0.0))
     noise_only = sigma_x == 0.0
-    t = np.where(noise_only, np.max(np.abs(band), axis=-1), s2 / np.where(noise_only, 1.0, sigma_x))
-    return float(t) if t.ndim == 0 else t
+    t = s2 / np.where(noise_only, 1.0, sigma_x)
+    t[noise_only] = np.max(np.abs(rows[noise_only]), axis=-1)
+    return float(t[0]) if np.ndim(band) == 1 else t.reshape(np.shape(band)[:-1])
 
 
 def _baseline_rule(method, coeffs, sigma, config):
@@ -122,14 +125,14 @@ def _baseline_rule(method, coeffs, sigma, config):
     per row and detail level for ``sure`` and ``bayes``.  The detail bands
     are always the scope, and sigma is floored at the smallest normal float."""
     sigma = np.maximum(sigma, np.finfo(float).tiny)
-    bands = coeffs.detail_bands
     if method == "visu":
+        segments = [coeffs.detail_values()]
         t = visu_threshold(coeffs.values.shape[-1], sigma)[..., None]
     else:
         rule = sure_threshold if method == "sure" else bayes_threshold
-        per_level = np.stack([rule(b, sigma) for b in bands], axis=-1)
-        t = np.repeat(per_level, [b.shape[-1] for b in bands], axis=-1)
-    return coeffs.detail_values(), t, sigma, None
+        segments = coeffs.detail_bands
+        t = np.stack([rule(b, sigma) for b in segments], axis=-1)
+    return segments, t, sigma, None
 
 
 # The nide.denoise._pipeline rule of every method.

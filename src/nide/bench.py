@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .baselines import _RULES
-from .denoise import DenoiseConfig, _nide_rule, _pipeline, denoise
+from .denoise import DenoiseConfig, _analyse, _nide_rule, _shrink, denoise
 from .noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
 from .signature import colored_variance_bound, empirical_signature, sorted_curve, white_band
@@ -181,8 +181,14 @@ def _paired_mse(truths, snrs, arms, noise, n, trials, seed, sigma_policy, denomi
     One noise vector is drawn per trial (from the trial-indexed child seed)
     and reused, rescaled, across every signal, SNR and arm (a key of
     ``arms`` mapped to a ``(DenoiseConfig, pipeline rule)``), so comparisons
-    are paired.  Each block of trials is one pipeline call per arm.
+    are paired.  Each block of trials is analysed once per signal and SNR and
+    every arm shrinks its own copy, so the arms must agree on levels and sigma.
     """
+    configs = [cfg for cfg, _ in arms.values()]
+    if len({(cfg.levels, cfg.sigma) for cfg in configs}) > 1:
+        raise ValueError("arms share one analysis per stack, so they must agree on levels and sigma")
+    if not arms:
+        return {}
     mses = {(name, snr, key): np.empty(trials) for name in truths for snr in snrs for key in arms}
     block = max(1, _TRIAL_BLOCK_ELEMENTS // n)
     for start in range(0, trials, block):
@@ -196,8 +202,9 @@ def _paired_mse(truths, snrs, arms, noise, n, trials, seed, sigma_policy, denomi
                 observed = raw * scale[:, None]
                 observed += truth
                 sigma = noise.sigma * scale if sigma_policy == "known" else None
+                coeffs, used = _analyse(observed, configs[0], sigma)
                 for key, (cfg, rule) in arms.items():
-                    out = _pipeline(observed, cfg, rule, sigma)[1]
+                    out = _shrink(coeffs, used, cfg, rule)[1]
                     mses[name, snr, key][start:stop] = normalized_mse(out, truth, denominator)
     return mses
 

@@ -26,7 +26,7 @@ from .signature import (
     colored_variance_bound,
     white_band,
 )
-from .wavelet import dwt_forward, dwt_inverse
+from .wavelet import CoefficientSet, dwt_forward, dwt_inverse
 
 __all__ = [
     "DenoiseConfig",
@@ -96,17 +96,16 @@ class DenoiseResult:
 
 
 def soft_threshold(coeffs, t, out=None) -> np.ndarray:
-    """Shrink toward zero: ``sgn(c) * max(|c| - t, 0)`` elementwise; ``t`` is one
-    threshold, one per row or one per coefficient, and ``out=coeffs`` shrinks in place."""
+    """Shrink toward zero: ``sgn(c) * max(|c| - t, 0)``, as ``c - clip(c, -t, t)`` (so a
+    negative value shrunk to zero is +0.0); ``t`` is one threshold, one per row or one
+    per coefficient, and ``out=coeffs`` shrinks in place."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"threshold must be nonnegative, got {np.min(t)}")
     coeffs = np.asarray(coeffs, dtype=float)
-    sign = np.sign(coeffs)
-    shrunk = np.abs(coeffs, out=np.empty_like(coeffs) if out is None else out)
-    shrunk -= t
-    np.maximum(shrunk, 0.0, out=shrunk)
-    return np.multiply(shrunk, sign, out=shrunk)
+    out = np.empty_like(coeffs) if out is None else out
+    clipped = np.clip(coeffs, -t, t, out=None if np.may_share_memory(coeffs, out) else out)
+    return np.subtract(coeffs, clipped, out=out)
 
 
 def _select(a, sigma, n, lam, profile, rows) -> np.ndarray:
@@ -164,16 +163,10 @@ def select_threshold(coeffs, sigma: float, n: int | None = None,
     return float(_select(a, np.asarray([sigma], dtype=float), n, lam, profile, np.arange(1))[0])
 
 
-def _pipeline(observed, config: DenoiseConfig, rule, sigma=None):
-    """Denoise every row of ``observed``, shape ``(rows, N)``, with ``rule``.
-
-    Each step runs once for all rows.  The noise scale is ``sigma`` (per
-    row) if given, else ``config.sigma``, else the MAD estimate of the
-    finest details.  ``rule(coeffs, sigma, config)`` returns the coefficient
-    view to shrink, thresholds broadcastable to it, the noise scale to report
-    and the per-row band factories (or None).  Returns, per row, the largest
-    threshold applied, the output, the kept count, sigma and the band factory.
-    """
+def _analyse(observed, config: DenoiseConfig, sigma=None):
+    """Finite check, transform and noise scale of every row of ``observed``, shape
+    ``(rows, N)``; sigma is ``sigma`` (per row) if given, else ``config.sigma``, else
+    the MAD estimate of the finest details.  Returns the coefficients and sigma."""
     observed = np.asarray(observed, dtype=float)
     bad = np.count_nonzero(~np.isfinite(observed))
     if bad:
@@ -181,12 +174,32 @@ def _pipeline(observed, config: DenoiseConfig, rule, sigma=None):
     coeffs = dwt_forward(observed, config.levels)
     sigma = config.sigma if sigma is None else sigma
     if sigma is None:
-        sigma = estimate_sigma_mad(coeffs.detail_bands[0])
-    else:
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1])
-    scope, t, sigma, bands = rule(coeffs, sigma, config)
-    soft_threshold(scope, t, out=scope)
-    return np.max(t, axis=-1), dwt_inverse(coeffs), np.count_nonzero(scope, axis=-1), sigma, bands
+        return coeffs, estimate_sigma_mad(coeffs.detail_bands[0])
+    return coeffs, np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1])
+
+
+def _shrink(coeffs, sigma, config: DenoiseConfig, rule, out=None):
+    """Shrink the output of :func:`_analyse` with ``rule`` into ``out`` (a new array if
+    None, so rules can share one analysis) and invert it.  ``rule(coeffs, sigma,
+    config)`` returns views tiling a prefix of ``coeffs.values``, thresholds with one
+    column per view, sigma and the per-row band factories (or None).  Returns, per
+    row, the largest threshold, the output, the kept count, sigma and the band factory."""
+    segments, t, sigma, bands = rule(coeffs, sigma, config)
+    values = np.empty_like(coeffs.values) if out is None else out
+    stop = 0
+    for j, segment in enumerate(segments):
+        start, stop = stop, stop + segment.shape[-1]
+        soft_threshold(segment, t[:, j, None], out=values[..., start:stop])
+    values[..., stop:] = coeffs.values[..., stop:]
+    denoised = dwt_inverse(CoefficientSet(values, coeffs.levels))
+    return np.max(t, axis=-1), denoised, np.count_nonzero(values[..., :stop], axis=-1), sigma, bands
+
+
+def _pipeline(observed, config: DenoiseConfig, rule, sigma=None):
+    """Denoise every row of ``observed``, shape ``(rows, N)``, with ``rule``:
+    :func:`_analyse` then :func:`_shrink` in place, each step once for all rows."""
+    coeffs, sigma = _analyse(observed, config, sigma)
+    return _shrink(coeffs, sigma, config, rule, out=coeffs.values)
 
 
 def _nide_rule(coeffs, sigma, config):
@@ -204,7 +217,7 @@ def _nide_rule(coeffs, sigma, config):
         partial(band, curve, s, n=curve.size, lam=config.lam) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
     ]
-    return scope, t[:, None], sigma, bands
+    return [scope], t[:, None], sigma, bands
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:

@@ -56,8 +56,19 @@ def abs_noise_cdf(z, sigma):
         raise ValueError(f"sigma must be positive, got {sigma}")
     if np.any(z < 0):
         raise ValueError("z must be nonnegative")
-    out = 2.0 * std_normal_cdf(z / sigma) - 1.0
+    out = _abs_cdf(z, sigma, np.empty(np.broadcast_shapes(z.shape, np.shape(sigma))))
     return float(out) if out.ndim == 0 else out
+
+
+def _abs_cdf(z, sigma, out):
+    """Unvalidated ``F(z)`` written into ``out``: ``(1 + erf(z / sigma / sqrt(2))) - 1``,
+    which is ``2 phi(z/sigma) - 1`` in every bit, since scaling by 2 and 0.5 is exact."""
+    np.divide(z, sigma, out=out)
+    out /= _SQRT2
+    special.erf(out, out=out)
+    out += 1.0
+    out -= 1.0
+    return out
 
 
 def shifted_abs_cdf(z, theta_bar, sigma):

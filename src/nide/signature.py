@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfinv
 
-from .gaussian_stats import abs_noise_cdf, erf_std, shifted_abs_cdf
+from .gaussian_stats import _abs_cdf, abs_noise_cdf, erf_std, shifted_abs_cdf
 
 __all__ = [
     "ConfidenceBand",
@@ -46,7 +46,7 @@ RHO_TRUNCATION = 1e-6
 
 # Largest (lags x points) block the lag sum of the variance bound evaluates
 # at once.  Long profiles on long inputs are summed in slices of lags, whose
-# 512 KB temporaries stay in cache: on a 63488-point grid, blocks of 2^18 and
+# 512 KB buffers stay in cache: on a 63488-point grid, blocks of 2^18 and
 # 2^20 elements measured 25-60% slower.
 _LAG_BLOCK_ELEMENTS = 1 << 16
 
@@ -187,12 +187,13 @@ def _checked_grid(z_grid, sigma, n, lam) -> np.ndarray:
     return z
 
 
-def _pair_cdf(z, spread, sigma):
+def _pair_cdf(root2z, spread, sigma, out):
     """Rows ``F(sqrt(2) z / sqrt(spread_k))`` for ``spread = 1 +/- rho``, a
-    leading lag axis against ``z``; a row is 1, the continuity limit, where
-    ``spread_k`` is 0."""
+    leading lag axis against ``root2z = sqrt(2) z``, written into ``out``; a
+    row is 1, the continuity limit, where ``spread_k`` is 0."""
     live = spread > 0
-    out = abs_noise_cdf(_SQRT2 * z / np.sqrt(np.where(live, spread, 1.0)), sigma)
+    np.divide(root2z, np.sqrt(np.where(live, spread, 1.0)), out=out)
+    _abs_cdf(out, sigma, out)
     out[~live.ravel()] = 1.0
     return out
 
@@ -202,10 +203,11 @@ def _band_moments(z, sigma, n, profile=None):
 
     ``F`` is evaluated once.  A profile adds the pair terms of
     :func:`colored_variance_bound` for its active lags below ``n``, evaluated
-    as one (lags x points) array per slice of lags and added to the variance
-    one lag at a time in ascending order, so the sum is the same in every
-    bit as a loop over the lags.  ``z`` may have any shape and ``sigma``
-    broadcasts against it.  Arguments are not validated here.
+    as one (lags x points) array per slice of lags in buffers reused across
+    slices, and added to the variance one lag at a time in ascending order,
+    so the sum is the same in every bit as a loop over the lags.  ``z`` may
+    have any shape and ``sigma`` broadcasts against it.  Arguments are not
+    validated here.
     """
     center = abs_noise_cdf(z, sigma)
     var = center * (1.0 - center) / n
@@ -213,16 +215,21 @@ def _band_moments(z, sigma, n, profile=None):
         return center, var
     lags = profile.active_lags[: np.searchsorted(profile.active_lags, n)]
     rows = max(1, _LAG_BLOCK_ELEMENTS // max(z.size, 1))
-    center_sq = center * center
+    center_sq, root2z = center * center, _SQRT2 * z
+    # Row 0 holds the running variance, rows 1.. the pair terms of a slice.
+    acc = np.empty((min(rows, lags.size) + 1,) + center.shape)
+    other = np.empty_like(acc[1:])
+    acc[0] = var
     for start in range(0, lags.size, rows):
         k = lags[start : start + rows]
         r = profile.rho[k].reshape((-1,) + (1,) * z.ndim)
-        terms = (2.0 * (n - k) / n**2).reshape(r.shape) * (
-            _pair_cdf(z, 1.0 + r, sigma) * _pair_cdf(z, 1.0 - r, sigma) - center_sq
-        )
-        terms[0] += var
-        var = np.add.accumulate(terms, axis=0, out=terms)[-1]
-    return center, var
+        terms = _pair_cdf(root2z, 1.0 + r, sigma, acc[1 : k.size + 1])
+        terms *= _pair_cdf(root2z, 1.0 - r, sigma, other[: k.size])
+        terms -= center_sq
+        terms *= (2.0 * (n - k) / n**2).reshape(r.shape)
+        np.add.accumulate(acc[: k.size + 1], axis=0, out=acc[: k.size + 1])
+        acc[0] = acc[k.size]
+    return center, acc[0]
 
 
 def _band_edges(center, var, lam):

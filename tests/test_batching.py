@@ -6,13 +6,16 @@ rules on 1-D bands, the threshold from a band built over the whole sorted
 curve, and the per-trial benchmark loop.  Every comparison is exact.
 """
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nide.baselines import _RULES, denoise_with
+import nide.baselines
+from nide.baselines import _RULES, denoise_with, sure_threshold
 from nide.bench import ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, run_experiment
 from nide.denoise import SCAN_BLOCK, DenoiseConfig, _pipeline
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
@@ -210,3 +213,64 @@ def test_paired_trials_equal_the_per_trial_loop():
                              sigma_policy=policy)
         values = want[("blocks", 14.0, "nide")]
         assert sweep == [(4.5, float(np.mean(values)), float(np.std(values, ddof=1)))]
+
+
+def sure_rows(seed, n, dense):
+    """Noise rows with a known sigma each; the rows flagged in ``dense`` also
+    carry a sparse spike train that fails the sparsity test."""
+    rng = np.random.default_rng(seed)
+    sigmas = rng.choice(TRAP_SIGMAS + (1.0,), len(dense))
+    rows = sigmas[:, None] * rng.standard_normal((len(dense), n))
+    for row, s, spiky in zip(rows, sigmas, dense):
+        if spiky:
+            row[rng.choice(n, n // 8, replace=False)] += 12.0 * s
+    return rows, sigmas
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.sampled_from([32, 256, 1024]),
+    dense=st.one_of(
+        st.lists(st.booleans(), min_size=1, max_size=8),
+        st.integers(1, 8).map(lambda k: [False] * k),
+        st.integers(1, 8).map(lambda k: [True] * k),
+    ),
+)
+def test_sure_searches_only_dense_rows(seed, n, dense):
+    """Hybrid SURE equals the one-row reference on mixed, all-sparse and
+    all-dense stacks and on 1-D bands, and runs the risk search only on the
+    rows that fail the sparsity test."""
+    rows, sigmas = sure_rows(seed, n, dense)
+    searched, search = [], nide.baselines.sure_minimizer
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nide.baselines, "sure_minimizer",
+                      lambda band, sigma: searched.append(band.copy()) or search(band, sigma))
+        t = sure_threshold(rows, sigmas)
+    if any(dense):
+        assert len(searched) == 1 and np.array_equal(searched[0], rows[np.array(dense)])
+    else:
+        assert searched == []
+    assert t.shape == (len(dense),)
+    for i, (row, s) in enumerate(zip(rows, sigmas)):
+        assert t[i] == ref_sure(row, s)
+        single = sure_threshold(row, s)
+        assert isinstance(single, float) and single == t[i]
+
+
+def test_one_analysis_per_stack(monkeypatch):
+    """_paired_mse transforms each block of trials once per signal and SNR,
+    whatever the number of arms, and rejects arms that cannot share it."""
+    module = importlib.import_module("nide.denoise")
+    forward, calls = module.dwt_forward, []
+    monkeypatch.setattr(module, "dwt_forward",
+                        lambda x, levels: calls.append(x.shape) or forward(x, levels))
+    truths = {name: gen_signal(name, 2048).samples for name in ("blocks", "heavysine")}
+    arms = {m: (DenoiseConfig(), _RULES[m]) for m in METHODS}
+    # 40 trials at N = 2048 run as blocks of 32 and 8 trials: 2 x 2 signals x 2 SNRs.
+    _paired_mse(truths, [4.0, 14.0], arms, NoiseSpec.white(), 2048, 40, 1, "mad", "norm-squared")
+    assert sorted(calls) == [(8, 2048)] * 4 + [(32, 2048)] * 4
+    for other in (DenoiseConfig(levels=4), DenoiseConfig(sigma=1.0)):
+        arms["other"] = (other, _RULES["visu"])
+        with pytest.raises(ValueError, match="agree on levels and sigma"):
+            _paired_mse(truths, [4.0], arms, NoiseSpec.white(), 2048, 4, 1, "mad", "norm-squared")

@@ -61,6 +61,27 @@ class TestSoftThreshold:
         nonzero = out != 0
         assert np.all(np.sign(out[nonzero]) == np.sign(x[nonzero]))
 
+    @pytest.mark.parametrize("shape", ["scalar", "per-row", "per-coefficient"])
+    @pytest.mark.parametrize("target", ["fresh", "in-place", "separate"])
+    def test_equals_sign_times_excess(self, shape, target):
+        """Same values as ``sgn(c) max(|c| - t, 0)``, including ties |c| = t,
+        t = 0 and signed zeros; a nonzero coefficient shrunk to zero is +0.0."""
+        rng = np.random.default_rng(7)
+        c = rng.standard_normal((4, 12)) * 3.0
+        c[:, :2] = [0.0, -0.0]
+        t = {"scalar": np.float64(1.25), "per-row": np.array([[0.0], [0.5], [1.25], [40.0]]),
+             "per-coefficient": np.abs(rng.standard_normal((4, 12)))}[shape]
+        c[:, 2], c[:, 3] = np.broadcast_to(t, c.shape)[:, 2], -np.broadcast_to(t, c.shape)[:, 3]
+        want = np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
+        work = c.copy()
+        out = {"fresh": None, "in-place": work, "separate": np.full_like(c, np.nan)}[target]
+        got = soft_threshold(work, t, out=out)
+        assert np.array_equal(got, want)
+        assert got is out or out is None
+        assert not np.any(np.signbit(got[(got == 0.0) & (c != 0.0)]))
+        if target != "in-place":
+            assert np.array_equal(work, c)
+
 
 class TestSelectThreshold:
     def test_pure_noise_invalidates_nearly_everything(self):

@@ -90,6 +90,20 @@ class TestAbsNoiseCdf:
         val = abs_noise_cdf(z, sigma)
         assert 0.0 <= val <= 1.0
 
+    @given(
+        st.lists(st.floats(0.0, 1e300), min_size=1, max_size=20),
+        st.floats(1e-300, 1e300),
+    )
+    def test_bitwise_equal_to_two_phi_minus_one(self, z, sigma):
+        """``(1 + erf) - 1`` equals ``2 phi(z/sigma) - 1`` in every bit, for huge
+        and tiny ratios alike, since scaling by 2 and 0.5 is exact."""
+        z = np.asarray(z)
+        with np.errstate(over="ignore"):  # z / sigma may round to inf; F is then 1
+            want = 2.0 * std_normal_cdf(z / sigma) - 1.0
+            got = abs_noise_cdf(z, sigma)
+            assert got.tobytes() == want.tobytes()
+            assert abs_noise_cdf(float(z[0]), sigma) == float(want[0])
+
     def test_monotone_and_limits(self):
         z = np.linspace(0, 12, 400)
         vals = abs_noise_cdf(z, 1.3)
