@@ -29,16 +29,13 @@ from .noise_model import (
     gen_noise,
     theoretical_profile,
 )
-from .signals import SIGNAL_NAMES, TestSignal, coefficient_histogram, gen_signal
+from .signals import SIGNAL_NAMES, TestSignal, gen_signal
 from .signature import (
     ConfidenceBand,
     CorrelationProfile,
     colored_band,
-    colored_noisy_covariance_bound,
     colored_variance_bound,
-    confidence_to_lambda,
     empirical_signature,
-    expected_noisy_curve,
     lambda_to_confidence,
     sorted_curve,
     white_band,
@@ -61,11 +58,8 @@ __all__ = [
     "abs_noise_cdf",
     "bayes_threshold",
     "calibrate_noise_to_snr",
-    "coefficient_histogram",
     "colored_band",
-    "colored_noisy_covariance_bound",
     "colored_variance_bound",
-    "confidence_to_lambda",
     "denoise",
     "denoise_with",
     "dwt_forward",
@@ -73,7 +67,6 @@ __all__ = [
     "empirical_signature",
     "erf_std",
     "estimate_sigma_mad",
-    "expected_noisy_curve",
     "gen_noise",
     "gen_signal",
     "lambda_sweep",

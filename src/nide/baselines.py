@@ -140,17 +140,13 @@ _RULES = {"nide": _nide_rule, **{m: partial(_baseline_rule, m) for m in BASELINE
 
 
 def denoise_with(method: str, observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
-    """Run the shrinkage pipeline with a baseline threshold rule.
+    """Run the shrinkage pipeline with the threshold rule of ``method``.
 
-    ``visu`` uses one global threshold over all detail bands; ``sure`` and
-    ``bayes`` compute one threshold per detail level.  The reported
-    ``threshold`` is the largest threshold applied.  ``nide`` is accepted for
-    uniform dispatch and defers to :func:`nide.denoise.denoise`.
+    ``nide`` is the invalidation rule, the same run as
+    :func:`nide.denoise.denoise`.  ``visu`` uses one global threshold over
+    all detail bands; ``sure`` and ``bayes`` compute one threshold per detail
+    level.  The reported ``threshold`` is the largest threshold applied.
     """
     if method not in _RULES:
         raise ValueError(f"unknown method {method!r}; choose from {tuple(_RULES)}")
-    if method == "nide":
-        from .denoise import denoise
-
-        return denoise(observed, config)
     return _one(observed, config, _RULES[method])

@@ -21,6 +21,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -502,11 +503,15 @@ def _parse_floats(text: str) -> list[float]:
     return [float(item) for item in _parse_list(text)]
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
+def _add_model(parser):
     parser.add_argument("--levels", type=int, default=5)
-    parser.add_argument("--length", type=int, default=2048, help="signal length (power of two)")
     parser.add_argument("--noise", default="white", help="white | ar1:<a> | ma:<t1,t2,...>")
+
+
+def _add_common(parser):
+    _add_model(parser)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--length", type=int, default=2048, help="signal length (power of two)")
     parser.add_argument("--sigma-policy", choices=SIGMA_POLICIES, default="mad")
 
 
@@ -568,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how to handle non-dyadic input length")
     p.add_argument("--lambda", dest="lam", type=float, default=4.5)
     p.add_argument("--sigma", type=float, default=None, help="known noise scale (default: estimate)")
-    _add_common(p)
+    _add_model(p)
     return parser
 
 
@@ -596,21 +601,17 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    try:
-        emit_band_trace(
-            signal=args.signal,
-            snr_db=args.snr,
-            noise=NoiseSpec.parse(args.noise),
-            lam=args.lam,
-            seed=args.seed,
-            path=args.out,
-            n=args.length,
-            levels=args.levels,
-            sigma_policy=args.sigma_policy,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    emit_band_trace(
+        signal=args.signal,
+        snr_db=args.snr,
+        noise=NoiseSpec.parse(args.noise),
+        lam=args.lam,
+        seed=args.seed,
+        path=args.out,
+        n=args.length,
+        levels=args.levels,
+        sigma_policy=args.sigma_policy,
+    )
     print(f"wrote trace to {args.out}")
     return 0
 
@@ -676,28 +677,26 @@ def _next_power_of_two(n: int) -> int:
 
 
 def _cmd_denoise_file(args) -> int:
+    sidecar = Path(args.out).with_suffix(".json")
+    if sidecar == Path(args.out):
+        raise ValueError(f"--out {args.out} would be overwritten by its JSON report; "
+                         "choose an output path that does not end in .json")
     try:
         with warnings.catch_warnings():  # an empty file is reported below
             warnings.simplefilter("ignore", UserWarning)
             samples = np.loadtxt(args.infile, delimiter=",", ndmin=1, dtype=float)
     except (OSError, ValueError) as exc:
-        print(f"error: {args.infile}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.infile}: {exc}") from exc
     if samples.ndim != 1 or samples.size == 0:
-        print("error: input must be a nonempty single-column CSV of numbers", file=sys.stderr)
-        return 2
+        raise ValueError("input must be a nonempty single-column CSV of numbers")
     n = samples.size
     min_len = 2**args.levels
     target = max(_next_power_of_two(n), min_len)
     padded = samples
     if target != n:
         if args.pad == "reject":
-            print(
-                f"error: length {n} is not a power of two >= {min_len}; "
-                f"rerun with --pad zero to zero-pad to {target}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"length {n} is not a power of two >= {min_len}; "
+                             f"rerun with --pad zero to zero-pad to {target}")
         print(f"warning: zero-padding input from {n} to {target} samples", file=sys.stderr)
         padded = np.concatenate([samples, np.zeros(target - n)])
     noise = NoiseSpec.parse(args.noise)
@@ -707,8 +706,6 @@ def _cmd_denoise_file(args) -> int:
     with open(args.out, "w") as fh:
         for value in result.denoised[:n]:
             fh.write(f"{value:.12g}\n")
-    sidecar = str(args.out)
-    sidecar = sidecar[: sidecar.rfind(".")] + ".json" if "." in sidecar else sidecar + ".json"
     with open(sidecar, "w") as fh:
         json.dump(
             {
@@ -725,6 +722,8 @@ def _cmd_denoise_file(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Input the library rejects (a ``ValueError``) ends
+    in one ``error:`` line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     handlers = {
         "bench": _cmd_bench,
@@ -733,7 +732,11 @@ def main(argv=None) -> int:
         "lambda-sweep": _cmd_lambda_sweep,
         "denoise-file": _cmd_denoise_file,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Standard 1-D benchmark signals and coefficient diagnostics.
+"""Standard 1-D benchmark signals.
 
 The six generators (Blocks, Bumps, HeavySine, Doppler, QuadChirp, MishMash)
 follow the classical wavelet-shrinkage test-suite definitions on the grid
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import dwt_forward
-
-__all__ = ["TestSignal", "SIGNAL_NAMES", "canonical_name", "gen_signal", "coefficient_histogram"]
+__all__ = ["TestSignal", "SIGNAL_NAMES", "canonical_name", "gen_signal"]
 
 SIGNAL_NAMES = ("blocks", "bumps", "heavysine", "doppler", "quadchirp", "mishmash")
 
@@ -85,14 +83,3 @@ def gen_signal(name: str, n: int) -> TestSignal:
     raw = _raw_signal(key, n)
     samples = raw * (NOMINAL_STD / np.std(raw))
     return TestSignal(name=key, samples=samples, nominal_norm=NOMINAL_STD)
-
-
-def coefficient_histogram(signal, levels: int, bins: int = 50):
-    """Histogram of the pooled detail coefficients of ``signal``.
-
-    ``signal`` may be a :class:`TestSignal` or a plain sample vector.
-    Returns ``(counts, bin_edges)`` as from :func:`numpy.histogram`.
-    """
-    samples = signal.samples if isinstance(signal, TestSignal) else np.asarray(signal)
-    coeffs = dwt_forward(samples, levels)
-    return np.histogram(coeffs.detail_values(), bins=bins)

@@ -4,9 +4,8 @@ The empirical signature of a sample vector at height ``z`` is the fraction of
 entries with absolute value at most ``z``.  Averaged over N independent
 Gaussian draws its mean is ``F(z)`` and its variance ``F(z)(1 - F(z)) / N``,
 so the sorted-absolute-value curve of pure noise lives in a narrow band
-around ``F``.  This module builds that band (white case), the widened band
-for correlated Gaussian noise, and the analytic mean/variance curves for
-signal-plus-noise coefficients.
+around ``F``.  This module builds that band (white case) and the widened
+band for correlated Gaussian noise.
 
 Variance under correlated noise is handled with an upper bound obtained by
 rotating each coefficient pair ``(V_i, V_j)`` into independent components
@@ -19,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfinv
 
-from .gaussian_stats import _abs_cdf, abs_noise_cdf, erf_std, shifted_abs_cdf
+from .gaussian_stats import _abs_cdf, abs_noise_cdf, erf_std
 
 __all__ = [
     "ConfidenceBand",
@@ -31,10 +29,7 @@ __all__ = [
     "white_band",
     "colored_band",
     "colored_variance_bound",
-    "colored_noisy_covariance_bound",
-    "expected_noisy_curve",
     "lambda_to_confidence",
-    "confidence_to_lambda",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -113,13 +108,6 @@ class ConfidenceBand:
         values = np.asarray(values, dtype=float)
         return (values >= self.lower) & (values <= self.upper)
 
-    def to_csv(self, path) -> None:
-        """Write the band trace as CSV with columns z, lower, center, upper."""
-        with open(path, "w") as fh:
-            fh.write("z,lower,center,upper\n")
-            for z, lo, c, up in zip(self.z_grid, self.lower, self.center, self.upper):
-                fh.write(f"{z:.6g},{lo:.6g},{c:.6g},{up:.6g}\n")
-
 
 def empirical_signature(z, samples):
     """Fraction of ``samples`` with ``|sample| <= z``.
@@ -154,17 +142,6 @@ def lambda_to_confidence(lam: float) -> float:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return float(erf_std(lam / _SQRT2))
-
-
-def confidence_to_lambda(p: float) -> float:
-    """Inverse of :func:`lambda_to_confidence`: ``sqrt(2) erfinv(p)``.
-
-    For p extremely close to 1 the answer is limited by the double-precision
-    spacing of probabilities near 1 (about 5e-9 in lambda at lam = 6).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    return float(_SQRT2 * erfinv(p))
 
 
 def _check_band_args(sigma, n, lam=0.0) -> None:
@@ -294,61 +271,3 @@ def colored_band(
     """
     z = _checked_grid(z_grid, sigma, n, lam)
     return _band(z, n, lam, abs_noise_cdf(z, sigma), colored_variance_bound(z, sigma, profile, n))
-
-
-def colored_noisy_covariance_bound(
-    z: float, theta_i: float, theta_j: float, rho_ij: float, sigma: float
-) -> float:
-    """Upper bound on ``cov(g(z, Theta_i), g(z, Theta_j))`` for a correlated
-    coefficient pair with noise-free values ``theta_i``, ``theta_j``.
-
-    Built from the same pair rotation as :func:`colored_variance_bound`, with
-    the shifted CDF ``H`` in place of ``F``:
-
-        ``H(sqrt(2) z / sqrt(1 + rho), (t_i + t_j) / sqrt(2 (1 + rho)))
-          * H(sqrt(2) z / sqrt(1 - rho), (t_i - t_j) / sqrt(2 (1 - rho)))
-          - H(z, t_i) H(z, t_j)``
-    """
-    if not abs(rho_ij) < 1.0:
-        raise ValueError(f"|rho_ij| must be strictly below 1, got {rho_ij}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    joint = shifted_abs_cdf(
-        _SQRT2 * z / np.sqrt(1.0 + rho_ij),
-        (theta_i + theta_j) / np.sqrt(2.0 * (1.0 + rho_ij)),
-        sigma,
-    ) * shifted_abs_cdf(
-        _SQRT2 * z / np.sqrt(1.0 - rho_ij),
-        (theta_i - theta_j) / np.sqrt(2.0 * (1.0 - rho_ij)),
-        sigma,
-    )
-    product = shifted_abs_cdf(z, theta_i, sigma) * shifted_abs_cdf(z, theta_j, sigma)
-    return float(joint - product)
-
-
-def expected_noisy_curve(z_grid, theta_bars, sigma: float):
-    """Analytic mean and variance of the sorted curve of noisy coefficients.
-
-    For coefficients ``Theta_i = theta_bar_i + V_i`` with independent noise,
-
-        ``mean(z) = (1/N) sum_i H(z, theta_bar_i)``
-        ``var(z)  = (1/N^2) sum_i H(z, theta_bar_i) (1 - H(z, theta_bar_i))``
-
-    Returns ``(mean_curve, variance_curve)`` over ``z_grid``.
-    """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    z = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta_bars, dtype=float))
-    if theta.size == 0:
-        raise ValueError("theta_bars must be nonempty")
-    mean = np.zeros_like(z)
-    var = np.zeros_like(z)
-    # Chunk the (z x theta) evaluation to keep peak memory modest.
-    for start in range(0, theta.size, 512):
-        block = theta[start : start + 512]
-        H = shifted_abs_cdf(z[:, None], block[None, :], sigma)
-        mean += H.sum(axis=1)
-        var += (H * (1.0 - H)).sum(axis=1)
-    n = theta.size
-    return mean / n, var / n**2

@@ -57,10 +57,6 @@ class CoefficientSet:
         n = self.values.shape[-1]
         return self.values[..., : n - (n >> self.levels)]
 
-    def flatten(self) -> np.ndarray:
-        """Canonical flat layout: detail bands finest to coarsest, then approx."""
-        return self.values
-
     def energy(self) -> float:
         return float(np.sum(self.values**2))
 

@@ -311,3 +311,49 @@ class TestCli:
         assert rc == 0
         denoised = np.loadtxt(out)
         assert np.sum((denoised - truth) ** 2) < np.sum((noisy - truth) ** 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--noise", "ar1:1.5", "--trials", "1"],
+        ["lambda-sweep", "--lambdas", "9", "--trials", "1"],
+        ["mc", "--check", "nope"],
+        ["denoise-file", "--lambda", "9"],
+    ])
+    def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
+        infile = tmp_path / "in.csv"
+        np.savetxt(infile, np.random.default_rng(0).normal(size=64))
+        out = tmp_path / "out.csv"
+        io = ["--in", str(infile)] if argv[0] == "denoise-file" else []
+        rc = main(argv + io + (["--out", str(out)] if argv[0] != "mc" else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["./den", "den.csv", "run.v2/den"])
+    def test_denoise_file_report_beside_output(self, tmp_path, monkeypatch, name):
+        # The report replaces the output's suffix: ./den -> ./den.json, not ./.json.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.v2").mkdir()
+        np.savetxt("in.csv", np.random.default_rng(2).normal(size=64))
+        assert main(["denoise-file", "--in", "in.csv", "--out", name]) == 0
+        assert np.loadtxt(name).size == 64
+        report = (tmp_path / name).with_suffix(".json")
+        assert list(tmp_path.rglob("*.json")) == [report]
+        assert set(json.loads(report.read_text())) == {"threshold", "sigma_used", "lambda"}
+
+    def test_denoise_file_rejects_json_output(self, tmp_path, capsys):
+        infile = tmp_path / "in.csv"
+        np.savetxt(infile, np.random.default_rng(2).normal(size=64))
+        out = tmp_path / "out.json"
+        rc = main(["denoise-file", "--in", str(infile), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    @pytest.mark.parametrize("flag", [["--sigma-policy", "known"], ["--seed", "1"],
+                                      ["--length", "64"]])
+    def test_denoise_file_takes_only_flags_it_reads(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["denoise-file", "--in", str(tmp_path / "in.csv"),
+                  "--out", str(tmp_path / "out.csv"), *flag])
+        assert exc.value.code == 2

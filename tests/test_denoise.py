@@ -245,8 +245,8 @@ class TestDenoisePipeline:
         result = denoise(observed, DenoiseConfig())
         from nide.wavelet import dwt_forward
 
-        before = dwt_forward(observed, 5).flatten()
-        after = dwt_forward(result.denoised, 5).flatten()
+        before = dwt_forward(observed, 5).values
+        after = dwt_forward(result.denoised, 5).values
         assert np.linalg.norm(after) <= np.linalg.norm(before) + 1e-9
 
     def test_colored_band_configuration(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kurtosis
 
-from nide.signals import SIGNAL_NAMES, coefficient_histogram, gen_signal
+from nide.signals import SIGNAL_NAMES, gen_signal
 from nide.wavelet import dwt_forward
 
 
@@ -69,12 +69,3 @@ def test_rejects_bad_inputs():
         gen_signal("blocks", 32)  # too short
     with pytest.raises(ValueError):
         gen_signal("unknown", 1024)
-
-
-def test_coefficient_histogram():
-    counts, edges = coefficient_histogram(gen_signal("doppler", 1024), levels=5, bins=40)
-    assert counts.sum() == 1024 - 1024 // 32
-    assert edges.size == 41
-    # accepts plain arrays as well
-    counts2, _ = coefficient_histogram(gen_signal("doppler", 1024).samples, levels=5, bins=40)
-    assert np.array_equal(counts, counts2)

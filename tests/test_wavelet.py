@@ -62,8 +62,8 @@ def test_linearity():
     rng = np.random.default_rng(42)
     x, y = rng.normal(size=128), rng.normal(size=128)
     a, b = 2.5, -1.25
-    combined = dwt_forward(a * x + b * y, levels=4).flatten()
-    separate = a * dwt_forward(x, levels=4).flatten() + b * dwt_forward(y, levels=4).flatten()
+    combined = dwt_forward(a * x + b * y, levels=4).values
+    separate = a * dwt_forward(x, levels=4).values + b * dwt_forward(y, levels=4).values
     assert np.allclose(combined, separate, rtol=1e-9, atol=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_white_noise_stays_white():
     # coefficients of IID Gaussian input have the same variance (orthonormality)
     n, sigma, runs = 2048, 1.5, 40
     rng = np.random.default_rng(9)
-    flat = np.concatenate([dwt_forward(rng.normal(0, sigma, n), 5).flatten() for _ in range(runs)])
+    flat = np.concatenate([dwt_forward(rng.normal(0, sigma, n), 5).values for _ in range(runs)])
     assert flat.var() == pytest.approx(sigma**2, rel=0.05)
     assert abs(flat.mean()) < 5 * sigma / np.sqrt(flat.size)
 
@@ -121,7 +121,7 @@ def test_stacked_rows_match_single_rows():
 
 def test_flatten_order():
     coeffs = dwt_forward(np.arange(8, dtype=float), levels=2)
-    flat = coeffs.flatten()
+    flat = coeffs.values
     assert flat.size == 8
     assert np.allclose(flat[:4], coeffs.detail_bands[0])
     assert np.allclose(flat[4:6], coeffs.detail_bands[1])
