@@ -473,6 +473,13 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
     """
     params = dict(params or {})
     check = MC_CHECK_ALIASES.get(check, check)
+    if check not in MC_CHECKS:
+        raise ValueError(f"unknown check {check!r}; choose from {MC_CHECKS}")
+    if int(params.get("n", 1)) < 1:
+        raise ValueError(f"n must be at least 1, got {params['n']}")
+    least = 2 if check in ("appendixA", "appendixB", "appendixD") else 1  # these estimate a variance
+    if runs < least:
+        raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
     if check == "appendixA":
         rows, ok, summary = _check_averaged_signature(params, runs, seed, "gaussian")
     elif check == "appendixB":
@@ -482,10 +489,8 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
         rows, ok, summary = _check_shifted_mean(params, runs, seed)
     elif check == "appendixD":
         rows, ok, summary = _check_colored_bound(params, runs, seed)
-    elif check == "coverage":
-        rows, ok, summary = _check_coverage(params, runs, seed)
     else:
-        raise ValueError(f"unknown check {check!r}; choose from {MC_CHECKS}")
+        rows, ok, summary = _check_coverage(params, runs, seed)
     return McReport(check=check, params=params, runs=runs, seed=seed, passed=ok,
                     rows=rows, summary=summary)
 

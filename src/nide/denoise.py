@@ -21,6 +21,7 @@ from .signature import (
     CorrelationProfile,
     _band_edges,
     _band_moments,
+    _check_band_args,
     _checked_grid,
     colored_band,
     colored_variance_bound,
@@ -40,9 +41,14 @@ __all__ = [
 # as zero: the band degenerates to a line and thresholding must be skipped.
 SIGMA_FLOOR_RATIO = 1e-12
 
-# Points in the first block of the top-down band scan; each further block
-# is twice as long.
-SCAN_BLOCK = 64
+# Points in the first block of the top-down band scan; each further block is
+# twice as long.  After POINTWISE_BLOCKS blocks a white row is finished by
+# chunk certificates (see _select); the pipeline sorts the top SORTED_TOP first.
+SCAN_BLOCK = 8
+POINTWISE_BLOCKS = 4
+SORTED_TOP = SCAN_BLOCK * (2**POINTWISE_BLOCKS - 1)
+CHUNK = 64
+CHUNK_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,10 +114,12 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
     return np.subtract(coeffs, clipped, out=out)
 
 
-def _select(a, sigma, n, lam, profile, rows) -> np.ndarray:
-    """Thresholds for the rows ``rows`` of ``a`` (ascending absolute
-    coefficients, shape ``(rows, m)``) with per-row noise scales ``sigma``;
-    the other rows get 0.
+def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
+    """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients,
+    shape ``(rows, m)``) with per-row noise scales ``sigma``; the other rows
+    get 0.  ``a[:, unsorted:]`` is ascending and no smaller than any point
+    before it; a row's points before ``unsorted`` are sorted in place when
+    its scan reaches them.
 
     Band membership is tested at the midpoint plotting position
     (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
@@ -124,14 +132,33 @@ def _select(a, sigma, n, lam, profile, rows) -> np.ndarray:
     ``2 * SCAN_BLOCK``, ... points, and a row leaves the scan at the first
     block holding one of its in-band points.  Each point gets the same band
     values as in a band built over its whole row.
+
+    A white row still in the scan after ``POINTWISE_BLOCKS`` blocks is cut
+    into chunks of ``CHUNK`` points: *out* when the widest band over a chunk
+    misses its g range, *in* when the narrowest band holds it.  Only the
+    undecided chunks above a row's top *in* chunk are evaluated pointwise;
+    with no in-band point there, T* is the top of that *in* chunk.  Sound,
+    because F is nondecreasing in z, so over a chunk it lies between its end
+    values (widened by ``CHUNK_MARGIN``, far above the pointwise rounding);
+    the half-width ``lam * sqrt(F (1 - F) / n)`` is concave in F, so its
+    minimum lies at an end and its maximum at the F nearest 1/2; and the
+    [0, 1] clamp never changes membership, as 0 < g < 1.  The colored band
+    has no cheap interval bound and is scanned pointwise throughout.
     """
     if a.shape[-1] == 0:
         raise ValueError("coefficient vector must be nonempty")
-    _checked_grid(a, sigma[rows], n, lam)
+    _check_band_args(sigma[rows], n, lam)
     t = np.zeros(a.shape[0])
-    end, size = a.shape[-1], SCAN_BLOCK
+    end, size, blocks = a.shape[-1], SCAN_BLOCK, 0
     while end > 0 and rows.size:
-        start = max(end - size, 0)
+        if end <= unsorted:  # in place, as a fancy-index copy costs twice a sort
+            for part in [a[:, :end]] if rows.size == a.shape[0] else [a[i, :end] for i in rows]:
+                part.sort(axis=-1)
+            unsorted = 0
+        if profile is None and blocks == POINTWISE_BLOCKS:
+            t[rows] = _certified(a, end, sigma, n, lam, rows)
+            break
+        start = max(end - size, unsorted)
         z, s = a[rows, start:end], sigma[rows, None]
         if profile is None:
             center, var = _band_moments(z, s, n)
@@ -145,8 +172,31 @@ def _select(a, sigma, n, lam, profile, rows) -> np.ndarray:
         last = end - start - 1 - np.argmax(inside[:, ::-1], axis=-1)
         t[rows[hit]] = z[hit, last[hit]]
         rows = rows[~hit]
-        end, size = start, 2 * size
+        end, size, blocks = start, 2 * size, blocks + 1
     return t
+
+
+def _certified(a, end, sigma, n, lam, rows) -> np.ndarray:
+    """Thresholds of the white ``rows`` from chunk certificates over the sorted
+    ``a[rows, :end]`` (see :func:`_select`); 0 where no point there is in band."""
+    low = np.arange(0, end, CHUNK)
+    high = np.minimum(low + CHUNK, end) - 1
+    f_low = np.maximum(abs_noise_cdf(a[rows[:, None], low], sigma[rows, None]) - CHUNK_MARGIN, 0.0)
+    f_high = np.minimum(abs_noise_cdf(a[rows[:, None], high], sigma[rows, None]) + CHUNK_MARGIN, 1.0)
+    mid = np.clip(0.5, f_low, f_high)
+    widest = lam * np.sqrt(mid * (1.0 - mid) / n)
+    narrowest = lam * np.sqrt(np.minimum(f_low * (1.0 - f_low), f_high * (1.0 - f_high)) / n)
+    g_low, g_high = (low + 0.5) / a.shape[-1], (high + 0.5) / a.shape[-1]
+    out = (g_low > f_high + widest) | (g_high < f_low - widest)
+    inside = (g_low >= f_high - narrowest) & (g_high <= f_low + narrowest)
+    top_in = np.where(inside.any(axis=-1), low.size - 1 - np.argmax(inside[:, ::-1], axis=-1), -1)
+    r, c = np.nonzero(~out & ~inside & (np.arange(low.size) > top_in[:, None]))
+    pos = np.minimum(low[c, None] + np.arange(CHUNK), high[c, None])
+    lower, upper = _band_edges(*_band_moments(a[rows[r, None], pos], sigma[rows[r], None], n), lam)
+    g = (pos + 0.5) / a.shape[-1]
+    best = np.where(top_in >= 0, high[top_in], -1)
+    np.maximum.at(best, r, np.where((g >= lower) & (g <= upper), pos, -1).max(axis=-1))
+    return np.where(best >= 0, a[rows, best], 0.0)
 
 
 def select_threshold(coeffs, sigma: float, n: int | None = None,
@@ -160,6 +210,7 @@ def select_threshold(coeffs, sigma: float, n: int | None = None,
     """
     a = np.sort(np.abs(np.asarray(coeffs, dtype=float).ravel()))[None]
     n = a.size if n is None else int(n)
+    _checked_grid(a, sigma, n, lam)
     return float(_select(a, np.asarray([sigma], dtype=float), n, lam, profile, np.arange(1))[0])
 
 
@@ -210,14 +261,23 @@ def _nide_rule(coeffs, sigma, config):
     peak = magnitude.max(axis=-1, initial=0.0)
     live = (sigma > SIGMA_FLOOR_RATIO * peak) & (peak != 0.0)
     a = magnitude[..., : scope.shape[-1]]  # the scope is a prefix of the values
-    a.sort(axis=-1)
-    t = _select(a, sigma, a.shape[-1], config.lam, config.profile, np.flatnonzero(live))
+    unsorted = max(a.shape[-1] - SORTED_TOP, 0)
+    if unsorted:
+        a.partition(unsorted, axis=-1)
+    a[..., unsorted:].sort(axis=-1)
+    t = _select(a, sigma, a.shape[-1], config.lam, config.profile, np.flatnonzero(live), unsorted)
     band = white_band if config.profile is None else partial(colored_band, profile=config.profile)
     bands = [
-        partial(band, curve, s, n=curve.size, lam=config.lam) if ok else None
+        partial(_sorted_band, band, curve, s, config.lam) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
     ]
     return [scope], t[:, None], sigma, bands
+
+
+def _sorted_band(band, curve, sigma, lam):
+    """``band`` over ``curve`` sorted in place, a magnitude row owned by one result."""
+    curve.sort()
+    return band(curve, sigma, n=curve.size, lam=lam)
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import nide.baselines
 from nide.baselines import _RULES, denoise_with, sure_threshold
 from nide.bench import ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, run_experiment
-from nide.denoise import SCAN_BLOCK, DenoiseConfig, _pipeline
+from nide.denoise import SORTED_TOP, DenoiseConfig, _pipeline
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
 from nide.signature import colored_band, white_band
@@ -102,7 +102,7 @@ def stacked_rows(seed, spec, snrs, known):
     """Signal rows at the given SNRs (``spec`` has unit sigma), then three
     special rows: all zeros (passthrough), unit noise against a known sigma
     of 1e-9 (no point in band) and unit noise plus +/-30 steps (T* below the
-    first scan block with a known sigma).  Returns the rows and their known
+    sorted top of the scan with a known sigma).  Returns the rows and their known
     sigmas."""
     rows, sigmas = [], []
     for i, snr in enumerate(snrs):
@@ -162,7 +162,7 @@ def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, scope
             if known:
                 assert threshold[none_in_band] == 0.0
                 assert bands[none_in_band] is not None
-                assert kept[deep] > SCAN_BLOCK
+                assert kept[deep] > SORTED_TOP
 
 
 def ref_trial_mses(config):

@@ -177,6 +177,24 @@ class TestMcValidate:
         )
         assert report.passed, report.text()
 
+    @pytest.mark.parametrize("check, params, runs", [
+        ("appendixB", {"n": 0}, 10),
+        ("appendixC", {"n": -3}, 10),
+        ("appendixA", {}, 1),
+        ("sorted-noise", {"n": 64}, 1),
+        ("appendixD", {"n": 64}, 1),
+        ("coverage", {"n": 64}, 0),
+        ("appendixC", {"n": 64}, 0),
+    ])
+    def test_rejects_too_few_runs_or_samples(self, check, params, runs):
+        with pytest.raises(ValueError, match="must be at least 1|needs runs >="):
+            mc_validate(check, params, runs=runs)
+
+    @pytest.mark.parametrize("check", ["appendixC", "coverage"])
+    def test_mean_checks_accept_one_run(self, check):
+        report = mc_validate(check, {"n": 64}, runs=1)
+        assert all(np.isfinite(v) for row in report.rows for v in row.values())
+
     def test_aliases_and_unknown(self):
         report = mc_validate("sorted-noise", {"n": 256}, runs=200, seed=0)
         assert report.check == "appendixB"
@@ -316,6 +334,9 @@ class TestCli:
         ["bench", "--noise", "ar1:1.5", "--trials", "1"],
         ["lambda-sweep", "--lambdas", "9", "--trials", "1"],
         ["mc", "--check", "nope"],
+        ["mc", "--check", "appendixB", "--n", "0", "--runs", "10"],
+        ["mc", "--check", "appendixB", "--runs", "1"],
+        ["mc", "--check", "coverage", "--runs", "0"],
         ["denoise-file", "--lambda", "9"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):

@@ -198,7 +198,8 @@ class TestBandScan:
     @pytest.mark.parametrize("profile", sorted(SCAN_PROFILES))
     def test_threshold_several_blocks_deep(self, profile):
         # 600 large coefficients on top of 1400 noise ones: the scan passes
-        # blocks of 64, 128 and 256 points before reaching T*.
+        # its pointwise blocks and reaches T* through the chunk certificates
+        # (white) or further pointwise blocks (colored).
         rng = np.random.default_rng(11)
         coeffs = rng.normal(0.0, 1.0, 2000)
         coeffs[:600] = rng.uniform(20.0, 60.0, 600)
