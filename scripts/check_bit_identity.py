@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the results of a fixed sweep of ``denoise`` calls.
+"""Print one SHA-256 over the results of a fixed sweep of ``denoise`` calls,
+and one over the output files of a fixed set of ``nide`` command lines.
 
-The digest covers, for every call, the threshold, the kept count and the
-denoised output, and for every seventh call the on-request band (grid,
-lower, upper and center).  Two checkouts that print the same digest give
-the same results in every bit on this sweep, so a change meant to be
-numerically neutral (a speed-up, a refactor) is checked by running this
-script before and after it:
+The first digest covers, for every call, the threshold, the kept count and
+the denoised output, and for every seventh call the on-request band (grid,
+lower, upper and center).  The second (``harness sha256``) covers the files
+that ``bench``, ``lambda-sweep``, ``trace`` and ``mc`` write.  Two checkouts
+that print the same digests give the same results in every bit on these
+runs, so a change meant to be numerically neutral (a speed-up, a refactor)
+is checked by running this script before and after it:
 
     PYTHONPATH=src python3 scripts/check_bit_identity.py
 
@@ -14,15 +16,24 @@ The sweep covers sizes 256 to 65536, the six test signals, 0 to 30 dB,
 lambda 2, 4.5 and 7, both threshold scopes, MAD and known sigma, and white,
 ar1(0.8), ar1(-0.6) and MA(1, 0.5, 0.25) noise with the matching band
 profile.  The colored profiles stop at N = 16384 to keep the sweep short.
-It takes about ten seconds on one core.
+The command lines cover ``bench`` as CSV and JSON (white noise with MAD
+sigma, ar1(0.8) with known sigma, and the ``norm`` MSE denominator),
+``lambda-sweep`` as CSV and JSON, a white and an ar1 ``trace``, and the JSON
+report of every ``mc`` check on its default grid.  Both take about fifteen
+seconds on one core.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
+import os
+import tempfile
 
 import numpy as np
 
+from nide.bench import MC_CHECKS, main as nide_main
 from nide.denoise import DenoiseConfig, denoise
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
@@ -38,6 +49,21 @@ LAMBDAS = (2.0, 4.5, 7.0)
 SCOPES = ("details", "all")
 SIGMAS = ("mad", "known")
 BAND_EVERY = 7
+
+_BENCH = ["bench", "--signal", "blocks,heavysine,doppler", "--snr", "4,14", "--trials", "40"]
+_SWEEP = ["lambda-sweep", "--signal", "bumps", "--trials", "40"]
+# (output file name, command line without --out)
+HARNESS = (
+    ("bench-white.csv", _BENCH),
+    ("bench-white.json", [*_BENCH, "--format", "json"]),
+    ("bench-ar1.csv", [*_BENCH, "--noise", "ar1:0.8", "--sigma-policy", "known"]),
+    ("bench-norm.csv", [*_BENCH, "--mse-denominator", "norm"]),
+    ("sweep.csv", _SWEEP),
+    ("sweep.json", [*_SWEEP, "--format", "json"]),
+    ("trace-white.csv", ["trace", "--seed", "1"]),
+    ("trace-ar1.csv", ["trace", "--seed", "1", "--noise", "ar1:0.8", "--sigma-policy", "known"]),
+    *((f"mc-{check}.json", ["mc", "--check", check, "--runs", "500"]) for check in MC_CHECKS),
+)
 
 
 def _feed(digest, *arrays) -> None:
@@ -71,11 +97,28 @@ def sweep(digest) -> tuple[int, int]:
     return calls, bands
 
 
+def harness(digest) -> int:
+    """Run every ``HARNESS`` command line and feed each file name and file to
+    ``digest``; returns the number of files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in HARNESS:
+            out = os.path.join(tmp, name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                nide_main([*argv, "--out", out])  # an mc FAIL exits 2 but still writes its report
+            digest.update(name.encode())
+            with open(out, "rb") as fh:
+                digest.update(fh.read())
+    return len(HARNESS)
+
+
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     digest = hashlib.sha256()
     calls, bands = sweep(digest)
     print(f"sha256 {digest.hexdigest()}  calls={calls} bands={bands}")
+    digest = hashlib.sha256()
+    files = harness(digest)
+    print(f"harness sha256 {digest.hexdigest()}  files={files}")
     return 0
 
 

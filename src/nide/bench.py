@@ -17,16 +17,18 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, astuple, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import _RULES
-from .denoise import DenoiseConfig, _analyse, _nide_rule, _shrink, denoise
+from .denoise import DenoiseConfig, _analyse, _shrink, denoise
 from .noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
 from .signature import colored_variance_bound, empirical_signature, sorted_curve, white_band
@@ -59,6 +61,20 @@ _TRIAL_BLOCK_ELEMENTS = 1 << 16
 
 def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
+
+
+def _write_table(path, fmt: str, header, rows) -> None:
+    """Write ``rows`` (tuples in ``header`` order) as CSV or as a JSON list of
+    objects; every float keeps six significant digits."""
+    with open(path, "w") as fh:
+        if fmt == "csv":
+            for row in (header, *rows):
+                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        else:
+            payload = [{k: float(_fmt(v)) if isinstance(v, float) else v
+                        for k, v in zip(header, row)} for row in rows]
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
 
 
 def _trial_seed(seed: int, *indices: int) -> int:
@@ -136,33 +152,11 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list[ExperimentRow]
 
-    CSV_HEADER = "signal,method,snr_db,noise,mean_mse,std_mse,trials"
-
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.signal},{r.method},{_fmt(r.snr_db)},{r.noise},"
-                    f"{_fmt(r.mean_mse)},{_fmt(r.std_mse)},{r.trials}\n"
-                )
+        _write_table(path, "csv", [f.name for f in fields(ExperimentRow)], map(astuple, self.rows))
 
     def to_json(self, path) -> None:
-        payload = [
-            {
-                "signal": r.signal,
-                "method": r.method,
-                "snr_db": float(_fmt(r.snr_db)),
-                "noise": r.noise,
-                "mean_mse": float(_fmt(r.mean_mse)),
-                "std_mse": float(_fmt(r.std_mse)),
-                "trials": r.trials,
-            }
-            for r in self.rows
-        ]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_table(path, "json", [f.name for f in fields(ExperimentRow)], map(astuple, self.rows))
 
     def mean_mse(self, signal: str, method: str, snr_db: float) -> float:
         for r in self.rows:
@@ -176,20 +170,23 @@ def _noise_profile(noise: NoiseSpec, n: int):
     return theoretical_profile(noise, max_lag=n - 1) if noise.kind != "white" else None
 
 
-def _paired_mse(truths, snrs, arms, noise, n, trials, seed, sigma_policy, denominator):
+def _paired_mse(config: ExperimentConfig, arms):
     """Per-trial normalized MSE, ``{(signal, snr, arm): array of trials}``.
 
-    One noise vector is drawn per trial (from the trial-indexed child seed)
-    and reused, rescaled, across every signal, SNR and arm (a key of
-    ``arms`` mapped to a ``(DenoiseConfig, pipeline rule)``), so comparisons
-    are paired.  Each block of trials is analysed once per signal and SNR and
-    every arm shrinks its own copy, so the arms must agree on levels and sigma.
+    ``arms`` maps a key to a ``(method, lam)`` pair; every other setting comes
+    from ``config``.  One noise vector is drawn per trial (from the
+    trial-indexed child seed) and reused, rescaled, across every signal, SNR
+    and arm, so comparisons are paired.  Each block of trials is analysed
+    once per signal and SNR, and every arm shrinks its own copy.
     """
-    configs = [cfg for cfg, _ in arms.values()]
-    if len({(cfg.levels, cfg.sigma) for cfg in configs}) > 1:
-        raise ValueError("arms share one analysis per stack, so they must agree on levels and sigma")
-    if not arms:
-        return {}
+    n, noise, trials, snrs, seed = config.n, config.noise, config.trials, config.snr_db, config.seed
+    denominator = config.mse_denominator
+    profile = _noise_profile(noise, n)
+    analysis = DenoiseConfig(levels=config.levels)
+    arms = {key: (DenoiseConfig(levels=config.levels, lam=lam,
+                                profile=profile if method == "nide" else None), _RULES[method])
+            for key, (method, lam) in arms.items()}
+    truths = {name: gen_signal(name, n).samples for name in config.signals}
     mses = {(name, snr, key): np.empty(trials) for name in truths for snr in snrs for key in arms}
     block = max(1, _TRIAL_BLOCK_ELEMENTS // n)
     for start in range(0, trials, block):
@@ -202,8 +199,8 @@ def _paired_mse(truths, snrs, arms, noise, n, trials, seed, sigma_policy, denomi
                 scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
                 observed = raw * scale[:, None]
                 observed += truth
-                sigma = noise.sigma * scale if sigma_policy == "known" else None
-                coeffs, used = _analyse(observed, configs[0], sigma)
+                sigma = noise.sigma * scale if config.sigma_policy == "known" else None
+                coeffs, used = _analyse(observed, analysis, sigma)
                 for key, (cfg, rule) in arms.items():
                     out = _shrink(coeffs, used, cfg, rule)[1]
                     mses[name, snr, key][start:stop] = normalized_mse(out, truth, denominator)
@@ -216,15 +213,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Method comparisons are paired: every method denoises the same noise
     draws (see :func:`_paired_mse`).
     """
-    truths = {name: gen_signal(name, config.n).samples for name in config.signals}
-    profile = _noise_profile(config.noise, config.n)
-    arms = {
-        m: (DenoiseConfig(levels=config.levels, lam=config.lam,
-                          profile=profile if m == "nide" else None), _RULES[m])
-        for m in config.methods
-    }
-    mses = _paired_mse(truths, config.snr_db, arms, config.noise, config.n, config.trials,
-                       config.seed, config.sigma_policy, config.mse_denominator)
+    mses = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
     noise_label = config.noise.describe()
     rows = [
         ExperimentRow(name, method, float(snr), noise_label,
@@ -253,6 +242,8 @@ def emit_band_trace(
     """Write the sorted-coefficient curve of one noisy realization together
     with the noise band ``denoise`` selected against, as CSV with columns
     z, empirical, lower, upper."""
+    if sigma_policy not in SIGMA_POLICIES:
+        raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}")
     truth = gen_signal(signal, n).samples
     raw_noise = gen_noise(noise, n, seed)
     scaled = calibrate_noise_to_snr(truth, raw_noise, snr_db)
@@ -264,35 +255,24 @@ def emit_band_trace(
     if band is None:
         raise ValueError("the input is noise free (denoise passed it through), so there is no band")
     z, g = sorted_curve(band.z_grid)
-    with open(path, "w") as fh:
-        fh.write("z,empirical,lower,upper\n")
-        for zi, gi, lo, up in zip(z, g, band.lower, band.upper):
-            fh.write(f"{zi:.6g},{gi:.6g},{lo:.6g},{up:.6g}\n")
+    header = ("z", "empirical", "lower", "upper")
+    _write_table(path, "csv", header, zip(z, g, band.lower, band.upper))
 
 
-def lambda_sweep(
-    signal: str,
-    snr_db: float,
-    lambdas,
-    trials: int,
-    seed: int,
-    noise: NoiseSpec = NoiseSpec.white(),
-    n: int = 2048,
-    levels: int = 5,
-    sigma_policy: str = "mad",
-    mse_denominator: str = "norm-squared",
-):
+def lambda_sweep(signal: str, snr_db: float, lambdas, **experiment):
     """Mean normalized MSE of the invalidation threshold per band width.
 
-    Returns a list of ``(lam, mean_mse, std_mse)`` tuples over the same
-    paired noise draws.
+    ``experiment`` takes the :class:`ExperimentConfig` fields (trials, seed,
+    noise, n, levels, sigma_policy, mse_denominator), with their defaults
+    and validation.  Returns a list of ``(lam, mean_mse, std_mse)`` tuples
+    over the same paired noise draws.
     """
+    if "lam" in experiment:
+        raise TypeError("lambda_sweep() takes its band widths from lambdas, not lam")
+    config = ExperimentConfig(signals=(signal,), snr_db=(snr_db,), methods=("nide",), **experiment)
     lambdas = [float(l) for l in lambdas]
-    profile = _noise_profile(noise, n)
-    arms = {l: (DenoiseConfig(levels=levels, lam=l, profile=profile), _nide_rule) for l in lambdas}
-    mses = _paired_mse({signal: gen_signal(signal, n).samples}, [snr_db], arms, noise, n,
-                       trials, seed, sigma_policy, mse_denominator)
-    return [(l, *_mean_std(mses[(signal, snr_db, l)])) for l in lambdas]
+    mses = _paired_mse(config, {l: ("nide", l) for l in lambdas})
+    return [(l, *_mean_std(mses[config.signals[0], config.snr_db[0], l])) for l in lambdas]
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +319,20 @@ def _signature_moments(kind: str, z: float, sigma: float) -> tuple[float, float]
     raise ValueError(f"unknown signature kind {kind!r}")
 
 
-def _check_averaged_signature(params, runs, seed, kind_default):
+def _z_values(z, default) -> np.ndarray:
+    """The z values a check runs at: ``z`` when given, else ``default``."""
+    return np.atleast_1d(np.asarray(default if z is None else z, dtype=float))
+
+
+def _check_averaged_signature(runs, seed, *, n=2048, sigma=1.0, z=None, signature="gaussian"):
     """Shared engine: MC mean/variance of the N-averaged signature vs theory."""
-    n = int(params.get("n", 2048))
-    sigma = float(params.get("sigma", 1.0))
-    kind = params.get("signature", kind_default)
-    zs = np.atleast_1d(np.asarray(params.get("z", [0.5 * sigma, sigma, 2.0 * sigma]), float))
+    zs = _z_values(z, [0.5 * sigma, sigma, 2.0 * sigma])
     rng = np.random.default_rng(seed)
     V = rng.normal(0.0, sigma, size=(runs, n))
     rows, ok = [], True
     for z in zs:
-        g = _signature_values(kind, z, V).mean(axis=1)
-        mean_th, var_th = _signature_moments(kind, z, sigma)
+        g = _signature_values(signature, z, V).mean(axis=1)
+        mean_th, var_th = _signature_moments(signature, z, sigma)
         var_av = var_th / n
         mc_mean, mc_var = float(g.mean()), float(g.var(ddof=1))
         se = np.sqrt(var_av / runs)
@@ -370,17 +352,13 @@ def _check_averaged_signature(params, runs, seed, kind_default):
                 "ok": row_ok,
             }
         )
-    summary = f"signature={kind} mean within 5 SE and variance within 20% at every z: {ok}"
+    summary = f"signature={signature} mean within 5 SE and variance within 20% at every z: {ok}"
     return rows, ok, summary
 
 
-def _check_shifted_mean(params, runs, seed):
-    n = int(params.get("n", 2048))
-    sigma = float(params.get("sigma", 1.0))
-    theta = float(params.get("theta", 1.5 * sigma))
-    zs = np.atleast_1d(
-        np.asarray(params.get("z", np.array([0.5, 1.0, 1.5, 2.0, 3.0]) * sigma), float)
-    )
+def _check_shifted_mean(runs, seed, *, n=2048, sigma=1.0, theta=None, z=None):
+    theta = 1.5 * sigma if theta is None else theta
+    zs = _z_values(z, np.array([0.5, 1.0, 1.5, 2.0, 3.0]) * sigma)
     rng = np.random.default_rng(seed)
     V = rng.normal(0.0, sigma, size=(runs, n))
     shifted = np.abs(theta + V)
@@ -399,16 +377,12 @@ def _check_shifted_mean(params, runs, seed):
     return rows, ok, f"shifted-coefficient curve mean within 5 SE at every z (theta={theta:g})"
 
 
-def _check_colored_bound(params, runs, seed):
-    n = int(params.get("n", 1024))
-    sigma = float(params.get("sigma", 1.0))
-    a = float(params.get("ar", 0.8))
-    grid_points = int(params.get("grid_points", 50))
-    z_max = float(params.get("z_max", 4.0 * sigma))
-    allowed = int(params.get("allowed_violations", 1))
-    spec = NoiseSpec.ar1(a, sigma)
-    zs = np.linspace(z_max / grid_points, z_max, grid_points)
-    g = np.empty((runs, grid_points))
+def _check_colored_bound(runs, seed, *, n=1024, sigma=1.0, ar=0.8, grid_points=50, z_max=None,
+                         allowed_violations=1, z=None):
+    z_max = 4.0 * sigma if z_max is None else z_max
+    spec = NoiseSpec.ar1(ar, sigma)
+    zs = _z_values(z, np.linspace(z_max / grid_points, z_max, grid_points))
+    g = np.empty((runs, zs.size))
     for run in range(runs):
         v = np.sort(np.abs(gen_noise(spec, n, _trial_seed(seed, run))))
         g[run] = np.searchsorted(v, zs, side="right") / n
@@ -420,20 +394,17 @@ def _check_colored_bound(params, runs, seed):
         {"z": float(z), "mc_var": float(v), "bound": float(b), "ok": bool(v <= b)}
         for z, v, b in zip(zs, mc_var, bound)
     ]
-    ok = violations <= allowed
-    return rows, ok, f"{violations}/{grid_points} grid points exceed the bound (allowed {allowed})"
+    ok = violations <= allowed_violations
+    return rows, ok, (f"{violations}/{zs.size} grid points exceed the bound "
+                      f"(allowed {allowed_violations})")
 
 
-def _check_coverage(params, runs, seed):
-    n = int(params.get("n", 2048))
-    sigma = float(params.get("sigma", 1.0))
-    lam = float(params.get("lam", 4.5))
-    grid_points = int(params.get("grid_points", 30))
-    z_max = float(params.get("z_max", 4.0 * sigma))
-    floor = float(params.get("floor", 0.999))
-    zs = np.linspace(0.0, z_max, grid_points)
+def _check_coverage(runs, seed, *, n=2048, sigma=1.0, lam=4.5, grid_points=30, z_max=None,
+                    floor=0.999, z=None):
+    z_max = 4.0 * sigma if z_max is None else z_max
+    zs = _z_values(z, np.linspace(0.0, z_max, grid_points))
     band = white_band(zs, sigma, n, lam)
-    hits = np.zeros(grid_points)
+    hits = np.zeros(zs.size)
     for run in range(runs):
         rng = np.random.default_rng(_trial_seed(seed, run))
         g = empirical_signature(zs, rng.normal(0.0, sigma, n))
@@ -448,8 +419,17 @@ def _check_coverage(params, runs, seed):
 
 
 # Check identifiers follow the layout of the statistical derivations they
-# verify (see README); descriptive aliases are accepted everywhere.
-MC_CHECKS = ("appendixA", "appendixB", "appendixC", "appendixD", "coverage")
+# verify (see README); descriptive aliases are accepted everywhere.  Each
+# maps to its check and the least number of runs it needs: the checks that
+# estimate a variance need two.
+_CHECKS = {
+    "appendixA": (_check_averaged_signature, 2),
+    "appendixB": (partial(_check_averaged_signature, signature="indicator"), 2),
+    "appendixC": (_check_shifted_mean, 1),
+    "appendixD": (_check_colored_bound, 2),
+    "coverage": (_check_coverage, 1),
+}
+MC_CHECKS = tuple(_CHECKS)
 MC_CHECK_ALIASES = {
     "iid-signature": "appendixA",
     "sorted-noise": "appendixB",
@@ -470,27 +450,28 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
     ``appendixD``  MC variance of the sorted curve under AR(1) noise stays
                    below the analytic bound on a z grid
     ``coverage``   per-z coverage of the white-noise band at the given floor
+
+    ``params`` are the check's keyword parameters; one the check does not
+    take is rejected with ``ValueError``.
     """
     params = dict(params or {})
     check = MC_CHECK_ALIASES.get(check, check)
-    if check not in MC_CHECKS:
+    if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {MC_CHECKS}")
-    if int(params.get("n", 1)) < 1:
+    run_check, least = _CHECKS[check]
+    try:
+        inspect.signature(run_check).bind(runs, seed, **params)
+    except TypeError as exc:
+        raise ValueError(f"check {check}: {exc}") from None
+    if "z" in params and {"z_max", "grid_points"} & params.keys():
+        raise ValueError("z replaces the default grid, so give no z_max or grid_points with it")
+    if params.get("n", 1) < 1:
         raise ValueError(f"n must be at least 1, got {params['n']}")
-    least = 2 if check in ("appendixA", "appendixB", "appendixD") else 1  # these estimate a variance
     if runs < least:
         raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
-    if check == "appendixA":
-        rows, ok, summary = _check_averaged_signature(params, runs, seed, "gaussian")
-    elif check == "appendixB":
-        params.setdefault("signature", "indicator")
-        rows, ok, summary = _check_averaged_signature(params, runs, seed, "indicator")
-    elif check == "appendixC":
-        rows, ok, summary = _check_shifted_mean(params, runs, seed)
-    elif check == "appendixD":
-        rows, ok, summary = _check_colored_bound(params, runs, seed)
-    else:
-        rows, ok, summary = _check_coverage(params, runs, seed)
+    for key, value in getattr(run_check, "keywords", {}).items():
+        params.setdefault(key, value)  # so the report names appendixB's signature
+    rows, ok, summary = run_check(runs, seed, **params)
     return McReport(check=check, params=params, runs=runs, seed=seed, passed=ok,
                     rows=rows, summary=summary)
 
@@ -520,6 +501,22 @@ def _add_common(parser):
     parser.add_argument("--sigma-policy", choices=SIGMA_POLICIES, default="mad")
 
 
+def _add_experiment(parser):
+    """Flags of the paired-trial commands; :func:`_experiment` reads them."""
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--mse-denominator", choices=MSE_DENOMINATORS, default="norm-squared")
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_common(parser)
+
+
+def _experiment(args) -> dict:
+    """The :class:`ExperimentConfig` fields that the flags of :func:`_add_experiment` set."""
+    return dict(noise=NoiseSpec.parse(args.noise), trials=args.trials, seed=args.seed,
+                levels=args.levels, n=args.length, mse_denominator=args.mse_denominator,
+                sigma_policy=args.sigma_policy)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nide",
@@ -528,24 +525,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench", help="run an MSE comparison matrix")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--signal", default="blocks", help="comma separated signal names")
     p.add_argument("--method", default="nide,visu,sure,bayes", help="comma separated methods")
     p.add_argument("--snr", default="1,4,8,10,14", help="comma separated SNR values in dB")
-    p.add_argument("--trials", type=int, default=100)
     p.add_argument("--lambda", dest="lam", type=float, default=4.5)
-    p.add_argument("--mse-denominator", choices=MSE_DENOMINATORS, default="norm-squared")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
+    _add_experiment(p)
 
     p = sub.add_parser("trace", help="emit a sorted-curve/band trace as CSV")
+    p.set_defaults(run=_cmd_trace)
     p.add_argument("--signal", default="blocks")
     p.add_argument("--snr", type=float, default=5.0)
     p.add_argument("--lambda", dest="lam", type=float, default=4.5)
     p.add_argument("--out", required=True)
     _add_common(p)
 
-    p = sub.add_parser("mc", help="run a Monte Carlo self-check")
+    p = sub.add_parser("mc", help="run a Monte Carlo self-check; a flag the check "
+                                  "does not read is an error")
+    p.set_defaults(run=_cmd_mc)
     p.add_argument("--check", required=True,
                    help=f"one of {', '.join(MC_CHECKS)} (or an alias: "
                         f"{', '.join(MC_CHECK_ALIASES)})")
@@ -553,25 +550,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--z", type=_parse_floats, default=None)
+    p.add_argument("--z", type=_parse_floats, default=None,
+                   help="comma separated z values, in place of the check's default grid")
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--ar", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--z-max", dest="z_max", type=float, default=None,
-                   help="upper end of the z grid (coverage: default 4 sigma)")
+                   help="upper end of the default z grid (appendixD, coverage: 4 sigma)")
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("lambda-sweep", help="mean MSE per band-width multiplier")
+    p.set_defaults(run=_cmd_lambda_sweep)
     p.add_argument("--signal", default="blocks")
     p.add_argument("--snr", type=float, default=8.0)
     p.add_argument("--lambdas", type=_parse_floats, default=[3.0, 3.5, 4.0, 4.5, 5.0])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--mse-denominator", choices=MSE_DENOMINATORS, default="norm-squared")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
+    _add_experiment(p)
 
     p = sub.add_parser("denoise-file", help="denoise a single-column CSV of samples")
+    p.set_defaults(run=_cmd_denoise_file)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pad", choices=("reject", "zero"), default="reject",
@@ -583,24 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    config = ExperimentConfig(
-        signals=tuple(_parse_list(args.signal)),
-        methods=tuple(_parse_list(args.method)),
-        snr_db=tuple(_parse_floats(args.snr)),
-        noise=NoiseSpec.parse(args.noise),
-        trials=args.trials,
-        seed=args.seed,
-        levels=args.levels,
-        lam=args.lam,
-        n=args.length,
-        mse_denominator=args.mse_denominator,
-        sigma_policy=args.sigma_policy,
-    )
+    config = ExperimentConfig(signals=_parse_list(args.signal), methods=_parse_list(args.method),
+                              snr_db=_parse_floats(args.snr), lam=args.lam, **_experiment(args))
     result = run_experiment(config)
-    if args.format == "csv":
-        result.to_csv(args.out)
-    else:
-        result.to_json(args.out)
+    (result.to_csv if args.format == "csv" else result.to_json)(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 
@@ -622,18 +604,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    params = {"sigma": args.sigma}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.z is not None:
-        params["z"] = args.z
-    if args.theta is not None:
-        params["theta"] = args.theta
-    if args.ar is not None:
-        params["ar"] = args.ar
-    for key in ("lam", "z_max"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
+    params = {key: getattr(args, key) for key in ("sigma", "n", "z", "theta", "ar", "lam", "z_max")
+              if getattr(args, key) is not None}
     report = mc_validate(args.check, params, runs=args.runs, seed=args.seed)
     print(report.text())
     if args.out:
@@ -645,31 +617,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_lambda_sweep(args) -> int:
-    rows = lambda_sweep(
-        signal=args.signal,
-        snr_db=args.snr,
-        lambdas=args.lambdas,
-        trials=args.trials,
-        seed=args.seed,
-        noise=NoiseSpec.parse(args.noise),
-        n=args.length,
-        levels=args.levels,
-        sigma_policy=args.sigma_policy,
-        mse_denominator=args.mse_denominator,
-    )
-    if args.format == "csv":
-        with open(args.out, "w") as fh:
-            fh.write("lambda,mean_mse,std_mse\n")
-            for lam, mean, std in rows:
-                fh.write(f"{_fmt(lam)},{_fmt(mean)},{_fmt(std)}\n")
-    else:
-        payload = [
-            {"lambda": float(_fmt(l)), "mean_mse": float(_fmt(m)), "std_mse": float(_fmt(s))}
-            for l, m, s in rows
-        ]
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    rows = lambda_sweep(args.signal, args.snr, args.lambdas, **_experiment(args))
+    _write_table(args.out, args.format, ("lambda", "mean_mse", "std_mse"), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -730,19 +679,8 @@ def main(argv=None) -> int:
     """Run one subcommand.  Input the library rejects (a ``ValueError``) ends
     in one ``error:`` line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "bench": _cmd_bench,
-        "trace": _cmd_trace,
-        "mc": _cmd_mc,
-        "lambda-sweep": _cmd_lambda_sweep,
-        "denoise-file": _cmd_denoise_file,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

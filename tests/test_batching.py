@@ -196,12 +196,7 @@ def test_paired_trials_equal_the_per_trial_loop():
         config = ExperimentConfig(signals=("blocks",), snr_db=(4.0, 14.0), noise=noise,
                                   trials=70, seed=3, sigma_policy=policy)
         want = ref_trial_mses(config)
-        profile = None if noise.kind == "white" else theoretical_profile(noise, config.n - 1)
-        arms = {m: (DenoiseConfig(profile=profile if m == "nide" else None), _RULES[m])
-                for m in config.methods}
-        got = _paired_mse({"blocks": gen_signal("blocks", config.n).samples}, config.snr_db,
-                          arms, noise, config.n, config.trials, config.seed, policy,
-                          "norm-squared")
+        got = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key]), key
@@ -260,17 +255,14 @@ def test_sure_searches_only_dense_rows(seed, n, dense):
 
 def test_one_analysis_per_stack(monkeypatch):
     """_paired_mse transforms each block of trials once per signal and SNR,
-    whatever the number of arms, and rejects arms that cannot share it."""
+    whatever the number of arms."""
     module = importlib.import_module("nide.denoise")
     forward, calls = module.dwt_forward, []
     monkeypatch.setattr(module, "dwt_forward",
                         lambda x, levels: calls.append(x.shape) or forward(x, levels))
-    truths = {name: gen_signal(name, 2048).samples for name in ("blocks", "heavysine")}
-    arms = {m: (DenoiseConfig(), _RULES[m]) for m in METHODS}
+    config = ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0), trials=40,
+                              seed=1)
+    arms = {m: (m, LAM) for m in METHODS} | {"nide 3": ("nide", 3.0)}
     # 40 trials at N = 2048 run as blocks of 32 and 8 trials: 2 x 2 signals x 2 SNRs.
-    _paired_mse(truths, [4.0, 14.0], arms, NoiseSpec.white(), 2048, 40, 1, "mad", "norm-squared")
+    _paired_mse(config, arms)
     assert sorted(calls) == [(8, 2048)] * 4 + [(32, 2048)] * 4
-    for other in (DenoiseConfig(levels=4), DenoiseConfig(sigma=1.0)):
-        arms["other"] = (other, _RULES["visu"])
-        with pytest.raises(ValueError, match="agree on levels and sigma"):
-            _paired_mse(truths, [4.0], arms, NoiseSpec.white(), 2048, 4, 1, "mad", "norm-squared")

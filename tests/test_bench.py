@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import nide.bench
 from nide.bench import (
     ExperimentConfig,
     MC_CHECKS,
+    emit_band_trace,
     lambda_sweep,
     main,
     mc_validate,
@@ -113,6 +118,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(signals=("blocks",), snr_db=(1.0,), sigma_policy="oracle")
 
+    @pytest.mark.parametrize("bad", [{"sigma_policy": "oracle"}, {"trials": 0}])
+    def test_lambda_sweep_validates_its_experiment(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            lambda_sweep("blocks", 8.0, [4.5], **{"trials": 2, **bad})
+
+    @pytest.mark.parametrize("field", ["lam", "methods"])
+    def test_lambda_sweep_takes_no_lam_or_methods(self, field):
+        with pytest.raises(TypeError):
+            lambda_sweep("blocks", 8.0, [4.5], trials=2, **{field: 3.0})
+
+    def test_trace_rejects_unknown_sigma_policy(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="sigma_policy"):
+            emit_band_trace("blocks", 8.0, NoiseSpec.white(), 4.5, 0, out, sigma_policy="oracle")
+        assert not out.exists()
+
     def test_csv_and_json_outputs(self, tmp_path):
         config = ExperimentConfig(
             signals=("blocks",), snr_db=(8.0,), methods=("nide", "visu"), trials=2, seed=0
@@ -195,6 +216,16 @@ class TestMcValidate:
         report = mc_validate(check, {"n": 64}, runs=1)
         assert all(np.isfinite(v) for row in report.rows for v in row.values())
 
+    @pytest.mark.parametrize("check", MC_CHECKS)
+    def test_rejects_a_parameter_the_check_does_not_take(self, check):
+        with pytest.raises(ValueError, match="bogus"):
+            mc_validate(check, {"bogus": 1}, runs=2)
+
+    @pytest.mark.parametrize("check", MC_CHECKS)
+    def test_every_check_runs_at_the_given_z(self, check):
+        report = mc_validate(check, {"n": 64, "z": [0.5, 2.5]}, runs=2)
+        assert [row["z"] for row in report.rows] == [0.5, 2.5]
+
     def test_aliases_and_unknown(self):
         report = mc_validate("sorted-noise", {"n": 256}, runs=200, seed=0)
         assert report.check == "appendixB"
@@ -260,6 +291,7 @@ class TestCli:
         # includes z = 4 sigma where the normal approximation under-covers
         payload = json.loads(report.read_text())
         assert payload["check"] == "coverage"
+        assert [row["z"] for row in payload["rows"]] == [0.5, 1.0, 2.0, 4.0]
 
     def test_mc_coverage_z_max_flag(self, tmp_path):
         report = tmp_path / "mc.json"
@@ -338,6 +370,9 @@ class TestCli:
         ["mc", "--check", "appendixB", "--runs", "1"],
         ["mc", "--check", "coverage", "--runs", "0"],
         ["denoise-file", "--lambda", "9"],
+        ["mc", "--check", "coverage", "--theta", "2"],
+        ["mc", "--check", "appendixA", "--ar", "0.5"],
+        ["mc", "--check", "coverage", "--z", "1,2", "--z-max", "3", "--runs", "200"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"
@@ -378,3 +413,17 @@ class TestCli:
             main(["denoise-file", "--in", str(tmp_path / "in.csv"),
                   "--out", str(tmp_path / "out.csv"), *flag])
         assert exc.value.code == 2
+
+
+def test_python_m_nide_runs_the_cli_without_warnings():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "nide", "mc", "--check", "appendixC",
+         "--runs", "5", "--n", "64"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert proc.stdout.startswith("check=appendixC runs=5")
