@@ -37,7 +37,6 @@ from .signature import (
     colored_variance_bound,
     empirical_signature,
     lambda_to_confidence,
-    sorted_curve,
     white_band,
 )
 from .wavelet import CoefficientSet, dwt_forward, dwt_inverse
@@ -77,7 +76,6 @@ __all__ = [
     "select_threshold",
     "shifted_abs_cdf",
     "soft_threshold",
-    "sorted_curve",
     "std_normal_cdf",
     "sure_threshold",
     "theoretical_profile",

@@ -29,9 +29,9 @@ import numpy as np
 
 from .baselines import _RULES
 from .denoise import DenoiseConfig, _analyse, _shrink, denoise
-from .noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise, theoretical_profile
+from .noise_model import NoiseSpec, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
-from .signature import colored_variance_bound, empirical_signature, sorted_curve, white_band
+from .signature import colored_variance_bound, empirical_signature, white_band
 from .gaussian_stats import abs_noise_cdf, shifted_abs_cdf
 
 __all__ = [
@@ -245,18 +245,16 @@ def emit_band_trace(
     if sigma_policy not in SIGMA_POLICIES:
         raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}")
     truth = gen_signal(signal, n).samples
-    raw_noise = gen_noise(noise, n, seed)
-    scaled = calibrate_noise_to_snr(truth, raw_noise, snr_db)
-    sigma = None
-    if sigma_policy == "known":
-        sigma = noise.sigma * np.linalg.norm(scaled) / np.linalg.norm(raw_noise)
+    raw = gen_noise(noise, n, seed)
+    scale = np.linalg.norm(truth) * 10.0 ** (-snr_db / 20.0) / np.linalg.norm(raw)
+    sigma = noise.sigma * scale if sigma_policy == "known" else None
     config = DenoiseConfig(levels=levels, lam=lam, sigma=sigma, profile=_noise_profile(noise, n))
-    band = denoise(truth + scaled, config).band
+    band = denoise(raw * scale + truth, config).band
     if band is None:
         raise ValueError("the input is noise free (denoise passed it through), so there is no band")
-    z, g = sorted_curve(band.z_grid)
+    g = np.arange(1, band.n + 1) / band.n  # band.z_grid is the sorted curve
     header = ("z", "empirical", "lower", "upper")
-    _write_table(path, "csv", header, zip(z, g, band.lower, band.upper))
+    _write_table(path, "csv", header, zip(band.z_grid, g, band.lower, band.upper))
 
 
 def lambda_sweep(signal: str, snr_db: float, lambdas, **experiment):
@@ -384,8 +382,7 @@ def _check_colored_bound(runs, seed, *, n=1024, sigma=1.0, ar=0.8, grid_points=5
     zs = _z_values(z, np.linspace(z_max / grid_points, z_max, grid_points))
     g = np.empty((runs, zs.size))
     for run in range(runs):
-        v = np.sort(np.abs(gen_noise(spec, n, _trial_seed(seed, run))))
-        g[run] = np.searchsorted(v, zs, side="right") / n
+        g[run] = empirical_signature(zs, gen_noise(spec, n, _trial_seed(seed, run)))
     mc_var = g.var(axis=0, ddof=1)
     profile = theoretical_profile(spec, max_lag=n - 1)
     bound = colored_variance_bound(zs, sigma, profile, n)
@@ -684,3 +681,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    print("error: nide.bench is a module; run `python -m nide` or `nide`", file=sys.stderr)
+    raise SystemExit(2)

@@ -20,11 +20,8 @@ from .signature import (
     ConfidenceBand,
     CorrelationProfile,
     _band_edges,
-    _band_moments,
     _check_band_args,
-    _checked_grid,
     colored_band,
-    colored_variance_bound,
     white_band,
 )
 from .wavelet import CoefficientSet, dwt_forward, dwt_inverse
@@ -116,10 +113,10 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
 
 def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
     """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients,
-    shape ``(rows, m)``) with per-row noise scales ``sigma``; the other rows
-    get 0.  ``a[:, unsorted:]`` is ascending and no smaller than any point
-    before it; a row's points before ``unsorted`` are sorted in place when
-    its scan reaches them.
+    shape ``(rows, m)``) with per-row noise scales ``sigma``, positive on
+    ``rows`` and not checked here; the other rows get 0.  ``a[:, unsorted:]``
+    is ascending and no smaller than any point before it; a row's points
+    before ``unsorted`` are sorted in place when its scan reaches them.
 
     Band membership is tested at the midpoint plotting position
     (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
@@ -145,9 +142,6 @@ def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
     [0, 1] clamp never changes membership, as 0 < g < 1.  The colored band
     has no cheap interval bound and is scanned pointwise throughout.
     """
-    if a.shape[-1] == 0:
-        raise ValueError("coefficient vector must be nonempty")
-    _check_band_args(sigma[rows], n, lam)
     t = np.zeros(a.shape[0])
     end, size, blocks = a.shape[-1], SCAN_BLOCK, 0
     while end > 0 and rows.size:
@@ -159,13 +153,8 @@ def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
             t[rows] = _certified(a, end, sigma, n, lam, rows)
             break
         start = max(end - size, unsorted)
-        z, s = a[rows, start:end], sigma[rows, None]
-        if profile is None:
-            center, var = _band_moments(z, s, n)
-        else:
-            # The width comes from the public bound, as in colored_band.
-            center, var = abs_noise_cdf(z, s), colored_variance_bound(z, s, profile, n)
-        lower, upper = _band_edges(center, var, lam)
+        z = a[rows, start:end]
+        _, lower, upper = _band_edges(z, sigma[rows, None], n, lam, profile)
         g_mid = (np.arange(start + 1, end + 1) - 0.5) / a.shape[-1]
         inside = (g_mid >= lower) & (g_mid <= upper)
         hit = inside.any(axis=-1)
@@ -192,7 +181,7 @@ def _certified(a, end, sigma, n, lam, rows) -> np.ndarray:
     top_in = np.where(inside.any(axis=-1), low.size - 1 - np.argmax(inside[:, ::-1], axis=-1), -1)
     r, c = np.nonzero(~out & ~inside & (np.arange(low.size) > top_in[:, None]))
     pos = np.minimum(low[c, None] + np.arange(CHUNK), high[c, None])
-    lower, upper = _band_edges(*_band_moments(a[rows[r, None], pos], sigma[rows[r], None], n), lam)
+    _, lower, upper = _band_edges(a[rows[r, None], pos], sigma[rows[r], None], n, lam)
     g = (pos + 0.5) / a.shape[-1]
     best = np.where(top_in >= 0, high[top_in], -1)
     np.maximum.at(best, r, np.where((g >= lower) & (g <= upper), pos, -1).max(axis=-1))
@@ -209,8 +198,10 @@ def select_threshold(coeffs, sigma: float, n: int | None = None,
     the band width; ``profile`` switches to the correlated-noise band.
     """
     a = np.sort(np.abs(np.asarray(coeffs, dtype=float).ravel()))[None]
+    if a.size == 0:
+        raise ValueError("coefficient vector must be nonempty")
     n = a.size if n is None else int(n)
-    _checked_grid(a, sigma, n, lam)
+    _check_band_args(sigma, n, lam)
     return float(_select(a, np.asarray([sigma], dtype=float), n, lam, profile, np.arange(1))[0])
 
 
@@ -266,18 +257,20 @@ def _nide_rule(coeffs, sigma, config):
         a.partition(unsorted, axis=-1)
     a[..., unsorted:].sort(axis=-1)
     t = _select(a, sigma, a.shape[-1], config.lam, config.profile, np.flatnonzero(live), unsorted)
-    band = white_band if config.profile is None else partial(colored_band, profile=config.profile)
     bands = [
-        partial(_sorted_band, band, curve, s, config.lam) if ok else None
+        partial(_sorted_band, curve, s, config) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
     ]
     return [scope], t[:, None], sigma, bands
 
 
-def _sorted_band(band, curve, sigma, lam):
-    """``band`` over ``curve`` sorted in place, a magnitude row owned by one result."""
+def _sorted_band(curve, sigma, config):
+    """The band of ``config`` over ``curve`` sorted in place, a magnitude row owned
+    by one result; built through the public band names, which tracers wrap."""
     curve.sort()
-    return band(curve, sigma, n=curve.size, lam=lam)
+    if config.profile is None:
+        return white_band(curve, sigma, n=curve.size, lam=config.lam)
+    return colored_band(curve, sigma, config.profile, n=curve.size, lam=config.lam)
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:

@@ -4,8 +4,9 @@ The empirical signature of a sample vector at height ``z`` is the fraction of
 entries with absolute value at most ``z``.  Averaged over N independent
 Gaussian draws its mean is ``F(z)`` and its variance ``F(z)(1 - F(z)) / N``,
 so the sorted-absolute-value curve of pure noise lives in a narrow band
-around ``F``.  This module builds that band (white case) and the widened
-band for correlated Gaussian noise.
+around ``F``.  :func:`_band_edges` is the one band path: it picks the white
+variance or the correlated-noise bound and clamps ``F +/- lam * sqrt(var)``
+to [0, 1] for :func:`white_band`, :func:`colored_band` and the threshold scan.
 
 Variance under correlated noise is handled with an upper bound obtained by
 rotating each coefficient pair ``(V_i, V_j)`` into independent components
@@ -25,7 +26,6 @@ __all__ = [
     "ConfidenceBand",
     "CorrelationProfile",
     "empirical_signature",
-    "sorted_curve",
     "white_band",
     "colored_band",
     "colored_variance_bound",
@@ -123,20 +123,6 @@ def empirical_signature(z, samples):
     return float(out) if np.isscalar(z) else out
 
 
-def sorted_curve(samples):
-    """Step-function representation of the empirical signature.
-
-    Returns ``(z_values, g_values)`` where ``z_values`` is the ascending
-    sequence of absolute sample values and ``g_values[m-1] = m / N``.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("samples must be nonempty")
-    z = np.sort(np.abs(samples.ravel()))
-    g = np.arange(1, z.size + 1, dtype=float) / z.size
-    return z, g
-
-
 def lambda_to_confidence(lam: float) -> float:
     """Per-point coverage of a ``lam``-standard-deviation normal interval."""
     if lam < 0:
@@ -151,17 +137,6 @@ def _check_band_args(sigma, n, lam=0.0) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-
-
-def _checked_grid(z_grid, sigma, n, lam) -> np.ndarray:
-    """Validate the band arguments once; returns the grid as a float array."""
-    _check_band_args(sigma, n, lam)
-    z = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    if np.any(z < 0):
-        raise ValueError("z_grid must be nonnegative")
-    if np.any(z[..., 1:] < z[..., :-1]):
-        raise ValueError("z_grid must be ascending")
-    return z
 
 
 def _pair_cdf(root2z, spread, sigma, out):
@@ -209,14 +184,27 @@ def _band_moments(z, sigma, n, profile=None):
     return center, acc[0]
 
 
-def _band_edges(center, var, lam):
-    """``(lower, upper)``: ``center +/- lam * sqrt(var)`` clamped to [0, 1]."""
+def _band_edges(z, sigma, n, lam, profile=None):
+    """``(F(z), lower, upper)``: ``F +/- lam * sqrt(var)`` clamped to [0, 1], with the
+    white ``var = F (1 - F) / n`` or, given a profile, :func:`colored_variance_bound`
+    (see :func:`colored_band`).  ``z`` may have any shape and ``sigma`` broadcasts
+    against it.  Arguments are not validated here."""
+    if profile is None:
+        center, var = _band_moments(z, sigma, n)
+    else:
+        center, var = abs_noise_cdf(z, sigma), colored_variance_bound(z, sigma, profile, n)
     half = lam * np.sqrt(np.maximum(var, 0.0))
-    return np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
+    return center, np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
 
 
-def _band(z, n, lam, center, var) -> ConfidenceBand:
-    lower, upper = _band_edges(center, var, lam)
+def _band(z_grid, sigma, n, lam, profile=None) -> ConfidenceBand:
+    _check_band_args(sigma, n, lam)
+    z = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    if np.any(z < 0):
+        raise ValueError("z_grid must be nonnegative")
+    if np.any(z[..., 1:] < z[..., :-1]):
+        raise ValueError("z_grid must be ascending")
+    center, lower, upper = _band_edges(z, sigma, n, lam, profile)
     return ConfidenceBand(
         z_grid=z,
         lower=lower,
@@ -234,8 +222,7 @@ def white_band(z_grid, sigma: float, n: int, lam: float) -> ConfidenceBand:
     Center ``F(z)``, half-width ``lam * sqrt(F (1 - F) / n)``, clamped to
     [0, 1].
     """
-    z = _checked_grid(z_grid, sigma, n, lam)
-    return _band(z, n, lam, *_band_moments(z, sigma, n))
+    return _band(z_grid, sigma, n, lam)
 
 
 def colored_variance_bound(z, sigma: float, profile: CorrelationProfile, n: int):
@@ -265,9 +252,8 @@ def colored_band(
 ) -> ConfidenceBand:
     """Band around ``F(z)`` using :func:`colored_variance_bound` for the width.
 
-    Reduces exactly to :func:`white_band` for a white profile.  The width
-    comes from the public bound, so profiles and traces of this function
-    show the bound as its own call.
+    Reduces exactly to :func:`white_band` for a white profile.  Built by
+    :func:`_band_edges`, like every band, whose colored branch calls the public
+    bound so that profiles and traces show the bound as its own call.
     """
-    z = _checked_grid(z_grid, sigma, n, lam)
-    return _band(z, n, lam, abs_noise_cdf(z, sigma), colored_variance_bound(z, sigma, profile, n))
+    return _band(z_grid, sigma, n, lam, profile)

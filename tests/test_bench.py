@@ -1,7 +1,9 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -427,3 +429,16 @@ def test_python_m_nide_runs_the_cli_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.stdout.startswith("check=appendixC runs=5")
+
+
+def test_python_m_nide_bench_names_the_cli(capsys):
+    # In process, as ``python -m nide.bench`` would run it; runpy warns that the
+    # package import already loaded nide.bench, which does not matter here.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "'nide.bench' found in sys.modules", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("nide.bench", run_name="__main__")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "`python -m nide`" in err and "`nide`" in err

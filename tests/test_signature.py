@@ -13,7 +13,6 @@ from nide.signature import (
     colored_variance_bound,
     empirical_signature,
     lambda_to_confidence,
-    sorted_curve,
     white_band,
 )
 
@@ -41,29 +40,6 @@ class TestEmpiricalSignature:
     def test_array_evaluation(self):
         out = empirical_signature(np.array([0.5, 2.0, 10.0]), [1.0, -2.0, 3.0])
         assert np.allclose(out, [0.0, 2 / 3, 1.0])
-
-
-class TestSortedCurve:
-    def test_example(self):
-        z, g = sorted_curve([3.0, -1.0])
-        assert np.allclose(z, [1.0, 3.0])
-        assert np.allclose(g, [0.5, 1.0])
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=60))
-    def test_nondecreasing_and_ends_at_one(self, samples):
-        z, g = sorted_curve(samples)
-        assert np.all(np.diff(z) >= 0)
-        assert np.all(np.diff(g) > 0)
-        assert g[-1] == 1.0
-
-    def test_sorted_gaussian_stays_near_three_sigma(self):
-        # 100 draws of length 2048: the maximum rarely exceeds 3.9 sigma
-        exceed = 0
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            z, _ = sorted_curve(rng.normal(0, 1, 2048))
-            exceed += z[-1] > 3.9
-        assert exceed <= 10
 
 
 class TestLambdaConfidence:
