@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the results of a fixed sweep of ``denoise`` calls,
-and one over the output files of a fixed set of ``nide`` command lines.
+one over the baseline rules on the same inputs, and one over the output
+files of a fixed set of ``nide`` command lines.
 
-The first digest covers, for every call, the threshold, the kept count and
-the denoised output, and for every seventh call the on-request band (grid,
-lower, upper and center).  The second (``harness sha256``) covers the files
-that ``bench``, ``lambda-sweep``, ``trace`` and ``mc`` write.  Two checkouts
-that print the same digests give the same results in every bit on these
-runs, so a change meant to be numerically neutral (a speed-up, a refactor)
-is checked by running this script before and after it:
+The first digest covers, for every call, the threshold, the kept count,
+sigma and the denoised output, and for every seventh call the on-request
+band (grid, lower, upper and center).  The second (``baselines sha256``)
+covers the same fields of ``denoise_with`` for visu, sure and bayes, once
+per input, sigma policy and method, as the baselines read neither lambda nor
+the threshold scope.  The third (``harness sha256``) covers the files that
+``bench``, ``lambda-sweep``, ``trace`` and ``mc`` write.  Two checkouts that
+print the same digests give the same results in every bit on these runs, so
+a change meant to be numerically neutral (a speed-up, a refactor) is checked
+by running this script before and after it:
 
     PYTHONPATH=src python3 scripts/check_bit_identity.py
 
@@ -19,8 +23,8 @@ profile.  The colored profiles stop at N = 16384 to keep the sweep short.
 The command lines cover ``bench`` as CSV and JSON (white noise with MAD
 sigma, ar1(0.8) with known sigma, and the ``norm`` MSE denominator),
 ``lambda-sweep`` as CSV and JSON, a white and an ar1 ``trace``, and the JSON
-report of every ``mc`` check on its default grid.  Both take about fifteen
-seconds on one core.
+report of every ``mc`` check on its default grid.  All three take about
+twenty seconds on one core.
 """
 
 import argparse
@@ -33,6 +37,7 @@ import tempfile
 
 import numpy as np
 
+from nide.baselines import BASELINE_METHODS, denoise_with
 from nide.bench import MC_CHECKS, main as nide_main
 from nide.denoise import DenoiseConfig, denoise
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
@@ -71,30 +76,52 @@ def _feed(digest, *arrays) -> None:
         digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
 
 
-def sweep(digest) -> tuple[int, int]:
-    """Feed every result of the sweep to ``digest``; returns (calls, bands)."""
-    calls = bands = 0
+def _feed_result(digest, result) -> None:
+    _feed(digest, [result.threshold, result.coefficients_kept, result.sigma_used], result.denoised)
+
+
+def inputs():
+    """Yield ``(profile, x, known sigma)`` for every input of the sweep.  An
+    input's noise seed is the number of sweep calls made before it."""
+    seed = 0
     for spec, sizes in NOISES:
         for n in sizes:
             profile = None if spec.kind == "white" else theoretical_profile(spec, max_lag=n - 1)
             truths = {name: gen_signal(name, n).samples for name in SIGNAL_NAMES}
             for name, snr in itertools.product(SIGNAL_NAMES, SNRS):
                 truth = truths[name]
-                noise = gen_noise(spec, n, seed=calls)
+                noise = gen_noise(spec, n, seed=seed)
                 scale = np.linalg.norm(truth) * 10.0 ** (-snr / 20.0) / np.linalg.norm(noise)
-                x = truth + noise * scale
-                for lam, scope, policy in itertools.product(LAMBDAS, SCOPES, SIGMAS):
-                    sigma = spec.sigma * scale if policy == "known" else None
-                    config = DenoiseConfig(lam=lam, sigma=sigma, profile=profile, threshold_scope=scope)
-                    result = denoise(x, config)
-                    _feed(digest, [result.threshold, result.coefficients_kept, result.sigma_used],
-                          result.denoised)
-                    if calls % BAND_EVERY == 0 and result.band is not None:
-                        band = result.band
-                        _feed(digest, band.z_grid, band.lower, band.upper, band.center)
-                        bands += 1
-                    calls += 1
+                yield profile, truth + noise * scale, spec.sigma * scale
+                seed += len(LAMBDAS) * len(SCOPES) * len(SIGMAS)
+
+
+def sweep(digest) -> tuple[int, int]:
+    """Feed every result of the sweep to ``digest``; returns (calls, bands)."""
+    calls = bands = 0
+    for profile, x, known in inputs():
+        for lam, scope, policy in itertools.product(LAMBDAS, SCOPES, SIGMAS):
+            sigma = known if policy == "known" else None
+            result = denoise(x, DenoiseConfig(lam=lam, sigma=sigma, profile=profile, threshold_scope=scope))
+            _feed_result(digest, result)
+            if calls % BAND_EVERY == 0 and result.band is not None:
+                band = result.band
+                _feed(digest, band.z_grid, band.lower, band.upper, band.center)
+                bands += 1
+            calls += 1
     return calls, bands
+
+
+def baselines(digest) -> int:
+    """Feed every ``denoise_with`` result of the baseline methods on the sweep's
+    inputs to ``digest``; returns the number of calls."""
+    calls = 0
+    for _, x, known in inputs():
+        for policy, method in itertools.product(SIGMAS, BASELINE_METHODS):
+            config = DenoiseConfig(sigma=known if policy == "known" else None)
+            _feed_result(digest, denoise_with(method, x, config))
+            calls += 1
+    return calls
 
 
 def harness(digest) -> int:
@@ -116,6 +143,9 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     calls, bands = sweep(digest)
     print(f"sha256 {digest.hexdigest()}  calls={calls} bands={bands}")
+    digest = hashlib.sha256()
+    calls = baselines(digest)
+    print(f"baselines sha256 {digest.hexdigest()}  calls={calls}")
     digest = hashlib.sha256()
     files = harness(digest)
     print(f"harness sha256 {digest.hexdigest()}  files={files}")

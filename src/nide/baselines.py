@@ -135,7 +135,7 @@ def _baseline_rule(method, coeffs, sigma, config):
     return segments, t, sigma, None
 
 
-# The nide.denoise._pipeline rule of every method.
+# The nide.denoise._shrink rule of every method.
 _RULES = {"nide": _nide_rule, **{m: partial(_baseline_rule, m) for m in BASELINE_METHODS}}
 
 

@@ -21,6 +21,7 @@ from .signature import (
     CorrelationProfile,
     _band_edges,
     _check_band_args,
+    _check_finite,
     colored_band,
     white_band,
 )
@@ -111,12 +112,13 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
     return np.subtract(coeffs, clipped, out=out)
 
 
-def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
+def _select(a, sigma, lam, profile, rows, unsorted=0) -> np.ndarray:
     """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients,
-    shape ``(rows, m)``) with per-row noise scales ``sigma``, positive on
-    ``rows`` and not checked here; the other rows get 0.  ``a[:, unsorted:]``
-    is ascending and no smaller than any point before it; a row's points
-    before ``unsorted`` are sorted in place when its scan reaches them.
+    shape ``(rows, N)``, each row with the band over its N points) with per-row
+    noise scales ``sigma``, positive on ``rows`` and not checked here; the other
+    rows get 0.  ``a[:, unsorted:]`` is ascending and no smaller than any point
+    before it; a row's points before ``unsorted`` are sorted in place when its
+    scan reaches them.
 
     Band membership is tested at the midpoint plotting position
     (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
@@ -137,7 +139,7 @@ def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
     with no in-band point there, T* is the top of that *in* chunk.  Sound,
     because F is nondecreasing in z, so over a chunk it lies between its end
     values (widened by ``CHUNK_MARGIN``, far above the pointwise rounding);
-    the half-width ``lam * sqrt(F (1 - F) / n)`` is concave in F, so its
+    the half-width ``lam * sqrt(F (1 - F) / N)`` is concave in F, so its
     minimum lies at an end and its maximum at the F nearest 1/2; and the
     [0, 1] clamp never changes membership, as 0 < g < 1.  The colored band
     has no cheap interval bound and is scanned pointwise throughout.
@@ -150,11 +152,11 @@ def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
                 part.sort(axis=-1)
             unsorted = 0
         if profile is None and blocks == POINTWISE_BLOCKS:
-            t[rows] = _certified(a, end, sigma, n, lam, rows)
+            t[rows] = _certified(a, end, sigma, lam, rows)
             break
         start = max(end - size, unsorted)
         z = a[rows, start:end]
-        _, lower, upper = _band_edges(z, sigma[rows, None], n, lam, profile)
+        _, lower, upper = _band_edges(z, sigma[rows, None], a.shape[-1], lam, profile)
         g_mid = (np.arange(start + 1, end + 1) - 0.5) / a.shape[-1]
         inside = (g_mid >= lower) & (g_mid <= upper)
         hit = inside.any(axis=-1)
@@ -165,9 +167,10 @@ def _select(a, sigma, n, lam, profile, rows, unsorted=0) -> np.ndarray:
     return t
 
 
-def _certified(a, end, sigma, n, lam, rows) -> np.ndarray:
+def _certified(a, end, sigma, lam, rows) -> np.ndarray:
     """Thresholds of the white ``rows`` from chunk certificates over the sorted
     ``a[rows, :end]`` (see :func:`_select`); 0 where no point there is in band."""
+    n = a.shape[-1]
     low = np.arange(0, end, CHUNK)
     high = np.minimum(low + CHUNK, end) - 1
     f_low = np.maximum(abs_noise_cdf(a[rows[:, None], low], sigma[rows, None]) - CHUNK_MARGIN, 0.0)
@@ -175,46 +178,44 @@ def _certified(a, end, sigma, n, lam, rows) -> np.ndarray:
     mid = np.clip(0.5, f_low, f_high)
     widest = lam * np.sqrt(mid * (1.0 - mid) / n)
     narrowest = lam * np.sqrt(np.minimum(f_low * (1.0 - f_low), f_high * (1.0 - f_high)) / n)
-    g_low, g_high = (low + 0.5) / a.shape[-1], (high + 0.5) / a.shape[-1]
+    g_low, g_high = (low + 0.5) / n, (high + 0.5) / n
     out = (g_low > f_high + widest) | (g_high < f_low - widest)
     inside = (g_low >= f_high - narrowest) & (g_high <= f_low + narrowest)
     top_in = np.where(inside.any(axis=-1), low.size - 1 - np.argmax(inside[:, ::-1], axis=-1), -1)
     r, c = np.nonzero(~out & ~inside & (np.arange(low.size) > top_in[:, None]))
     pos = np.minimum(low[c, None] + np.arange(CHUNK), high[c, None])
     _, lower, upper = _band_edges(a[rows[r, None], pos], sigma[rows[r], None], n, lam)
-    g = (pos + 0.5) / a.shape[-1]
+    g = (pos + 0.5) / n
     best = np.where(top_in >= 0, high[top_in], -1)
     np.maximum.at(best, r, np.where((g >= lower) & (g <= upper), pos, -1).max(axis=-1))
     return np.where(best >= 0, a[rows, best], 0.0)
 
 
-def select_threshold(coeffs, sigma: float, n: int | None = None,
-                     lam: float = 4.5, profile: CorrelationProfile | None = None) -> float:
+def select_threshold(coeffs, sigma: float, lam: float = 4.5,
+                     profile: CorrelationProfile | None = None) -> float:
     """Largest sorted absolute coefficient still inside the noise band.
 
-    Returns 0 when no point is inside the band (keep everything) and the
-    maximum absolute coefficient when every point is inside (discard
-    everything).  ``n`` defaults to the number of coefficients and controls
-    the band width; ``profile`` switches to the correlated-noise band.
+    The band is over the N finite coefficients given: half-width
+    ``lam * sqrt(F (1 - F) / N)``, or the correlated-noise band for a ``profile``.
+    Returns 0 when no point is inside the band (keep everything) and the maximum
+    absolute coefficient when every point is inside (discard everything).
     """
-    a = np.sort(np.abs(np.asarray(coeffs, dtype=float).ravel()))[None]
+    coeffs = np.asarray(coeffs, dtype=float)
+    _check_finite(coeffs, "coefficients")
+    a = np.sort(np.abs(coeffs.ravel()))[None]
     if a.size == 0:
         raise ValueError("coefficient vector must be nonempty")
-    n = a.size if n is None else int(n)
-    _check_band_args(sigma, n, lam)
-    return float(_select(a, np.asarray([sigma], dtype=float), n, lam, profile, np.arange(1))[0])
+    _check_band_args(sigma, a.size, lam)
+    return float(_select(a, np.asarray([sigma], dtype=float), lam, profile, np.arange(1))[0])
 
 
-def _analyse(observed, config: DenoiseConfig, sigma=None):
+def _analyse(observed, levels: int, sigma=None):
     """Finite check, transform and noise scale of every row of ``observed``, shape
-    ``(rows, N)``; sigma is ``sigma`` (per row) if given, else ``config.sigma``, else
-    the MAD estimate of the finest details.  Returns the coefficients and sigma."""
+    ``(rows, N)``; sigma is ``sigma`` (one, or one per row) if given, else the MAD
+    estimate of the finest details.  Returns the coefficients and sigma."""
     observed = np.asarray(observed, dtype=float)
-    bad = np.count_nonzero(~np.isfinite(observed))
-    if bad:
-        raise ValueError(f"observed samples must be finite; found {bad} NaN or infinite value(s)")
-    coeffs = dwt_forward(observed, config.levels)
-    sigma = config.sigma if sigma is None else sigma
+    _check_finite(observed, "observed samples")
+    coeffs = dwt_forward(observed, levels)
     if sigma is None:
         return coeffs, estimate_sigma_mad(coeffs.detail_bands[0])
     return coeffs, np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1])
@@ -237,13 +238,6 @@ def _shrink(coeffs, sigma, config: DenoiseConfig, rule, out=None):
     return np.max(t, axis=-1), denoised, np.count_nonzero(values[..., :stop], axis=-1), sigma, bands
 
 
-def _pipeline(observed, config: DenoiseConfig, rule, sigma=None):
-    """Denoise every row of ``observed``, shape ``(rows, N)``, with ``rule``:
-    :func:`_analyse` then :func:`_shrink` in place, each step once for all rows."""
-    coeffs, sigma = _analyse(observed, config, sigma)
-    return _shrink(coeffs, sigma, config, rule, out=coeffs.values)
-
-
 def _nide_rule(coeffs, sigma, config):
     """The invalidation threshold of each row.  A row whose noise scale is
     negligible next to its largest coefficient passes through: 0, no band."""
@@ -256,7 +250,7 @@ def _nide_rule(coeffs, sigma, config):
     if unsorted:
         a.partition(unsorted, axis=-1)
     a[..., unsorted:].sort(axis=-1)
-    t = _select(a, sigma, a.shape[-1], config.lam, config.profile, np.flatnonzero(live), unsorted)
+    t = _select(a, sigma, config.lam, config.profile, np.flatnonzero(live), unsorted)
     bands = [
         partial(_sorted_band, curve, s, config) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
@@ -274,11 +268,12 @@ def _sorted_band(curve, sigma, config):
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:
-    """One signal through :func:`_pipeline`, as a :class:`DenoiseResult`."""
+    """One signal through :func:`_analyse` and :func:`_shrink`, as a :class:`DenoiseResult`."""
     observed = np.asarray(observed, dtype=float)
     if observed.ndim > 1:
         raise ValueError(f"observed must be a 1-D sample vector, got shape {observed.shape}")
-    threshold, denoised, kept, sigma, bands = _pipeline(observed[None], config, rule)
+    coeffs, sigma = _analyse(observed[None], config.levels, config.sigma)
+    threshold, denoised, kept, sigma, bands = _shrink(coeffs, sigma, config, rule, out=coeffs.values)
     return DenoiseResult(float(threshold[0]), denoised[0], int(kept[0]), float(sigma[0]),
                          bands[0] if bands else None)
 

@@ -33,7 +33,6 @@ _BUMPS_WIDTHS = [0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008
 class TestSignal:
     name: str
     samples: np.ndarray
-    nominal_norm: float = NOMINAL_STD
 
 
 def _raw_signal(name: str, n: int) -> np.ndarray:
@@ -82,4 +81,4 @@ def gen_signal(name: str, n: int) -> TestSignal:
         raise ValueError(f"n must be a power of two >= 64, got {n}")
     raw = _raw_signal(key, n)
     samples = raw * (NOMINAL_STD / np.std(raw))
-    return TestSignal(name=key, samples=samples, nominal_norm=NOMINAL_STD)
+    return TestSignal(name=key, samples=samples)

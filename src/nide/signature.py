@@ -72,13 +72,6 @@ class CorrelationProfile:
             self, "active_lags", np.flatnonzero(np.abs(rho[1:]) >= RHO_TRUNCATION) + 1
         )
 
-    @property
-    def max_lag(self) -> int:
-        return self.rho.size - 1
-
-    def is_white(self) -> bool:
-        return self.active_lags.size == 0
-
 
 @dataclass(frozen=True)
 class ConfidenceBand:
@@ -128,6 +121,12 @@ def lambda_to_confidence(lam: float) -> float:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return float(erf_std(lam / _SQRT2))
+
+
+def _check_finite(values, what) -> None:
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"{what} must be finite; found {bad} NaN or infinite value(s)")
 
 
 def _check_band_args(sigma, n, lam=0.0) -> None:
@@ -200,6 +199,7 @@ def _band_edges(z, sigma, n, lam, profile=None):
 def _band(z_grid, sigma, n, lam, profile=None) -> ConfidenceBand:
     _check_band_args(sigma, n, lam)
     z = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    _check_finite(z, "z_grid")
     if np.any(z < 0):
         raise ValueError("z_grid must be nonnegative")
     if np.any(z[..., 1:] < z[..., :-1]):

@@ -57,9 +57,6 @@ class CoefficientSet:
         n = self.values.shape[-1]
         return self.values[..., : n - (n >> self.levels)]
 
-    def energy(self) -> float:
-        return float(np.sum(self.values**2))
-
 
 def dwt_forward(signal, levels: int) -> CoefficientSet:
     """Multilevel Haar analysis along the last axis of ``signal``.

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import nide.baselines
 from nide.baselines import _RULES, denoise_with, sure_threshold
 from nide.bench import ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, run_experiment
-from nide.denoise import SORTED_TOP, DenoiseConfig, _pipeline
+from nide.denoise import SORTED_TOP, DenoiseConfig, _analyse, _shrink
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
 from nide.signature import colored_band, white_band
@@ -142,7 +142,8 @@ def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, scope
     for method in METHODS:
         config = DenoiseConfig(levels=LEVELS, lam=LAM, threshold_scope=scope,
                                profile=profile if method == "nide" else None)
-        threshold, denoised, kept, used, bands = _pipeline(rows, config, _RULES[method], sigmas)
+        threshold, denoised, kept, used, bands = _shrink(*_analyse(rows, LEVELS, sigmas), config,
+                                                         _RULES[method])
         for i, row in enumerate(rows):
             sigma = None if sigmas is None else float(sigmas[i])
             got = (threshold[i], denoised[i], kept[i], used[i])

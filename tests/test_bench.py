@@ -190,13 +190,13 @@ class TestMcValidate:
 
     def test_colored_bound_check(self):
         report = mc_validate(
-            "appendixD", {"n": 512, "grid_points": 25}, runs=300, seed=1
+            "appendixD", {"n": 512, "z": np.linspace(0.16, 4, 25)}, runs=300, seed=1
         )
         assert report.passed, report.text()
 
     def test_coverage_check_in_clt_region(self):
         report = mc_validate(
-            "coverage", {"n": 2048, "z_max": 3.0, "grid_points": 15}, runs=1000, seed=2
+            "coverage", {"n": 2048, "z": np.linspace(0, 3, 15)}, runs=1000, seed=2
         )
         assert report.passed, report.text()
 
@@ -220,8 +220,9 @@ class TestMcValidate:
 
     @pytest.mark.parametrize("check", MC_CHECKS)
     def test_rejects_a_parameter_the_check_does_not_take(self, check):
-        with pytest.raises(ValueError, match="bogus"):
-            mc_validate(check, {"bogus": 1}, runs=2)
+        for name in ("bogus", "floor", "allowed_violations", "grid_points"):
+            with pytest.raises(ValueError, match=name):
+                mc_validate(check, {name: 1}, runs=2)
 
     @pytest.mark.parametrize("check", MC_CHECKS)
     def test_every_check_runs_at_the_given_z(self, check):

@@ -22,7 +22,7 @@ SCAN_PROFILES = {
 
 
 def full_band(a, sigma, n, lam, profile):
-    if profile is None or profile.is_white():
+    if profile is None or profile.active_lags.size == 0:
         return white_band(a, sigma, n, lam)
     return colored_band(a, sigma, profile, n, lam)
 
@@ -152,8 +152,15 @@ class TestSelectThreshold:
             select_threshold([1.0], sigma=0.0)
         with pytest.raises(ValueError):
             select_threshold([1.0], sigma=1.0, lam=-1.0)
-        with pytest.raises(ValueError):
-            select_threshold([1.0], sigma=1.0, n=0)
+
+    def test_rejects_non_finite_input(self):
+        ar1 = SCAN_PROFILES["ar1(0.8)"]
+        for call in (lambda: select_threshold([np.nan, 0.1, 0.2, 5.0], 1.0),
+                     lambda: select_threshold([np.inf] + [0.1] * 20, 1.0),
+                     lambda: white_band([0.1, np.nan], 1.0, 10, 4.5),
+                     lambda: colored_band([0.1, np.inf], 1.0, ar1, 10, 4.5)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
 
 
 class TestBandScan:

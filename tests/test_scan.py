@@ -2,10 +2,9 @@
 every bit, and evaluates F on only the part of the curve it needs.
 
 The curves here are built point by point to sit on a band edge, within
-1e-12 of it or exactly on it, with runs of tied values, noise scales from
-1e-300 to 1e300 and band sizes ``n`` other than the curve length, so that
-the partial sort, the small pointwise blocks and the chunk certificates of
-the white band all meet their boundary cases.
+1e-12 of it or exactly on it, with runs of tied values and noise scales
+from 1e-300 to 1e300, so that the partial sort, the small pointwise blocks
+and the chunk certificates of the white band all meet their boundary cases.
 """
 
 import importlib
@@ -16,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfinv
 
-from nide.denoise import SIGMA_FLOOR_RATIO, DenoiseConfig, _nide_rule, _pipeline, select_threshold
+from nide.denoise import (SIGMA_FLOOR_RATIO, DenoiseConfig, _analyse, _nide_rule, _shrink,
+                          select_threshold)
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
 from nide.signals import gen_signal
 from nide.signature import colored_band, white_band
@@ -73,16 +73,14 @@ def scrambled(z, seed):
 
 @settings(max_examples=120, deadline=None)
 @given(segments=SEGMENTS, m=st.one_of(st.integers(1, 2500), st.integers(2500, 20000)), sigma=SIGMAS, offset=OFFSETS,
-       lam=st.sampled_from([0.5, 2.0, 4.5, 8.0]), n_ratio=st.sampled_from([None, 0.001, 0.5, 3.0]),
-       signal_top=st.sampled_from([0, 5, 200, 1000]), colored=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam, n_ratio,
-                                                signal_top, colored, seed):
-    n = m if n_ratio is None else max(1, int(n_ratio * m))
+       lam=st.sampled_from([0.5, 2.0, 4.5, 8.0]), signal_top=st.sampled_from([0, 5, 200, 1000]),
+       colored=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam, signal_top,
+                                                colored, seed):
     profile = AR1 if colored and m <= 600 else None
-    coeffs = scrambled(curve(segments, m, sigma, lam, n, offset, signal_top), seed)
-    expected, _ = reference(coeffs, sigma, n, lam, profile)
-    assert select_threshold(coeffs, sigma, n=n, lam=lam, profile=profile) == expected
+    coeffs = scrambled(curve(segments, m, sigma, lam, m, offset, signal_top), seed)
+    expected, _ = reference(coeffs, sigma, m, lam, profile)
+    assert select_threshold(coeffs, sigma, lam=lam, profile=profile) == expected
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1.0, 1e300])
@@ -140,7 +138,7 @@ def test_pipeline_equals_pointwise_band(kinds, scope, known, colored, sigma, seg
     rows = dwt_inverse(CoefficientSet(values, LEVELS))
     config = DenoiseConfig(levels=LEVELS, profile=AR1 if colored else None, threshold_scope=scope)
     sigmas = np.full(len(kinds), sigma) if known else None
-    threshold, _, kept, used, bands = _pipeline(rows, config, _nide_rule, sigmas)
+    threshold, _, kept, used, bands = _shrink(*_analyse(rows, LEVELS, sigmas), config, _nide_rule)
     coeffs = dwt_forward(rows, LEVELS)
     m = N if scope == "all" else N - (N >> LEVELS)
     for i in range(len(kinds)):

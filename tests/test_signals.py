@@ -13,8 +13,7 @@ def test_generators_deterministic_and_normalized(name):
     assert np.array_equal(one.samples, two.samples)
     assert np.all(np.isfinite(one.samples))
     assert one.samples.size == 2048
-    assert np.std(one.samples) == pytest.approx(one.nominal_norm, rel=1e-12)
-    assert one.nominal_norm == 7.0
+    assert np.std(one.samples) == pytest.approx(7.0, rel=1e-12)
 
 
 def test_blocks_has_eleven_breakpoints():

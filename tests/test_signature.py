@@ -179,12 +179,11 @@ class TestCorrelationProfile:
         with pytest.raises(ValueError):
             CorrelationProfile(rho=np.array([1.0, 1.4]))
         prof = CorrelationProfile(rho=np.array([1.0, 0.5, 0.25]))
-        assert prof.max_lag == 2
-        assert not prof.is_white()
-        assert CorrelationProfile(rho=np.array([1.0])).is_white()
+        assert prof.active_lags.tolist() == [1, 2]
+        assert CorrelationProfile(rho=np.array([1.0])).active_lags.size == 0
         mixed = CorrelationProfile(rho=np.array([1.0, 1e-7, -0.5, 0.0, 1.0 + 1e-13]))
         assert mixed.active_lags.tolist() == [2, 4]
-        assert CorrelationProfile(rho=np.array([1.0, 9e-7, -9e-7])).is_white()
+        assert CorrelationProfile(rho=np.array([1.0, 9e-7, -9e-7])).active_lags.size == 0
 
 
 def per_lag_variance_bound(z, sigma, profile, n):
