@@ -32,6 +32,7 @@ from .denoise import DenoiseConfig, _analyse, _shrink, denoise
 from .noise_model import NoiseSpec, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
 from .signature import colored_variance_bound, empirical_signature, white_band
+from .wavelet import dwt_forward
 from .gaussian_stats import abs_noise_cdf, shifted_abs_cdf
 
 __all__ = [
@@ -87,10 +88,9 @@ def _trial_seed(seed: int, *indices: int) -> int:
 def normalized_mse(estimate, truth, denominator: str = "norm-squared"):
     """Reconstruction error ``|estimate - truth|^2`` normalized by the truth.
 
-    ``denominator="norm-squared"`` divides by ``|truth|^2`` (the default,
-    dimensionless); ``"norm"`` divides by ``|truth|``.  ``truth`` is one
-    signal and the error is taken over the last axis of ``estimate``: a
-    float for one estimate, one value per row for a ``(rows, N)`` stack.
+    ``denominator="norm-squared"`` divides by ``|truth|^2`` (the default), ``"norm"`` by
+    ``|truth|``.  ``truth`` is one signal; a 1-D ``estimate`` gives a float, a ``(rows, N)``
+    stack one value per row.  Both may be orthonormal-transform coefficients (Parseval).
     """
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -174,19 +174,20 @@ def _noise_profile(noise: NoiseSpec, n: int):
 def _paired_mse(config: ExperimentConfig, arms):
     """Per-trial normalized MSE, ``{(signal, snr, arm): array of trials}``.
 
-    ``arms`` maps a key to a ``(method, lam)`` pair; every other setting comes
-    from ``config``.  One noise vector is drawn per trial (from the
-    trial-indexed child seed) and reused, rescaled, across every signal, SNR
-    and arm, so comparisons are paired.  Each block of trials is analysed
-    once per signal and SNR, and every arm shrinks its own copy.
+    ``arms`` maps a key to a ``(method, lam)`` pair; every other setting comes from
+    ``config``.  One noise vector is drawn per trial (from the trial-indexed child seed)
+    and reused, rescaled, across every signal, SNR and arm, so comparisons are paired.
+    Each block of trials is analysed once per signal and SNR; every arm shrinks it into one
+    buffer and is scored on coefficients, with no inverse: that needs an orthonormal transform.
     """
     n, noise, trials, snrs, seed = config.n, config.noise, config.trials, config.snr_db, config.seed
-    denominator = config.mse_denominator
+    score = partial(normalized_mse, denominator=config.mse_denominator)
     profile = _noise_profile(noise, n)
     arms = {key: (DenoiseConfig(levels=config.levels, lam=lam,
                                 profile=profile if method == "nide" else None), _RULES[method])
             for key, (method, lam) in arms.items()}
     truths = {name: gen_signal(name, n).samples for name in config.signals}
+    thetas = {name: dwt_forward(truth, config.levels).values for name, truth in truths.items()}
     mses = {(name, snr, key): np.empty(trials) for name in truths for snr in snrs for key in arms}
     block = max(1, _TRIAL_BLOCK_ELEMENTS // n)
     for start in range(0, trials, block):
@@ -201,9 +202,10 @@ def _paired_mse(config: ExperimentConfig, arms):
                 observed += truth
                 sigma = noise.sigma * scale if config.sigma_policy == "known" else None
                 coeffs, used = _analyse(observed, config.levels, sigma)
+                out = np.empty_like(coeffs.values)
                 for key, (cfg, rule) in arms.items():
-                    out = _shrink(coeffs, used, cfg, rule)[1]
-                    mses[name, snr, key][start:stop] = normalized_mse(out, truth, denominator)
+                    _shrink(coeffs, used, cfg, rule, out)
+                    mses[name, snr, key][start:stop] = score(out, thetas[name])
     return mses
 
 

@@ -25,7 +25,7 @@ from .signature import (
     colored_band,
     white_band,
 )
-from .wavelet import CoefficientSet, dwt_forward, dwt_inverse
+from .wavelet import dwt_forward, dwt_inverse
 
 __all__ = [
     "DenoiseConfig",
@@ -71,8 +71,8 @@ class DenoiseConfig:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         if not 0.0 <= self.lam <= 8.0:
             raise ValueError(f"lam must lie in [0, 8], got {self.lam}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError(f"sigma must be positive when given, got {self.sigma}")
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive when given, got {self.sigma}")
         if self.threshold_scope not in ("details", "all"):
             raise ValueError("threshold_scope must be 'details' or 'all'")
 
@@ -221,21 +221,19 @@ def _analyse(observed, levels: int, sigma=None):
     return coeffs, np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1])
 
 
-def _shrink(coeffs, sigma, config: DenoiseConfig, rule, out=None):
-    """Shrink the output of :func:`_analyse` with ``rule`` into ``out`` (a new array if
-    None, so rules can share one analysis) and invert it.  ``rule(coeffs, sigma,
-    config)`` returns views tiling a prefix of ``coeffs.values``, thresholds with one
-    column per view, sigma and the per-row band factories (or None).  Returns, per
-    row, the largest threshold, the output, the kept count, sigma and the band factory."""
+def _shrink(coeffs, sigma, config: DenoiseConfig, rule, out):
+    """Shrink the output of :func:`_analyse` with ``rule`` into ``out`` (``coeffs.values``,
+    or a buffer rules share).  ``rule(coeffs, sigma, config)`` returns views tiling a prefix
+    of ``coeffs.values``, thresholds with one column per view, sigma and per-row band factories
+    (or None).  Returns, per row, the largest threshold, ``out``, the kept count, sigma and the
+    band factory.  Nothing is inverted: scoring ``out`` needs an orthonormal transform."""
     segments, t, sigma, bands = rule(coeffs, sigma, config)
-    values = np.empty_like(coeffs.values) if out is None else out
     stop = 0
     for j, segment in enumerate(segments):
         start, stop = stop, stop + segment.shape[-1]
-        soft_threshold(segment, t[:, j, None], out=values[..., start:stop])
-    values[..., stop:] = coeffs.values[..., stop:]
-    denoised = dwt_inverse(CoefficientSet(values, coeffs.levels))
-    return np.max(t, axis=-1), denoised, np.count_nonzero(values[..., :stop], axis=-1), sigma, bands
+        soft_threshold(segment, t[:, j, None], out=out[..., start:stop])
+    out[..., stop:] = coeffs.values[..., stop:]
+    return np.max(t, axis=-1), out, np.count_nonzero(out[..., :stop], axis=-1), sigma, bands
 
 
 def _nide_rule(coeffs, sigma, config):
@@ -268,13 +266,13 @@ def _sorted_band(curve, sigma, config):
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:
-    """One signal through :func:`_analyse` and :func:`_shrink`, as a :class:`DenoiseResult`."""
+    """One signal through :func:`_analyse`, :func:`_shrink` in place and :func:`dwt_inverse`."""
     observed = np.asarray(observed, dtype=float)
     if observed.ndim > 1:
         raise ValueError(f"observed must be a 1-D sample vector, got shape {observed.shape}")
     coeffs, sigma = _analyse(observed[None], config.levels, config.sigma)
-    threshold, denoised, kept, sigma, bands = _shrink(coeffs, sigma, config, rule, out=coeffs.values)
-    return DenoiseResult(float(threshold[0]), denoised[0], int(kept[0]), float(sigma[0]),
+    threshold, _, kept, sigma, bands = _shrink(coeffs, sigma, config, rule, coeffs.values)
+    return DenoiseResult(float(threshold[0]), dwt_inverse(coeffs)[0], int(kept[0]), float(sigma[0]),
                          bands[0] if bands else None)
 
 

@@ -130,12 +130,13 @@ def _check_finite(values, what) -> None:
 
 
 def _check_band_args(sigma, n, lam=0.0) -> None:
-    if not np.all(np.asarray(sigma) > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    sigma = np.asarray(sigma)
+    if not np.all((sigma > 0) & (sigma < np.inf)):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
 
 def _pair_cdf(root2z, spread, sigma, out):

@@ -3,7 +3,9 @@
 The references below are the scalar, one-signal code the batched pipeline
 replaced, kept here verbatim in substance: Python-float sigma, per-level
 rules on 1-D bands, the threshold from a band built over the whole sorted
-curve, and the per-trial benchmark loop.  Every comparison is exact.
+curve, and the per-trial benchmark loop.  Every comparison is exact, except
+that of the benchmark's coefficient-domain scores with time-domain errors,
+which agree to rounding while the transform is orthonormal.
 """
 
 import importlib
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 import nide.baselines
 from nide.baselines import _RULES, denoise_with, sure_threshold
-from nide.bench import ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, run_experiment
+from nide.bench import (ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, normalized_mse,
+                        run_experiment)
 from nide.denoise import SORTED_TOP, DenoiseConfig, _analyse, _shrink
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
@@ -142,8 +145,10 @@ def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, scope
     for method in METHODS:
         config = DenoiseConfig(levels=LEVELS, lam=LAM, threshold_scope=scope,
                                profile=profile if method == "nide" else None)
-        threshold, denoised, kept, used, bands = _shrink(*_analyse(rows, LEVELS, sigmas), config,
-                                                         _RULES[method])
+        coeffs, used = _analyse(rows, LEVELS, sigmas)
+        threshold, values, kept, used, bands = _shrink(coeffs, used, config, _RULES[method],
+                                                       np.empty_like(coeffs.values))
+        denoised = dwt_inverse(CoefficientSet(values, LEVELS))
         for i, row in enumerate(rows):
             sigma = None if sigmas is None else float(sigmas[i])
             got = (threshold[i], denoised[i], kept[i], used[i])
@@ -166,12 +171,12 @@ def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, scope
                 assert kept[deep] > SORTED_TOP
 
 
-def ref_trial_mses(config):
-    """The benchmark's per-trial loop before trials were batched."""
+def per_trial_arms(config):
+    """``(key, observed, cfg, truth)`` of every trial and arm, in the order of
+    the benchmark's per-trial loop before trials were batched."""
     profile = None
     if config.noise.kind != "white":
         profile = theoretical_profile(config.noise, config.n - 1)
-    mses = {}
     for trial in range(config.trials):
         raw_noise = gen_noise(config.noise, config.n, _trial_seed(config.seed, trial))
         raw_norm = np.linalg.norm(raw_noise)
@@ -185,17 +190,32 @@ def ref_trial_mses(config):
                 for method in config.methods:
                     cfg = DenoiseConfig(levels=config.levels, lam=config.lam, sigma=sigma,
                                         profile=profile if method == "nide" else None)
-                    denoised = denoise_with(method, observed, cfg).denoised
-                    mse = float(np.sum((denoised - truth) ** 2)) / truth_norm**2
-                    mses.setdefault((name, snr, method), []).append(mse)
+                    yield (name, snr, method), observed, cfg, truth
+
+
+def ref_trial_mses(config):
+    """The benchmark's per-trial loop: each trial analysed and shrunk alone and
+    scored on its coefficients against those of the truth."""
+    mses = {}
+    for key, observed, cfg, truth in per_trial_arms(config):
+        coeffs, used = _analyse(observed[None], cfg.levels, cfg.sigma)
+        values = _shrink(coeffs, used, cfg, _RULES[key[2]], np.empty_like(coeffs.values))[1][0]
+        theta = dwt_forward(truth, cfg.levels).values
+        mse = float(np.sum((values - theta) ** 2)) / np.linalg.norm(theta) ** 2
+        mses.setdefault(key, []).append(mse)
     return {key: np.array(values) for key, values in mses.items()}
 
 
-def test_paired_trials_equal_the_per_trial_loop():
+PAIRED_CONFIGS = [
     # 70 trials at N = 2048 run as blocks of 32, 32 and 6 trials.
-    for noise, policy in ((NoiseSpec.white(), "mad"), (NoiseSpec.ar1(0.8), "known")):
-        config = ExperimentConfig(signals=("blocks",), snr_db=(4.0, 14.0), noise=noise,
-                                  trials=70, seed=3, sigma_policy=policy)
+    ExperimentConfig(signals=("blocks",), snr_db=(4.0, 14.0), noise=noise, trials=70, seed=3,
+                     sigma_policy=policy)
+    for noise, policy in ((NoiseSpec.white(), "mad"), (NoiseSpec.ar1(0.8), "known"))
+]
+
+
+def test_paired_trials_equal_the_per_trial_loop():
+    for config in PAIRED_CONFIGS:
         want = ref_trial_mses(config)
         got = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
         assert got.keys() == want.keys()
@@ -205,10 +225,28 @@ def test_paired_trials_equal_the_per_trial_loop():
             values = want[(row.signal, row.snr_db, row.method)]
             assert row.mean_mse == float(np.mean(values))
             assert row.std_mse == float(np.std(values, ddof=1))
-        sweep = lambda_sweep("blocks", 14.0, [4.5], trials=70, seed=3, noise=noise,
-                             sigma_policy=policy)
+        sweep = lambda_sweep("blocks", 14.0, [4.5], trials=70, seed=3, noise=config.noise,
+                             sigma_policy=config.sigma_policy)
         values = want[("blocks", 14.0, "nide")]
         assert sweep == [(4.5, float(np.mean(values)), float(np.std(values, ddof=1)))]
+
+
+@pytest.mark.parametrize("config", PAIRED_CONFIGS, ids=("white-mad", "ar1-known"))
+def test_coefficient_scores_equal_time_domain_errors(config):
+    """Every arm's per-trial score equals the error of the denoised samples of
+    ``denoise_with``, under both denominators: the benchmark scores shrunk
+    coefficients without inverting them, which holds only for an orthonormal
+    transform."""
+    denoised = {}
+    for key, observed, cfg, truth in per_trial_arms(config):
+        denoised.setdefault(key, []).append(denoise_with(key[2], observed, cfg).denoised)
+    for denominator in ("norm-squared", "norm"):
+        scored = replace(config, mse_denominator=denominator)
+        got = _paired_mse(scored, {m: (m, config.lam) for m in config.methods})
+        for (name, snr, method), rows in denoised.items():
+            truth = gen_signal(name, config.n).samples
+            want = normalized_mse(np.array(rows), truth, denominator)
+            np.testing.assert_allclose(got[name, snr, method], want, rtol=1e-12, atol=0)
 
 
 def sure_rows(seed, n, dense):

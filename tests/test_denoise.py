@@ -153,6 +153,20 @@ class TestSelectThreshold:
         with pytest.raises(ValueError):
             select_threshold([1.0], sigma=1.0, lam=-1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: select_threshold([1.0, 2.0, 3.0], np.inf), "sigma must be finite"),
+        (lambda: select_threshold([1.0, 2.0], 1.0, lam=np.nan), "lam must be finite"),
+        (lambda: white_band([0.1, 0.2], 1.0, 10, np.inf), "lam must be finite"),
+        (lambda: white_band([0.1], 1.0, 2.5, 4.5), "n must be an integer"),
+        (lambda: DenoiseConfig(sigma=np.inf), "sigma must be finite"),
+    ], ids=["select-sigma-inf", "select-lam-nan", "band-lam-inf", "band-n-fractional",
+            "config-sigma-inf"])
+    def test_rejects_non_finite_scale_width_and_fractional_n(self, call, message):
+        """Unchecked, each gives a silent answer: threshold 0 (keep everything), a band
+        of [0, 1], or a band that reports n=2 while its width uses 2.5."""
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_rejects_non_finite_input(self):
         ar1 = SCAN_PROFILES["ar1(0.8)"]
         for call in (lambda: select_threshold([np.nan, 0.1, 0.2, 5.0], 1.0),

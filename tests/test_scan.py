@@ -138,7 +138,9 @@ def test_pipeline_equals_pointwise_band(kinds, scope, known, colored, sigma, seg
     rows = dwt_inverse(CoefficientSet(values, LEVELS))
     config = DenoiseConfig(levels=LEVELS, profile=AR1 if colored else None, threshold_scope=scope)
     sigmas = np.full(len(kinds), sigma) if known else None
-    threshold, _, kept, used, bands = _shrink(*_analyse(rows, LEVELS, sigmas), config, _nide_rule)
+    analysed, used = _analyse(rows, LEVELS, sigmas)
+    threshold, _, kept, used, bands = _shrink(analysed, used, config, _nide_rule,
+                                              np.empty_like(analysed.values))
     coeffs = dwt_forward(rows, LEVELS)
     m = N if scope == "all" else N - (N >> LEVELS)
     for i in range(len(kinds)):
