@@ -49,8 +49,7 @@ __all__ = [
     "main",
 ]
 
-METHODS = ("nide", "visu", "sure", "bayes")
-MSE_DENOMINATORS = ("norm-squared", "norm")
+METHODS = tuple(_RULES)
 SIGMA_POLICIES = ("mad", "known")
 COVERAGE_FLOOR = 0.999  # least per-z coverage the coverage check asks of the white band
 
@@ -85,30 +84,27 @@ def _trial_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def normalized_mse(estimate, truth, denominator: str = "norm-squared"):
-    """Reconstruction error ``|estimate - truth|^2`` normalized by the truth.
+def normalized_mse(estimate, truth):
+    """Reconstruction error ``|estimate - truth|^2 / |truth|^2``.
 
-    ``denominator="norm-squared"`` divides by ``|truth|^2`` (the default), ``"norm"`` by
-    ``|truth|``.  ``truth`` is one signal; a 1-D ``estimate`` gives a float, a ``(rows, N)``
-    stack one value per row.  Both may be orthonormal-transform coefficients (Parseval).
+    ``truth`` is one signal; a 1-D ``estimate`` gives a float, a ``(rows, N)`` stack one
+    value per row.  Both may be orthonormal-transform coefficients (Parseval).
     """
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if truth.ndim != 1 or estimate.shape[-1:] != truth.shape:
         raise ValueError("truth must be 1-D and as long as the estimate's last axis")
-    if denominator not in MSE_DENOMINATORS:
-        raise ValueError(f"denominator must be one of {MSE_DENOMINATORS}")
     truth_norm = np.linalg.norm(truth)
     if truth_norm == 0:
         raise ValueError("truth has zero energy")
-    sse = np.sum((estimate - truth) ** 2, axis=-1)
-    out = sse / truth_norm**2 if denominator == "norm-squared" else sse / truth_norm
+    out = np.sum((estimate - truth) ** 2, axis=-1) / truth_norm**2
     return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one benchmark run."""
+    """Full description of one benchmark run; ``run_experiment``, ``lambda_sweep``
+    and ``emit_band_trace`` check their settings through it."""
 
     signals: tuple[str, ...]
     snr_db: tuple[float, ...]
@@ -119,7 +115,6 @@ class ExperimentConfig:
     levels: int = 5
     lam: float = 4.5
     n: int = 2048
-    mse_denominator: str = "norm-squared"
     sigma_policy: str = "mad"
 
     def __post_init__(self):
@@ -131,8 +126,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.mse_denominator not in MSE_DENOMINATORS:
-            raise ValueError(f"mse_denominator must be one of {MSE_DENOMINATORS}")
         if self.sigma_policy not in SIGMA_POLICIES:
             raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}")
 
@@ -181,7 +174,6 @@ def _paired_mse(config: ExperimentConfig, arms):
     buffer and is scored on coefficients, with no inverse: that needs an orthonormal transform.
     """
     n, noise, trials, snrs, seed = config.n, config.noise, config.trials, config.snr_db, config.seed
-    score = partial(normalized_mse, denominator=config.mse_denominator)
     profile = _noise_profile(noise, n)
     arms = {key: (DenoiseConfig(levels=config.levels, lam=lam,
                                 profile=profile if method == "nide" else None), _RULES[method])
@@ -205,7 +197,7 @@ def _paired_mse(config: ExperimentConfig, arms):
                 out = np.empty_like(coeffs.values)
                 for key, (cfg, rule) in arms.items():
                     _shrink(coeffs, used, cfg, rule, out)
-                    mses[name, snr, key][start:stop] = score(out, thetas[name])
+                    mses[name, snr, key][start:stop] = normalized_mse(out, thetas[name])
     return mses
 
 
@@ -230,28 +222,26 @@ def _mean_std(values) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
-def emit_band_trace(
-    signal: str,
-    snr_db: float,
-    noise: NoiseSpec,
-    lam: float,
-    seed: int,
-    path,
-    n: int = 2048,
-    levels: int = 5,
-    sigma_policy: str = "mad",
-) -> None:
+def emit_band_trace(signal: str, snr_db: float, path, **experiment) -> None:
     """Write the sorted-coefficient curve of one noisy realization together
     with the noise band ``denoise`` selected against, as CSV with columns
-    z, empirical, lower, upper."""
-    if sigma_policy not in SIGMA_POLICIES:
-        raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}")
-    truth = gen_signal(signal, n).samples
-    raw = gen_noise(noise, n, seed)
-    scale = np.linalg.norm(truth) * 10.0 ** (-snr_db / 20.0) / np.linalg.norm(raw)
-    sigma = noise.sigma * scale if sigma_policy == "known" else None
-    config = DenoiseConfig(levels=levels, lam=lam, sigma=sigma, profile=_noise_profile(noise, n))
-    band = denoise(raw * scale + truth, config).band
+    z, empirical, lower, upper.
+
+    ``experiment`` takes the :class:`ExperimentConfig` fields but ``trials``
+    (noise, seed, lam, n, levels, sigma_policy), with their defaults and
+    validation.  The one noise draw comes from ``seed`` itself.
+    """
+    if "trials" in experiment:
+        raise TypeError("emit_band_trace() draws one realization, so it takes no trials")
+    config = ExperimentConfig(signals=(signal,), snr_db=(snr_db,), methods=("nide",), **experiment)
+    noise, n = config.noise, config.n
+    truth = gen_signal(config.signals[0], n).samples
+    raw = gen_noise(noise, n, config.seed)
+    scale = np.linalg.norm(truth) * 10.0 ** (-config.snr_db[0] / 20.0) / np.linalg.norm(raw)
+    sigma = noise.sigma * scale if config.sigma_policy == "known" else None
+    denoise_config = DenoiseConfig(levels=config.levels, lam=config.lam, sigma=sigma,
+                                   profile=_noise_profile(noise, n))
+    band = denoise(raw * scale + truth, denoise_config).band
     if band is None:
         raise ValueError("the input is noise free (denoise passed it through), so there is no band")
     g = np.arange(1, band.n + 1) / band.n  # band.z_grid is the sorted curve
@@ -262,9 +252,9 @@ def emit_band_trace(
 def lambda_sweep(signal: str, snr_db: float, lambdas, **experiment):
     """Mean normalized MSE of the invalidation threshold per band width.
 
-    ``experiment`` takes the :class:`ExperimentConfig` fields (trials, seed,
-    noise, n, levels, sigma_policy, mse_denominator), with their defaults
-    and validation.  Returns a list of ``(lam, mean_mse, std_mse)`` tuples
+    ``experiment`` takes the :class:`ExperimentConfig` fields but ``lam``
+    (trials, seed, noise, n, levels, sigma_policy), with their defaults and
+    validation.  Returns a list of ``(lam, mean_mse, std_mse)`` tuples
     over the same paired noise draws.
     """
     if "lam" in experiment:
@@ -414,9 +404,8 @@ def _check_coverage(runs, seed, *, n=2048, sigma=1.0, lam=4.5, z_max=None, z=Non
 
 
 # Check identifiers follow the layout of the statistical derivations they
-# verify (see README); descriptive aliases are accepted everywhere.  Each
-# maps to its check and the least number of runs it needs: the checks that
-# estimate a variance need two.
+# verify (see README).  Each maps to its check and the least number of runs
+# it needs: the checks that estimate a variance need two.
 _CHECKS = {
     "appendixA": (_check_averaged_signature, 2),
     "appendixB": (partial(_check_averaged_signature, signature="indicator"), 2),
@@ -425,13 +414,6 @@ _CHECKS = {
     "coverage": (_check_coverage, 1),
 }
 MC_CHECKS = tuple(_CHECKS)
-MC_CHECK_ALIASES = {
-    "iid-signature": "appendixA",
-    "sorted-noise": "appendixB",
-    "shifted-mean": "appendixC",
-    "colored-bound": "appendixD",
-    "band-coverage": "coverage",
-}
 
 
 def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: int = 0) -> McReport:
@@ -447,10 +429,10 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
     ``coverage``   per-z coverage of the white-noise band is at least 0.999
 
     ``params`` are the check's keyword parameters; one the check does not
-    take is rejected with ``ValueError``.  ``z`` replaces a check's z values.
+    take is rejected with ``ValueError``, as is a non-finite number or an
+    empty ``z``.  ``z`` replaces a check's z values.
     """
     params = dict(params or {})
-    check = MC_CHECK_ALIASES.get(check, check)
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {MC_CHECKS}")
     run_check, least = _CHECKS[check]
@@ -458,6 +440,10 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
         inspect.signature(run_check).bind(runs, seed, **params)
     except TypeError as exc:
         raise ValueError(f"check {check}: {exc}") from None
+    for key in ("sigma", "theta", "ar", "lam", "z_max", "z"):
+        value = params.get(key)  # None keeps the check's default
+        if value is not None and not (np.size(value) and np.all(np.isfinite(value))):
+            raise ValueError(f"{key} must be finite and nonempty, got {value!r}")
     if "z" in params and "z_max" in params:
         raise ValueError("z replaces the default grid, so give no z_max with it")
     if params.get("n", 1) < 1:
@@ -496,20 +482,18 @@ def _add_common(parser):
     parser.add_argument("--sigma-policy", choices=SIGMA_POLICIES, default="mad")
 
 
+def _common(args) -> dict:
+    """The :class:`ExperimentConfig` fields that the flags of :func:`_add_common` set."""
+    return dict(noise=NoiseSpec.parse(args.noise), seed=args.seed, levels=args.levels,
+                n=args.length, sigma_policy=args.sigma_policy)
+
+
 def _add_experiment(parser):
-    """Flags of the paired-trial commands; :func:`_experiment` reads them."""
+    """Flags of the paired-trial commands: :func:`_add_common`'s and ``--trials``."""
     parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--mse-denominator", choices=MSE_DENOMINATORS, default="norm-squared")
     parser.add_argument("--out", required=True)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(parser)
-
-
-def _experiment(args) -> dict:
-    """The :class:`ExperimentConfig` fields that the flags of :func:`_add_experiment` set."""
-    return dict(noise=NoiseSpec.parse(args.noise), trials=args.trials, seed=args.seed,
-                levels=args.levels, n=args.length, mse_denominator=args.mse_denominator,
-                sigma_policy=args.sigma_policy)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an MSE comparison matrix")
     p.set_defaults(run=_cmd_bench)
     p.add_argument("--signal", default="blocks", help="comma separated signal names")
-    p.add_argument("--method", default="nide,visu,sure,bayes", help="comma separated methods")
+    p.add_argument("--method", default=",".join(METHODS), help="comma separated methods")
     p.add_argument("--snr", default="1,4,8,10,14", help="comma separated SNR values in dB")
     p.add_argument("--lambda", dest="lam", type=float, default=4.5)
     _add_experiment(p)
@@ -539,8 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "does not read is an error")
     p.set_defaults(run=_cmd_mc)
     p.add_argument("--check", required=True,
-                   help=f"one of {', '.join(MC_CHECKS)} (or an alias: "
-                        f"{', '.join(MC_CHECK_ALIASES)})")
+                   help=f"one of {', '.join(MC_CHECKS)}")
     p.add_argument("--runs", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None)
@@ -575,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(args) -> int:
     config = ExperimentConfig(signals=_parse_list(args.signal), methods=_parse_list(args.method),
-                              snr_db=_parse_floats(args.snr), lam=args.lam, **_experiment(args))
+                              snr_db=_parse_floats(args.snr), lam=args.lam, trials=args.trials,
+                              **_common(args))
     result = run_experiment(config)
     (result.to_csv if args.format == "csv" else result.to_json)(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
@@ -583,17 +567,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    emit_band_trace(
-        signal=args.signal,
-        snr_db=args.snr,
-        noise=NoiseSpec.parse(args.noise),
-        lam=args.lam,
-        seed=args.seed,
-        path=args.out,
-        n=args.length,
-        levels=args.levels,
-        sigma_policy=args.sigma_policy,
-    )
+    emit_band_trace(args.signal, args.snr, args.out, lam=args.lam, **_common(args))
     print(f"wrote trace to {args.out}")
     return 0
 
@@ -612,7 +586,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_lambda_sweep(args) -> int:
-    rows = lambda_sweep(args.signal, args.snr, args.lambdas, **_experiment(args))
+    rows = lambda_sweep(args.signal, args.snr, args.lambdas, trials=args.trials, **_common(args))
     _write_table(args.out, args.format, ("lambda", "mean_mse", "std_mse"), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -41,7 +41,7 @@ SIGMA_FLOOR_RATIO = 1e-12
 
 # Points in the first block of the top-down band scan; each further block is
 # twice as long.  After POINTWISE_BLOCKS blocks a white row is finished by
-# chunk certificates (see _select); the pipeline sorts the top SORTED_TOP first.
+# chunk certificates (see _select), which sorts only the top SORTED_TOP up front.
 SCAN_BLOCK = 8
 POINTWISE_BLOCKS = 4
 SORTED_TOP = SCAN_BLOCK * (2**POINTWISE_BLOCKS - 1)
@@ -112,13 +112,13 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
     return np.subtract(coeffs, clipped, out=out)
 
 
-def _select(a, sigma, lam, profile, rows, unsorted=0) -> np.ndarray:
+def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients,
     shape ``(rows, N)``, each row with the band over its N points) with per-row
     noise scales ``sigma``, positive on ``rows`` and not checked here; the other
-    rows get 0.  ``a[:, unsorted:]`` is ascending and no smaller than any point
-    before it; a row's points before ``unsorted`` are sorted in place when its
-    scan reaches them.
+    rows get 0.  ``a`` is reordered in place: every row is partitioned at
+    N - ``SORTED_TOP`` with its top sorted, and a row's lower points are sorted
+    when its scan reaches them.
 
     Band membership is tested at the midpoint plotting position
     (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
@@ -144,6 +144,10 @@ def _select(a, sigma, lam, profile, rows, unsorted=0) -> np.ndarray:
     [0, 1] clamp never changes membership, as 0 < g < 1.  The colored band
     has no cheap interval bound and is scanned pointwise throughout.
     """
+    unsorted = max(a.shape[-1] - SORTED_TOP, 0)
+    if unsorted:
+        a.partition(unsorted, axis=-1)
+    a[..., unsorted:].sort(axis=-1)
     t = np.zeros(a.shape[0])
     end, size, blocks = a.shape[-1], SCAN_BLOCK, 0
     while end > 0 and rows.size:
@@ -202,7 +206,7 @@ def select_threshold(coeffs, sigma: float, lam: float = 4.5,
     """
     coeffs = np.asarray(coeffs, dtype=float)
     _check_finite(coeffs, "coefficients")
-    a = np.sort(np.abs(coeffs.ravel()))[None]
+    a = np.abs(coeffs.ravel())[None]
     if a.size == 0:
         raise ValueError("coefficient vector must be nonempty")
     _check_band_args(sigma, a.size, lam)
@@ -244,11 +248,7 @@ def _nide_rule(coeffs, sigma, config):
     peak = magnitude.max(axis=-1, initial=0.0)
     live = (sigma > SIGMA_FLOOR_RATIO * peak) & (peak != 0.0)
     a = magnitude[..., : scope.shape[-1]]  # the scope is a prefix of the values
-    unsorted = max(a.shape[-1] - SORTED_TOP, 0)
-    if unsorted:
-        a.partition(unsorted, axis=-1)
-    a[..., unsorted:].sort(axis=-1)
-    t = _select(a, sigma, config.lam, config.profile, np.flatnonzero(live), unsorted)
+    t = _select(a, sigma, config.lam, config.profile, np.flatnonzero(live))
     bands = [
         partial(_sorted_band, curve, s, config) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())

@@ -44,15 +44,15 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("white", "ar1", "ma"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.kind == "ar1":
             if self.ar_coeff is None or not abs(self.ar_coeff) < 1:
                 raise ValueError("ar1 coefficient must satisfy |a| < 1")
         if self.kind == "ma":
             taps = np.atleast_1d(np.asarray(self.ma_taps, dtype=float))
-            if taps.size == 0 or not np.any(taps):
-                raise ValueError("ma taps must be a nonempty, nonzero vector")
+            if taps.size == 0 or not np.any(taps) or not np.all(np.isfinite(taps)):
+                raise ValueError(f"ma taps must be a nonempty, nonzero, finite vector, got {taps}")
             object.__setattr__(self, "ma_taps", taps)
 
     @classmethod

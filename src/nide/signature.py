@@ -50,7 +50,7 @@ _LAG_BLOCK_ELEMENTS = 1 << 16
 class CorrelationProfile:
     """Normalized autocorrelation sequence ``rho[k] = R(k) / R(0)``.
 
-    ``rho[0]`` must be 1 and every entry must lie in [-1, 1].
+    ``rho[0]`` must be 1 and every entry must be finite and lie in [-1, 1].
     ``active_lags`` holds, ascending, the lags ``k >= 1`` with
     ``|rho[k]| >= RHO_TRUNCATION``: the only lags the variance bound sums.
     """
@@ -62,6 +62,9 @@ class CorrelationProfile:
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
         if rho.ndim != 1 or rho.size == 0:
             raise ValueError("rho must be a nonempty 1-D sequence")
+        bad = np.flatnonzero(~np.isfinite(rho))
+        if bad.size:
+            raise ValueError(f"rho must be finite, got {rho[bad[0]]} at lag {bad[0]}")
         if abs(rho[0] - 1.0) > 1e-12:
             raise ValueError(f"rho[0] must be 1, got {rho[0]}")
         if np.any(np.abs(rho) > 1.0 + 1e-12):

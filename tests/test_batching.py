@@ -234,19 +234,16 @@ def test_paired_trials_equal_the_per_trial_loop():
 @pytest.mark.parametrize("config", PAIRED_CONFIGS, ids=("white-mad", "ar1-known"))
 def test_coefficient_scores_equal_time_domain_errors(config):
     """Every arm's per-trial score equals the error of the denoised samples of
-    ``denoise_with``, under both denominators: the benchmark scores shrunk
-    coefficients without inverting them, which holds only for an orthonormal
-    transform."""
+    ``denoise_with``: the benchmark scores shrunk coefficients without
+    inverting them, which holds only for an orthonormal transform."""
     denoised = {}
     for key, observed, cfg, truth in per_trial_arms(config):
         denoised.setdefault(key, []).append(denoise_with(key[2], observed, cfg).denoised)
-    for denominator in ("norm-squared", "norm"):
-        scored = replace(config, mse_denominator=denominator)
-        got = _paired_mse(scored, {m: (m, config.lam) for m in config.methods})
-        for (name, snr, method), rows in denoised.items():
-            truth = gen_signal(name, config.n).samples
-            want = normalized_mse(np.array(rows), truth, denominator)
-            np.testing.assert_allclose(got[name, snr, method], want, rtol=1e-12, atol=0)
+    got = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
+    for (name, snr, method), rows in denoised.items():
+        truth = gen_signal(name, config.n).samples
+        want = normalized_mse(np.array(rows), truth)
+        np.testing.assert_allclose(got[name, snr, method], want, rtol=1e-12, atol=0)
 
 
 def sure_rows(seed, n, dense):

@@ -36,18 +36,11 @@ class TestNormalizedMse:
         x = np.arange(1.0, 9.0)
         assert normalized_mse(2 * x, x) == pytest.approx(1.0)
 
-    def test_norm_denominator_flag(self):
-        x = np.arange(1.0, 9.0)
-        norm = np.linalg.norm(x)
-        assert normalized_mse(np.zeros_like(x), x, "norm") == pytest.approx(norm)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             normalized_mse(np.ones(3), np.ones(4))
         with pytest.raises(ValueError):
             normalized_mse(np.ones(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            normalized_mse(np.ones(3), np.ones(3), "rms")
 
 
 class TestRunExperiment:
@@ -133,7 +126,14 @@ class TestRunExperiment:
     def test_trace_rejects_unknown_sigma_policy(self, tmp_path):
         out = tmp_path / "trace.csv"
         with pytest.raises(ValueError, match="sigma_policy"):
-            emit_band_trace("blocks", 8.0, NoiseSpec.white(), 4.5, 0, out, sigma_policy="oracle")
+            emit_band_trace("blocks", 8.0, out, sigma_policy="oracle")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["trials", "methods"])
+    def test_trace_takes_no_trials_or_methods(self, tmp_path, field):
+        out = tmp_path / "trace.csv"
+        with pytest.raises(TypeError):
+            emit_band_trace("blocks", 8.0, out, **{field: 2})
         assert not out.exists()
 
     def test_csv_and_json_outputs(self, tmp_path):
@@ -204,7 +204,7 @@ class TestMcValidate:
         ("appendixB", {"n": 0}, 10),
         ("appendixC", {"n": -3}, 10),
         ("appendixA", {}, 1),
-        ("sorted-noise", {"n": 64}, 1),
+        ("appendixB", {"n": 64}, 1),
         ("appendixD", {"n": 64}, 1),
         ("coverage", {"n": 64}, 0),
         ("appendixC", {"n": 64}, 0),
@@ -229,11 +229,10 @@ class TestMcValidate:
         report = mc_validate(check, {"n": 64, "z": [0.5, 2.5]}, runs=2)
         assert [row["z"] for row in report.rows] == [0.5, 2.5]
 
-    def test_aliases_and_unknown(self):
-        report = mc_validate("sorted-noise", {"n": 256}, runs=200, seed=0)
-        assert report.check == "appendixB"
-        with pytest.raises(ValueError):
-            mc_validate("appendixZ")
+    @pytest.mark.parametrize("check", ["appendixZ", "sorted-noise"])
+    def test_unknown_check(self, check):
+        with pytest.raises(ValueError, match="unknown check"):
+            mc_validate(check)
 
 
 class TestCli:
@@ -376,6 +375,12 @@ class TestCli:
         ["mc", "--check", "coverage", "--theta", "2"],
         ["mc", "--check", "appendixA", "--ar", "0.5"],
         ["mc", "--check", "coverage", "--z", "1,2", "--z-max", "3", "--runs", "200"],
+        ["mc", "--check", "appendixB", "--runs", "5", "--z", "nan"],
+        ["mc", "--check", "appendixB", "--runs", "5", "--z", ","],
+        ["mc", "--check", "appendixC", "--runs", "5", "--theta", "inf"],
+        ["mc", "--check", "appendixB", "--runs", "5", "--sigma", "inf"],
+        ["mc", "--check", "appendixD", "--runs", "5", "--n", "64", "--z-max", "nan"],
+        ["bench", "--noise", "ma:1,nan", "--trials", "1"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"

@@ -27,6 +27,15 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec.parse("pink:1")
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: NoiseSpec.white(np.inf), "sigma"),
+        (lambda: NoiseSpec.parse("ma:1,nan"), "ma taps"),
+        (lambda: NoiseSpec.ma([1.0, np.inf]), "ma taps"),
+    ])
+    def test_rejects_non_finite_fields(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
 
 class TestGenNoise:
     def test_deterministic(self):

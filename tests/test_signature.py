@@ -185,6 +185,11 @@ class TestCorrelationProfile:
         assert mixed.active_lags.tolist() == [2, 4]
         assert CorrelationProfile(rho=np.array([1.0, 9e-7, -9e-7])).active_lags.size == 0
 
+    @pytest.mark.parametrize("rho", [[1.0, np.nan, 0.5], [np.nan], [1.0, -np.inf]])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            CorrelationProfile(rho=np.array(rho))
+
 
 def per_lag_variance_bound(z, sigma, profile, n):
     """The variance bound as one pass per lag: the reference the vectorized
