@@ -7,9 +7,9 @@ The first digest covers, for every call, the threshold, the kept count,
 sigma and the denoised output, and for every seventh call the on-request
 band (grid, lower, upper and center).  The second (``baselines sha256``)
 covers the same fields of ``denoise_with`` for visu, sure and bayes, once
-per input, sigma policy and method, as the baselines read neither lambda nor
-the threshold scope.  The third (``harness sha256``) covers the files that
-``bench``, ``lambda-sweep``, ``trace`` and ``mc`` write.  Two checkouts that
+per input, sigma policy and method, as the baselines do not read lambda.
+The third (``harness sha256``) covers the files that ``bench``,
+``lambda-sweep``, ``trace`` and ``mc`` write.  Two checkouts that
 print the same digests give the same results in every bit on these runs, so
 a change meant to be numerically neutral (a speed-up, a refactor) is checked
 by running this script before and after it:
@@ -17,13 +17,13 @@ by running this script before and after it:
     PYTHONPATH=src python3 scripts/check_bit_identity.py
 
 The sweep covers sizes 256 to 65536, the six test signals, 0 to 30 dB,
-lambda 2, 4.5 and 7, both threshold scopes, MAD and known sigma, and white,
-ar1(0.8), ar1(-0.6) and MA(1, 0.5, 0.25) noise with the matching band
-profile.  The colored profiles stop at N = 16384 to keep the sweep short.
-The command lines cover ``bench`` as CSV and JSON (white noise with MAD
-sigma, and ar1(0.8) with known sigma), ``lambda-sweep`` as CSV and JSON, a
-white and an ar1 ``trace``, and the JSON report of every ``mc`` check on its
-default grid.  All three take about twenty seconds on one core.
+lambda 2, 4.5 and 7, MAD and known sigma, and white, ar1(0.8), ar1(-0.6)
+and MA(1, 0.5, 0.25) noise with the matching band profile.  The colored
+profiles stop at N = 16384 to keep the sweep short.  The command lines
+cover ``bench`` as CSV and JSON (white noise with MAD sigma, and ar1(0.8)
+with known sigma), ``lambda-sweep`` as CSV and JSON, a white and an ar1
+``trace``, and the JSON report of every ``mc`` check on its default grid.
+All three take about seven seconds on one core.
 
 The script runs BLAS on one thread, set before numpy is imported: at
 N >= 16384 ``np.linalg.norm`` rounds differently when multi-threaded, which
@@ -57,7 +57,6 @@ NOISES = (
 )
 SNRS = (0.0, 4.0, 14.0, 30.0)
 LAMBDAS = (2.0, 4.5, 7.0)
-SCOPES = ("details", "all")
 SIGMAS = ("mad", "known")
 BAND_EVERY = 7
 
@@ -98,16 +97,16 @@ def inputs():
                 noise = gen_noise(spec, n, seed=seed)
                 scale = np.linalg.norm(truth) * 10.0 ** (-snr / 20.0) / np.linalg.norm(noise)
                 yield profile, truth + noise * scale, spec.sigma * scale
-                seed += len(LAMBDAS) * len(SCOPES) * len(SIGMAS)
+                seed += len(LAMBDAS) * len(SIGMAS)
 
 
 def sweep(digest) -> tuple[int, int]:
     """Feed every result of the sweep to ``digest``; returns (calls, bands)."""
     calls = bands = 0
     for profile, x, known in inputs():
-        for lam, scope, policy in itertools.product(LAMBDAS, SCOPES, SIGMAS):
+        for lam, policy in itertools.product(LAMBDAS, SIGMAS):
             sigma = known if policy == "known" else None
-            result = denoise(x, DenoiseConfig(lam=lam, sigma=sigma, profile=profile, threshold_scope=scope))
+            result = denoise(x, DenoiseConfig(lam=lam, sigma=sigma, profile=profile))
             _feed_result(digest, result)
             if calls % BAND_EVERY == 0 and result.band is not None:
                 band = result.band

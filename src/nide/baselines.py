@@ -13,6 +13,7 @@ from functools import partial
 import numpy as np
 
 from .denoise import DenoiseConfig, DenoiseResult, _nide_rule, _one
+from .gaussian_stats import _check_finite, _check_sigma
 
 __all__ = [
     "visu_threshold",
@@ -35,13 +36,12 @@ def _squares(sigma) -> np.ndarray:
 
 
 def _rows(band, sigma):
-    """``band`` as ``(rows, n)`` and one positive sigma per row, validated."""
+    """``band`` as ``(rows, n)`` and one finite positive sigma per row, validated."""
     band = np.asarray(band, dtype=float)
     if band.shape[-1] == 0:
         raise ValueError("band must be nonempty")
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), band.shape[:-1]).ravel()
-    if not np.all(sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     return band.reshape(-1, band.shape[-1]), sigma
 
 
@@ -50,6 +50,7 @@ def visu_threshold(n: int, sigma):
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     sigma = np.asarray(sigma, dtype=float)
+    _check_finite(sigma, "sigma")
     if np.any(sigma < 0):
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     t = sigma * np.sqrt(2.0 * np.log(n))
@@ -121,18 +122,15 @@ def bayes_threshold(band, sigma):
 
 
 def _baseline_rule(method, coeffs, sigma, config):
-    """Pipeline rule of a classical threshold: one per row for ``visu``, one
-    per row and detail level for ``sure`` and ``bayes``.  The detail bands
-    are always the scope, and sigma is floored at the smallest normal float."""
+    """Pipeline rule of a classical threshold: one per row for ``visu``, one per row and
+    detail level for ``sure`` and ``bayes``; sigma is floored at the smallest normal float."""
     sigma = np.maximum(sigma, np.finfo(float).tiny)
     if method == "visu":
-        segments = [coeffs.detail_values()]
         t = visu_threshold(coeffs.values.shape[-1], sigma)[..., None]
     else:
         rule = sure_threshold if method == "sure" else bayes_threshold
-        segments = coeffs.detail_bands
-        t = np.stack([rule(b, sigma) for b in segments], axis=-1)
-    return segments, t, sigma, None
+        t = np.stack([rule(b, sigma) for b in coeffs.detail_bands], axis=-1)
+    return t, sigma, None
 
 
 # The nide.denoise._shrink rule of every method.

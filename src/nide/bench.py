@@ -29,7 +29,7 @@ import numpy as np
 
 from .baselines import _RULES
 from .denoise import DenoiseConfig, _analyse, _shrink, denoise
-from .noise_model import NoiseSpec, gen_noise, theoretical_profile
+from .noise_model import NoiseSpec, _norm, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
 from .signature import colored_variance_bound, empirical_signature, white_band
 from .wavelet import dwt_forward
@@ -94,7 +94,7 @@ def normalized_mse(estimate, truth):
     truth = np.asarray(truth, dtype=float)
     if truth.ndim != 1 or estimate.shape[-1:] != truth.shape:
         raise ValueError("truth must be 1-D and as long as the estimate's last axis")
-    truth_norm = np.linalg.norm(truth)
+    truth_norm = _norm(truth)
     if truth_norm == 0:
         raise ValueError("truth has zero energy")
     out = np.sum((estimate - truth) ** 2, axis=-1) / truth_norm**2
@@ -185,9 +185,9 @@ def _paired_mse(config: ExperimentConfig, arms):
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         raw = np.stack([gen_noise(noise, n, _trial_seed(seed, t)) for t in range(start, stop)])
-        raw_norm = np.array([np.linalg.norm(row) for row in raw])
+        raw_norm = _norm(raw)
         for name, truth in truths.items():
-            truth_norm = np.linalg.norm(truth)
+            truth_norm = _norm(truth)
             for snr in snrs:
                 scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
                 observed = raw * scale[:, None]
@@ -237,7 +237,7 @@ def emit_band_trace(signal: str, snr_db: float, path, **experiment) -> None:
     noise, n = config.noise, config.n
     truth = gen_signal(config.signals[0], n).samples
     raw = gen_noise(noise, n, config.seed)
-    scale = np.linalg.norm(truth) * 10.0 ** (-config.snr_db[0] / 20.0) / np.linalg.norm(raw)
+    scale = _norm(truth) * 10.0 ** (-config.snr_db[0] / 20.0) / _norm(raw)
     sigma = noise.sigma * scale if config.sigma_policy == "known" else None
     denoise_config = DenoiseConfig(levels=config.levels, lam=config.lam, sigma=sigma,
                                    profile=_noise_profile(noise, n))

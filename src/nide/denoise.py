@@ -14,14 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian_stats import abs_noise_cdf
+from .gaussian_stats import _check_finite, _check_sigma, abs_noise_cdf
 from .noise_model import estimate_sigma_mad
 from .signature import (
     ConfidenceBand,
     CorrelationProfile,
     _band_edges,
     _check_band_args,
-    _check_finite,
     colored_band,
     white_band,
 )
@@ -53,28 +52,24 @@ CHUNK_MARGIN = 1e-9
 class DenoiseConfig:
     """Configuration of the denoising pipeline.
 
-    ``sigma=None`` estimates the noise scale from the finest detail band by
-    the robust median rule.  ``profile=None`` selects the white-noise band;
-    a :class:`CorrelationProfile` selects the correlated-noise band.
-    ``threshold_scope`` is ``"details"`` (approximation band untouched, the
-    default) or ``"all"``.
+    ``sigma=None`` estimates the noise scale from the finest detail band by the robust median
+    rule.  ``profile=None`` selects the white-noise band; a :class:`CorrelationProfile` selects
+    the correlated-noise band.  Every rule thresholds the detail bands, never the approximation.
     """
 
     levels: int = 5
     lam: float = 4.5
     sigma: float | None = None
     profile: CorrelationProfile | None = None
-    threshold_scope: str = "details"
+    threshold_scope = "details"  # not a field: perfbench's tracer reads it on denoise calls
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         if not 0.0 <= self.lam <= 8.0:
             raise ValueError(f"lam must lie in [0, 8], got {self.lam}")
-        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and positive when given, got {self.sigma}")
-        if self.threshold_scope not in ("details", "all"):
-            raise ValueError("threshold_scope must be 'details' or 'all'")
+        if self.sigma is not None:
+            _check_sigma(self.sigma)
 
 
 @dataclass
@@ -227,11 +222,13 @@ def _analyse(observed, levels: int, sigma=None):
 
 def _shrink(coeffs, sigma, config: DenoiseConfig, rule, out):
     """Shrink the output of :func:`_analyse` with ``rule`` into ``out`` (``coeffs.values``,
-    or a buffer rules share).  ``rule(coeffs, sigma, config)`` returns views tiling a prefix
-    of ``coeffs.values``, thresholds with one column per view, sigma and per-row band factories
-    (or None).  Returns, per row, the largest threshold, ``out``, the kept count, sigma and the
-    band factory.  Nothing is inverted: scoring ``out`` needs an orthonormal transform."""
-    segments, t, sigma, bands = rule(coeffs, sigma, config)
+    or a buffer rules share).  ``rule(coeffs, sigma, config)`` returns per-row thresholds,
+    sigma and per-row band factories (or None); the thresholds have one column for all
+    detail coefficients or one per detail level, and the approximation is copied unshrunk.
+    Returns, per row, the largest threshold, ``out``, the kept count, sigma and the band
+    factory.  Nothing is inverted: scoring ``out`` needs an orthonormal transform."""
+    t, sigma, bands = rule(coeffs, sigma, config)
+    segments = [coeffs.detail_values()] if t.shape[-1] == 1 else coeffs.detail_bands
     stop = 0
     for j, segment in enumerate(segments):
         start, stop = stop, stop + segment.shape[-1]
@@ -243,17 +240,16 @@ def _shrink(coeffs, sigma, config: DenoiseConfig, rule, out):
 def _nide_rule(coeffs, sigma, config):
     """The invalidation threshold of each row.  A row whose noise scale is
     negligible next to its largest coefficient passes through: 0, no band."""
-    scope = coeffs.values if config.threshold_scope == "all" else coeffs.detail_values()
     magnitude = np.abs(coeffs.values)
     peak = magnitude.max(axis=-1, initial=0.0)
     live = (sigma > SIGMA_FLOOR_RATIO * peak) & (peak != 0.0)
-    a = magnitude[..., : scope.shape[-1]]  # the scope is a prefix of the values
+    a = magnitude[..., : coeffs.detail_values().shape[-1]]  # the details are a prefix
     t = _select(a, sigma, config.lam, config.profile, np.flatnonzero(live))
     bands = [
         partial(_sorted_band, curve, s, config) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
     ]
-    return [scope], t[:, None], sigma, bands
+    return t[:, None], sigma, bands
 
 
 def _sorted_band(curve, sigma, config):

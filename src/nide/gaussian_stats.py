@@ -35,6 +35,19 @@ def std_normal_cdf(x):
     return 0.5 * (1.0 + special.erf(np.asarray(x, dtype=float) / _SQRT2))
 
 
+def _check_finite(values, what) -> None:
+    if not np.isfinite(values).all():
+        bad = np.count_nonzero(~np.isfinite(values))
+        raise ValueError(f"{what} must be finite; found {bad} NaN or infinite value(s)")
+
+
+def _check_sigma(sigma) -> None:
+    """Reject any noise scale in ``sigma`` that is not finite and positive (a NaN fails both)."""
+    sigma = np.asarray(sigma, dtype=float)
+    if not (sigma.min(initial=np.inf) > 0.0 and sigma.max(initial=0.0) < np.inf):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+
+
 def abs_noise_cdf(z, sigma):
     """CDF of ``|V|`` for ``V ~ N(0, sigma^2)``: ``F(z) = 2 phi(z/sigma) - 1``.
 
@@ -43,8 +56,8 @@ def abs_noise_cdf(z, sigma):
     z : float or ndarray
         Nonnegative evaluation points.
     sigma : float or ndarray
-        Noise standard deviation, must be positive; an array broadcasts
-        against ``z``.
+        Noise standard deviation, must be finite and positive; an array
+        broadcasts against ``z``.
 
     Returns
     -------
@@ -52,10 +65,9 @@ def abs_noise_cdf(z, sigma):
         ``F(z)`` in [0, 1], nondecreasing in ``z``.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(np.asarray(sigma) > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if np.any(z < 0):
-        raise ValueError("z must be nonnegative")
+    _check_sigma(sigma)
+    if not np.all(z >= 0):  # also false for NaN
+        raise ValueError("z must be nonnegative and not NaN")
     out = _abs_cdf(z, sigma, np.empty(np.broadcast_shapes(z.shape, np.shape(sigma))))
     return float(out) if out.ndim == 0 else out
 
@@ -78,8 +90,7 @@ def shifted_abs_cdf(z, theta_bar, sigma):
     Symmetric in the sign of ``theta_bar``; reduces to :func:`abs_noise_cdf`
     when ``theta_bar = 0``.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     z = np.asarray(z, dtype=float)
     theta_bar = np.asarray(theta_bar, dtype=float)
     out = (

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
+from .gaussian_stats import _check_finite
 from .signature import CorrelationProfile
 
 __all__ = [
@@ -139,14 +140,19 @@ def calibrate_noise_to_snr(signal, noise, snr_db: float) -> np.ndarray:
     """Scale ``noise`` so ``10 log10(|signal|^2 / |scaled|^2) = snr_db``."""
     signal = np.asarray(signal, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    signal_energy = np.sum(signal**2)
-    noise_norm = np.linalg.norm(noise)
-    if signal_energy == 0:
+    signal_norm, noise_norm = _norm(signal.ravel()), _norm(noise.ravel())
+    if signal_norm == 0:
         raise ValueError("signal has zero energy, SNR undefined")
     if noise_norm == 0:
         raise ValueError("noise vector has zero energy")
-    scale = np.sqrt(signal_energy) * 10.0 ** (-snr_db / 20.0) / noise_norm
+    scale = signal_norm * 10.0 ** (-snr_db / 20.0) / noise_norm
     return noise * scale
+
+
+def _norm(x):
+    """Euclidean norm of each row, by numpy's pairwise sum, not a BLAS dot (which rounds
+    differently multi-threaded): the same on any thread count, for a row alone or in a stack."""
+    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 def estimate_sigma_mad(finest_detail):
@@ -160,6 +166,7 @@ def estimate_sigma_mad(finest_detail):
     m = band.shape[-1]
     if m == 0:
         raise ValueError("finest detail band must be nonempty")
+    _check_finite(band, "finest detail band")
     # np.median's value from a partition at one position; np.median partitions
     # at two for even m, which costs several times as much.
     band.partition(m // 2, axis=-1)

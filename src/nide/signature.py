@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_stats import _abs_cdf, abs_noise_cdf, erf_std
+from .gaussian_stats import _abs_cdf, _check_finite, _check_sigma, abs_noise_cdf, erf_std
 
 __all__ = [
     "ConfidenceBand",
@@ -114,6 +114,7 @@ def empirical_signature(z, samples):
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
+    _check_finite(samples, "samples")
     a = np.sort(np.abs(samples.ravel()))
     out = np.searchsorted(a, z, side="right") / a.size
     return float(out) if np.isscalar(z) else out
@@ -126,16 +127,8 @@ def lambda_to_confidence(lam: float) -> float:
     return float(erf_std(lam / _SQRT2))
 
 
-def _check_finite(values, what) -> None:
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
-        raise ValueError(f"{what} must be finite; found {bad} NaN or infinite value(s)")
-
-
 def _check_band_args(sigma, n, lam=0.0) -> None:
-    sigma = np.asarray(sigma)
-    if not np.all((sigma > 0) & (sigma < np.inf)):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    _check_sigma(sigma)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer of at least 1, got {n}")
     if not 0.0 <= lam < np.inf:

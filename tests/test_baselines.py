@@ -25,6 +25,11 @@ class TestVisuThreshold:
     def test_linear_in_sigma(self):
         assert visu_threshold(1024, 2.0) == pytest.approx(2 * visu_threshold(1024, 1.0))
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, [1.0, np.nan]])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            visu_threshold(64, sigma)
+
 
 class TestSureThreshold:
     def test_minimizer_is_argmin_over_candidates(self):
@@ -70,6 +75,11 @@ class TestSureThreshold:
         band[:40] += 4.0
         assert sure_threshold(3 * band, 3.0) == pytest.approx(3 * sure_threshold(band, 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            sure_threshold(np.array([0.5, -1.0, 2.0]), sigma)
+
 
 class TestBayesThreshold:
     def test_pure_noise_band_killed(self):
@@ -90,6 +100,12 @@ class TestBayesThreshold:
         rng = np.random.default_rng(6)
         band = rng.normal(0, 2, 256)
         assert bayes_threshold(5 * band, 5.0) == pytest.approx(5 * bayes_threshold(band, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # inf would otherwise read the band as pure noise and zero it
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            bayes_threshold(np.array([0.5, -1.0, 2.0]), sigma)
 
 
 class TestDenoiseWith:

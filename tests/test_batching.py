@@ -9,7 +9,11 @@ which agree to rounding while the transform is orthonormal.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from nide.baselines import _RULES, denoise_with, sure_threshold
 from nide.bench import (ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, normalized_mse,
                         run_experiment)
 from nide.denoise import SORTED_TOP, DenoiseConfig, _analyse, _shrink
-from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
+from nide.noise_model import NoiseSpec, _norm, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
 from nide.signature import colored_band, white_band
 from nide.wavelet import CoefficientSet, dwt_forward, dwt_inverse
@@ -83,11 +87,11 @@ def ref_denoise(method, row, sigma, config):
     if sigma is None:
         sigma = float(np.median(np.abs(bands[0])) / 0.6745)
     if method == "nide":
-        scope = np.concatenate(bands if config.threshold_scope == "all" else bands[:-1])
+        scope = np.concatenate(bands[:-1])
         t = ref_nide(scope, coeffs.values, sigma, config.profile)
         if t is None:
             return 0.0, dwt_inverse(coeffs), int(np.count_nonzero(scope)), sigma
-        ts = [t] * (LEVELS + (config.threshold_scope == "all"))
+        ts = [t] * LEVELS
     else:
         sigma = max(sigma, np.finfo(float).tiny)
         if method == "visu":
@@ -135,15 +139,14 @@ def assert_same(got, want):
     seed=st.integers(0, 2**31),
     noise=st.sampled_from(sorted(NOISES)),
     known=st.booleans(),
-    scope=st.sampled_from(["details", "all"]),
     snrs=st.lists(st.sampled_from([1.0, 4.0, 8.0, 14.0, 30.0]), min_size=1, max_size=4),
 )
-def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, scope, snrs):
+def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, snrs):
     spec = NOISES[noise]
     profile = None if spec.kind == "white" else theoretical_profile(spec, N - 1)
     rows, sigmas = stacked_rows(seed, spec, snrs, known)
     for method in METHODS:
-        config = DenoiseConfig(levels=LEVELS, lam=LAM, threshold_scope=scope,
+        config = DenoiseConfig(levels=LEVELS, lam=LAM,
                                profile=profile if method == "nide" else None)
         coeffs, used = _analyse(rows, LEVELS, sigmas)
         threshold, values, kept, used, bands = _shrink(coeffs, used, config, _RULES[method],
@@ -179,10 +182,10 @@ def per_trial_arms(config):
         profile = theoretical_profile(config.noise, config.n - 1)
     for trial in range(config.trials):
         raw_noise = gen_noise(config.noise, config.n, _trial_seed(config.seed, trial))
-        raw_norm = np.linalg.norm(raw_noise)
+        raw_norm = _norm(raw_noise)
         for name in config.signals:
             truth = gen_signal(name, config.n).samples
-            truth_norm = np.linalg.norm(truth)
+            truth_norm = _norm(truth)
             for snr in config.snr_db:
                 scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
                 observed = truth + raw_noise * scale
@@ -201,7 +204,7 @@ def ref_trial_mses(config):
         coeffs, used = _analyse(observed[None], cfg.levels, cfg.sigma)
         values = _shrink(coeffs, used, cfg, _RULES[key[2]], np.empty_like(coeffs.values))[1][0]
         theta = dwt_forward(truth, cfg.levels).values
-        mse = float(np.sum((values - theta) ** 2)) / np.linalg.norm(theta) ** 2
+        mse = float(np.sum((values - theta) ** 2)) / _norm(theta) ** 2
         mses.setdefault(key, []).append(mse)
     return {key: np.array(values) for key, values in mses.items()}
 
@@ -244,6 +247,34 @@ def test_coefficient_scores_equal_time_domain_errors(config):
         truth = gen_signal(name, config.n).samples
         want = normalized_mse(np.array(rows), truth)
         np.testing.assert_allclose(got[name, snr, method], want, rtol=1e-12, atol=0)
+
+
+# Prints a digest of the per-trial scores of a run long enough (N = 16384) that
+# a BLAS dot on two threads rounds differently from one on one thread.
+_PAIRED_DIGEST = """
+import hashlib
+from nide.bench import ExperimentConfig, _paired_mse
+config = ExperimentConfig(signals=("blocks", "bumps"), snr_db=(4.0, 14.0), trials=4, n=16384)
+mses = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
+print(hashlib.sha256(b"".join(mses[key].tobytes() for key in sorted(mses))).hexdigest())
+"""
+
+
+def test_paired_trials_do_not_depend_on_the_blas_thread_count():
+    """The per-trial scores are the same in every bit with BLAS on one thread
+    and on two.  On a one-CPU host both runs take one thread, so the test
+    cannot fail there."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _PAIRED_DIGEST], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def sure_rows(seed, n, dense):

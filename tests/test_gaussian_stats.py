@@ -85,6 +85,17 @@ class TestAbsNoiseCdf:
         with pytest.raises(ValueError):
             abs_noise_cdf(1.0, -2.0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            abs_noise_cdf(1.0, sigma)
+
+    def test_rejects_nan_z(self):
+        with pytest.raises(ValueError, match="not NaN"):
+            abs_noise_cdf(np.nan, 1.0)
+        with pytest.raises(ValueError, match="not NaN"):
+            abs_noise_cdf(np.array([0.5, np.nan]), 1.0)
+
     @given(st.floats(0, 20), st.floats(0.01, 50))
     def test_range(self, z, sigma):
         val = abs_noise_cdf(z, sigma)
@@ -144,3 +155,13 @@ class TestShiftedAbsCdf:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             shifted_abs_cdf(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, np.array([1.0, np.inf])])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            shifted_abs_cdf(1.0, 0.5, sigma)
+
+    def test_array_sigma_is_elementwise(self):
+        sigma = np.array([0.5, 2.0])
+        expected = [shifted_abs_cdf(1.0, 0.5, s) for s in sigma]
+        assert np.array_equal(shifted_abs_cdf(1.0, 0.5, sigma), expected)

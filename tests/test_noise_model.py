@@ -155,3 +155,9 @@ class TestMadEstimator:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             estimate_sigma_mad([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN would sort last and leave a median of the finite values
+        with pytest.raises(ValueError, match="must be finite"):
+            estimate_sigma_mad([bad, 1.0, 2.0])

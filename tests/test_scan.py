@@ -108,11 +108,11 @@ def test_tied_chunk_on_band_edge(edge, offset, sigma):
 ROW_KINDS = ("shallow", "deep", "none-in-band", "all-in-band", "passthrough", "edge")
 
 
-def stack_row(kind, scope, sigma, segments, offset, rng):
-    """Coefficients of one row: the ``scope`` prefix shaped by ``kind``, the rest
-    of the row (the approximation, for scope "details") noise-sized."""
+def stack_row(kind, sigma, segments, offset, rng):
+    """Coefficients of one row: the detail prefix shaped by ``kind``, the
+    approximation noise-sized."""
     values = rng.normal(0.0, sigma, N)
-    m = N if scope == "all" else N - (N >> LEVELS)
+    m = N - (N >> LEVELS)
     if kind == "shallow":
         values[rng.choice(m, 5, replace=False)] += 30.0 * sigma
     elif kind == "deep":
@@ -130,19 +130,19 @@ def stack_row(kind, scope, sigma, segments, offset, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=7),
-       scope=st.sampled_from(["details", "all"]), known=st.booleans(), colored=st.booleans(),
+       known=st.booleans(), colored=st.booleans(),
        sigma=SIGMAS, segments=SEGMENTS, offset=OFFSETS, seed=st.integers(0, 2**32 - 1))
-def test_pipeline_equals_pointwise_band(kinds, scope, known, colored, sigma, segments, offset, seed):
+def test_pipeline_equals_pointwise_band(kinds, known, colored, sigma, segments, offset, seed):
     rng = np.random.default_rng(seed)
-    values = np.array([stack_row(k, scope, sigma, segments, offset, rng) for k in kinds])
+    values = np.array([stack_row(k, sigma, segments, offset, rng) for k in kinds])
     rows = dwt_inverse(CoefficientSet(values, LEVELS))
-    config = DenoiseConfig(levels=LEVELS, profile=AR1 if colored else None, threshold_scope=scope)
+    config = DenoiseConfig(levels=LEVELS, profile=AR1 if colored else None)
     sigmas = np.full(len(kinds), sigma) if known else None
     analysed, used = _analyse(rows, LEVELS, sigmas)
     threshold, _, kept, used, bands = _shrink(analysed, used, config, _nide_rule,
                                               np.empty_like(analysed.values))
     coeffs = dwt_forward(rows, LEVELS)
-    m = N if scope == "all" else N - (N >> LEVELS)
+    m = N - (N >> LEVELS)
     for i in range(len(kinds)):
         magnitudes = np.abs(coeffs.values[i, :m])
         peak = np.abs(coeffs.values[i]).max()

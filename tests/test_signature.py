@@ -29,6 +29,10 @@ class TestEmpiricalSignature:
         with pytest.raises(ValueError):
             empirical_signature(1.0, [])
 
+    def test_rejects_non_finite_samples(self):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            empirical_signature(1.0, [np.nan, 0.5, 2.0])
+
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=40),
         st.floats(0, 120),
