@@ -123,17 +123,17 @@ def bayes_threshold(band, sigma):
 
 def _baseline_rule(method, coeffs, sigma, config):
     """Pipeline rule of a classical threshold: one per row for ``visu``, one per row and
-    detail level for ``sure`` and ``bayes``; sigma is floored at the smallest normal float."""
+    detail level for ``sure`` and ``bayes``, from sigma floored at the smallest normal float."""
     sigma = np.maximum(sigma, np.finfo(float).tiny)
     if method == "visu":
         t = visu_threshold(coeffs.values.shape[-1], sigma)[..., None]
     else:
         rule = sure_threshold if method == "sure" else bayes_threshold
         t = np.stack([rule(b, sigma) for b in coeffs.detail_bands], axis=-1)
-    return t, sigma, None
+    return t, None
 
 
-# The nide.denoise._shrink rule of every method.
+# The threshold rule of every method: (coeffs, sigma, config) -> (thresholds, band factories).
 _RULES = {"nide": _nide_rule, **{m: partial(_baseline_rule, m) for m in BASELINE_METHODS}}
 
 

@@ -196,7 +196,7 @@ def _paired_mse(config: ExperimentConfig, arms):
                 coeffs, used = _analyse(observed, config.levels, sigma)
                 out = np.empty_like(coeffs.values)
                 for key, (cfg, rule) in arms.items():
-                    _shrink(coeffs, used, cfg, rule, out)
+                    _shrink(coeffs, rule(coeffs, used, cfg)[0], out)
                     mses[name, snr, key][start:stop] = normalized_mse(out, thetas[name])
     return mses
 
@@ -289,12 +289,10 @@ class McReport:
 
 
 def _signature_values(kind: str, z: float, v: np.ndarray) -> np.ndarray:
-    """Evaluate a bounded per-sample signature function elementwise."""
+    """Evaluate the ``indicator`` or ``gaussian`` per-sample signature function elementwise."""
     if kind == "indicator":
         return (np.abs(v) <= z).astype(float)
-    if kind == "gaussian":
-        return np.exp(-(v**2) / (2.0 * z**2))
-    raise ValueError(f"unknown signature kind {kind!r}")
+    return np.exp(-(v**2) / (2.0 * z**2))  # gaussian
 
 
 def _signature_moments(kind: str, z: float, sigma: float) -> tuple[float, float]:
@@ -302,11 +300,9 @@ def _signature_moments(kind: str, z: float, sigma: float) -> tuple[float, float]
     if kind == "indicator":
         F = abs_noise_cdf(z, sigma)
         return F, F * (1.0 - F)
-    if kind == "gaussian":
-        mean = z / np.sqrt(z**2 + sigma**2)
-        second = z / np.sqrt(z**2 + 2.0 * sigma**2)
-        return mean, second - mean**2
-    raise ValueError(f"unknown signature kind {kind!r}")
+    mean = z / np.sqrt(z**2 + sigma**2)  # gaussian
+    second = z / np.sqrt(z**2 + 2.0 * sigma**2)
+    return mean, second - mean**2
 
 
 def _z_values(z, default) -> np.ndarray:
@@ -314,7 +310,7 @@ def _z_values(z, default) -> np.ndarray:
     return np.atleast_1d(np.asarray(default if z is None else z, dtype=float))
 
 
-def _check_averaged_signature(runs, seed, *, n=2048, sigma=1.0, z=None, signature="gaussian"):
+def _check_averaged_signature(signature, runs, seed, *, n=2048, sigma=1.0, z=None):
     """Shared engine: MC mean/variance of the N-averaged signature vs theory."""
     zs = _z_values(z, [0.5 * sigma, sigma, 2.0 * sigma])
     rng = np.random.default_rng(seed)
@@ -328,7 +324,7 @@ def _check_averaged_signature(runs, seed, *, n=2048, sigma=1.0, z=None, signatur
         se = np.sqrt(var_av / runs)
         mean_dev = abs(mc_mean - mean_th) / se if se > 0 else 0.0
         var_rel = abs(mc_var - var_av) / var_av if var_av > 0 else 0.0
-        row_ok = mean_dev <= 5.0 and var_rel <= 0.20
+        row_ok = bool(mean_dev <= 5.0 and var_rel <= 0.20)
         ok &= row_ok
         rows.append(
             {
@@ -358,7 +354,7 @@ def _check_shifted_mean(runs, seed, *, n=2048, sigma=1.0, theta=None, z=None):
         H = shifted_abs_cdf(float(z), theta, sigma)
         se = np.sqrt(max(H * (1.0 - H), 1e-30) / (runs * n))
         dev = abs(mc_mean - H) / se if se > 0 else 0.0
-        row_ok = dev <= 5.0
+        row_ok = bool(dev <= 5.0)
         ok &= row_ok
         rows.append(
             {"z": float(z), "mc_mean": mc_mean, "analytic_mean": float(H),
@@ -407,8 +403,8 @@ def _check_coverage(runs, seed, *, n=2048, sigma=1.0, lam=4.5, z_max=None, z=Non
 # verify (see README).  Each maps to its check and the least number of runs
 # it needs: the checks that estimate a variance need two.
 _CHECKS = {
-    "appendixA": (_check_averaged_signature, 2),
-    "appendixB": (partial(_check_averaged_signature, signature="indicator"), 2),
+    "appendixA": (partial(_check_averaged_signature, "gaussian"), 2),
+    "appendixB": (partial(_check_averaged_signature, "indicator"), 2),
     "appendixC": (_check_shifted_mean, 1),
     "appendixD": (_check_colored_bound, 2),
     "coverage": (_check_coverage, 1),
@@ -450,8 +446,6 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
         raise ValueError(f"n must be at least 1, got {params['n']}")
     if runs < least:
         raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
-    for key, value in getattr(run_check, "keywords", {}).items():
-        params.setdefault(key, value)  # so the report names appendixB's signature
     rows, ok, summary = run_check(runs, seed, **params)
     return McReport(check=check, params=params, runs=runs, seed=seed, passed=ok,
                     rows=rows, summary=summary)
@@ -592,13 +586,6 @@ def _cmd_lambda_sweep(args) -> int:
     return 0
 
 
-def _next_power_of_two(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def _cmd_denoise_file(args) -> int:
     sidecar = Path(args.out).with_suffix(".json")
     if sidecar == Path(args.out):
@@ -614,7 +601,7 @@ def _cmd_denoise_file(args) -> int:
         raise ValueError("input must be a nonempty single-column CSV of numbers")
     n = samples.size
     min_len = 2**args.levels
-    target = max(_next_power_of_two(n), min_len)
+    target = max(1 << (n - 1).bit_length(), min_len)
     padded = samples
     if target != n:
         if args.pad == "reject":

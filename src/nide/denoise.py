@@ -99,7 +99,7 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
     negative value shrunk to zero is +0.0); ``t`` is one threshold, one per row or one
     per coefficient, and ``out=coeffs`` shrinks in place."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # a NaN fails too
         raise ValueError(f"threshold must be nonnegative, got {np.min(t)}")
     coeffs = np.asarray(coeffs, dtype=float)
     out = np.empty_like(coeffs) if out is None else out
@@ -220,21 +220,17 @@ def _analyse(observed, levels: int, sigma=None):
     return coeffs, np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1])
 
 
-def _shrink(coeffs, sigma, config: DenoiseConfig, rule, out):
-    """Shrink the output of :func:`_analyse` with ``rule`` into ``out`` (``coeffs.values``,
-    or a buffer rules share).  ``rule(coeffs, sigma, config)`` returns per-row thresholds,
-    sigma and per-row band factories (or None); the thresholds have one column for all
-    detail coefficients or one per detail level, and the approximation is copied unshrunk.
-    Returns, per row, the largest threshold, ``out``, the kept count, sigma and the band
-    factory.  Nothing is inverted: scoring ``out`` needs an orthonormal transform."""
-    t, sigma, bands = rule(coeffs, sigma, config)
+def _shrink(coeffs, t, out) -> None:
+    """Soft-threshold the detail coefficients of ``coeffs`` with a rule's per-row thresholds
+    ``t`` into ``out`` (``coeffs.values``, or a buffer rules share) and copy the approximation
+    unshrunk.  ``t`` has one column for all detail coefficients or one per detail level.
+    Nothing is inverted: scoring ``out`` needs an orthonormal transform."""
     segments = [coeffs.detail_values()] if t.shape[-1] == 1 else coeffs.detail_bands
     stop = 0
     for j, segment in enumerate(segments):
         start, stop = stop, stop + segment.shape[-1]
         soft_threshold(segment, t[:, j, None], out=out[..., start:stop])
     out[..., stop:] = coeffs.values[..., stop:]
-    return np.max(t, axis=-1), out, np.count_nonzero(out[..., :stop], axis=-1), sigma, bands
 
 
 def _nide_rule(coeffs, sigma, config):
@@ -249,7 +245,7 @@ def _nide_rule(coeffs, sigma, config):
         partial(_sorted_band, curve, s, config) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
     ]
-    return t[:, None], sigma, bands
+    return t[:, None], bands
 
 
 def _sorted_band(curve, sigma, config):
@@ -262,13 +258,17 @@ def _sorted_band(curve, sigma, config):
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:
-    """One signal through :func:`_analyse`, :func:`_shrink` in place and :func:`dwt_inverse`."""
+    """One signal through :func:`_analyse`, ``rule``, :func:`_shrink` in place and
+    :func:`dwt_inverse`.  ``rule(coeffs, sigma, config)`` returns per-row thresholds (see
+    :func:`_shrink`) and per-row band factories, or None; sigma is reported as analysed."""
     observed = np.asarray(observed, dtype=float)
     if observed.ndim > 1:
         raise ValueError(f"observed must be a 1-D sample vector, got shape {observed.shape}")
     coeffs, sigma = _analyse(observed[None], config.levels, config.sigma)
-    threshold, _, kept, sigma, bands = _shrink(coeffs, sigma, config, rule, coeffs.values)
-    return DenoiseResult(float(threshold[0]), dwt_inverse(coeffs)[0], int(kept[0]), float(sigma[0]),
+    t, bands = rule(coeffs, sigma, config)
+    _shrink(coeffs, t, coeffs.values)
+    return DenoiseResult(float(t.max()), dwt_inverse(coeffs)[0],
+                         int(np.count_nonzero(coeffs.detail_values())), float(sigma[0]),
                          bands[0] if bands else None)
 
 

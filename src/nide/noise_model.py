@@ -140,6 +140,8 @@ def calibrate_noise_to_snr(signal, noise, snr_db: float) -> np.ndarray:
     """Scale ``noise`` so ``10 log10(|signal|^2 / |scaled|^2) = snr_db``."""
     signal = np.asarray(signal, dtype=float)
     noise = np.asarray(noise, dtype=float)
+    for values, what in ((signal, "signal"), (noise, "noise"), (snr_db, "snr_db")):
+        _check_finite(values, what)
     signal_norm, noise_norm = _norm(signal.ravel()), _norm(noise.ravel())
     if signal_norm == 0:
         raise ValueError("signal has zero energy, SNR undefined")

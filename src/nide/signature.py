@@ -115,6 +115,8 @@ def empirical_signature(z, samples):
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
     _check_finite(samples, "samples")
+    if np.isnan(z).any():  # searchsorted would place it above every sample
+        raise ValueError("z must not be NaN")
     a = np.sort(np.abs(samples.ravel()))
     out = np.searchsorted(a, z, side="right") / a.size
     return float(out) if np.isscalar(z) else out
@@ -122,8 +124,8 @@ def empirical_signature(z, samples):
 
 def lambda_to_confidence(lam: float) -> float:
     """Per-point coverage of a ``lam``-standard-deviation normal interval."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     return float(erf_std(lam / _SQRT2))
 
 

@@ -125,6 +125,13 @@ class TestDenoiseWith:
         assert result.threshold >= 0
         assert result.sigma_used > 0
 
+    @pytest.mark.parametrize("method", ["visu", "sure", "bayes", "nide"])
+    def test_sigma_used_is_the_analysed_sigma_of_a_silent_input(self, method):
+        # MAD sigma is 0 here: the baselines floor it for their thresholds only.
+        result = denoise_with(method, np.zeros(256), DenoiseConfig())
+        assert result.sigma_used == 0.0
+        assert not result.denoised.any() and result.coefficients_kept == 0
+
     def test_unknown_method_rejected(self, noisy_blocks):
         with pytest.raises(ValueError):
             denoise_with("hard", noisy_blocks[1], DenoiseConfig())

@@ -93,12 +93,12 @@ def ref_denoise(method, row, sigma, config):
             return 0.0, dwt_inverse(coeffs), int(np.count_nonzero(scope)), sigma
         ts = [t] * LEVELS
     else:
-        sigma = max(sigma, np.finfo(float).tiny)
+        floored = max(sigma, np.finfo(float).tiny)  # for the thresholds only
         if method == "visu":
-            ts = [ref_visu(row.size, sigma)] * LEVELS
+            ts = [ref_visu(row.size, floored)] * LEVELS
         else:
             rule = ref_sure if method == "sure" else ref_bayes
-            ts = [rule(b, sigma) for b in bands[:-1]]
+            ts = [rule(b, floored) for b in bands[:-1]]
     shrunk = [np.sign(b) * np.maximum(np.abs(b) - t, 0.0) for b, t in zip(bands, ts)]
     kept = sum(np.count_nonzero(b) for b in shrunk)
     shrunk += bands[len(shrunk):]
@@ -149,8 +149,11 @@ def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, snrs)
         config = DenoiseConfig(levels=LEVELS, lam=LAM,
                                profile=profile if method == "nide" else None)
         coeffs, used = _analyse(rows, LEVELS, sigmas)
-        threshold, values, kept, used, bands = _shrink(coeffs, used, config, _RULES[method],
-                                                       np.empty_like(coeffs.values))
+        t, bands = _RULES[method](coeffs, used, config)
+        values = np.empty_like(coeffs.values)
+        _shrink(coeffs, t, values)
+        threshold = t.max(axis=-1)
+        kept = np.count_nonzero(values[:, : coeffs.detail_values().shape[-1]], axis=-1)
         denoised = dwt_inverse(CoefficientSet(values, LEVELS))
         for i, row in enumerate(rows):
             sigma = None if sigmas is None else float(sigmas[i])
@@ -202,9 +205,10 @@ def ref_trial_mses(config):
     mses = {}
     for key, observed, cfg, truth in per_trial_arms(config):
         coeffs, used = _analyse(observed[None], cfg.levels, cfg.sigma)
-        values = _shrink(coeffs, used, cfg, _RULES[key[2]], np.empty_like(coeffs.values))[1][0]
+        values = np.empty_like(coeffs.values)
+        _shrink(coeffs, _RULES[key[2]](coeffs, used, cfg)[0], values)
         theta = dwt_forward(truth, cfg.levels).values
-        mse = float(np.sum((values - theta) ** 2)) / _norm(theta) ** 2
+        mse = float(np.sum((values[0] - theta) ** 2)) / _norm(theta) ** 2
         mses.setdefault(key, []).append(mse)
     return {key: np.array(values) for key, values in mses.items()}
 

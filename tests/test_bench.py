@@ -180,14 +180,6 @@ class TestMcValidate:
         report = mc_validate(check, {"n": 512}, runs=400, seed=0)
         assert report.passed, report.text()
 
-    def test_indicator_alias_specializes_to_sorted_noise(self):
-        a = mc_validate("appendixA", {"n": 512, "signature": "indicator"}, runs=300, seed=5)
-        b = mc_validate("appendixB", {"n": 512}, runs=300, seed=5)
-        assert a.passed and b.passed
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra["mc_mean"] == rb["mc_mean"]
-            assert ra["analytic_mean"] == rb["analytic_mean"]
-
     def test_colored_bound_check(self):
         report = mc_validate(
             "appendixD", {"n": 512, "z": np.linspace(0.16, 4, 25)}, runs=300, seed=1
@@ -220,7 +212,7 @@ class TestMcValidate:
 
     @pytest.mark.parametrize("check", MC_CHECKS)
     def test_rejects_a_parameter_the_check_does_not_take(self, check):
-        for name in ("bogus", "floor", "allowed_violations", "grid_points"):
+        for name in ("bogus", "floor", "allowed_violations", "grid_points", "signature"):
             with pytest.raises(ValueError, match=name):
                 mc_validate(check, {name: 1}, runs=2)
 
@@ -294,6 +286,14 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["check"] == "coverage"
         assert [row["z"] for row in payload["rows"]] == [0.5, 1.0, 2.0, 4.0]
+
+    def test_mc_report_writes_json_booleans(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(["mc", "--check", "appendixC", "--runs", "20", "--n", "256",
+                     "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["passed"] is True
+        assert all(row["ok"] is True for row in payload["rows"])
 
     def test_mc_coverage_z_max_flag(self, tmp_path):
         report = tmp_path / "mc.json"

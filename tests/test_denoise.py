@@ -49,6 +49,12 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold([1.0], -0.1)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold([1.0, -2.0, 3.0], np.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold([[1.0], [2.0]], [[0.5], [np.nan]])
+
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
         st.floats(0, 1e6),

@@ -125,6 +125,16 @@ class TestCalibrateNoise:
         two = calibrate_noise_to_snr(2 * signal, noise, 6.0)
         assert np.allclose(two, 2 * one, rtol=1e-12)
 
+    @pytest.mark.parametrize("signal, noise, snr_db, what", [
+        (np.ones(4), np.arange(4.0), np.nan, "snr_db"),
+        (np.ones(4), np.arange(4.0), np.inf, "snr_db"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), np.arange(4.0), 3.0, "signal"),
+        (np.ones(4), np.array([0.0, 1.0, np.inf, 3.0]), 3.0, "noise"),
+    ])
+    def test_rejects_non_finite_input(self, signal, noise, snr_db, what):
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            calibrate_noise_to_snr(signal, noise, snr_db)
+
     def test_rejects_zero_energy(self):
         with pytest.raises(ValueError):
             calibrate_noise_to_snr(np.zeros(8), np.ones(8), 3.0)

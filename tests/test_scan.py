@@ -139,8 +139,11 @@ def test_pipeline_equals_pointwise_band(kinds, known, colored, sigma, segments, 
     config = DenoiseConfig(levels=LEVELS, profile=AR1 if colored else None)
     sigmas = np.full(len(kinds), sigma) if known else None
     analysed, used = _analyse(rows, LEVELS, sigmas)
-    threshold, _, kept, used, bands = _shrink(analysed, used, config, _nide_rule,
-                                              np.empty_like(analysed.values))
+    t, bands = _nide_rule(analysed, used, config)
+    shrunk = np.empty_like(analysed.values)
+    _shrink(analysed, t, shrunk)
+    threshold = t.max(axis=-1)
+    kept = np.count_nonzero(shrunk[:, : analysed.detail_values().shape[-1]], axis=-1)
     coeffs = dwt_forward(rows, LEVELS)
     m = N - (N >> LEVELS)
     for i in range(len(kinds)):

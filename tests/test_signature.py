@@ -41,6 +41,13 @@ class TestEmpiricalSignature:
         expected = sum(1 for s in samples if abs(s) <= z) / len(samples)
         assert empirical_signature(z, samples) == pytest.approx(expected)
 
+    def test_rejects_nan_z(self):
+        with pytest.raises(ValueError, match="z must not be NaN"):
+            empirical_signature(np.nan, [1.0, 2.0])
+        with pytest.raises(ValueError, match="z must not be NaN"):
+            empirical_signature(np.array([0.5, np.nan]), [1.0, 2.0])
+        assert empirical_signature(np.inf, [1.0, 2.0]) == 1.0
+
     def test_array_evaluation(self):
         out = empirical_signature(np.array([0.5, 2.0, 10.0]), [1.0, -2.0, 3.0])
         assert np.allclose(out, [0.0, 2 / 3, 1.0])
@@ -53,6 +60,11 @@ class TestLambdaConfidence:
         # quoted after rounding
         assert lambda_to_confidence(4.5) == pytest.approx(0.9999932046537067, abs=1e-12)
         assert lambda_to_confidence(4.5) == pytest.approx(0.999997, abs=5e-6)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.5])
+    def test_rejects_non_finite_or_negative(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            lambda_to_confidence(lam)
 
     def test_roundtrip(self):
         # sqrt(2) erfinv(p) inverts the coverage.  Above lam ~ 5.5 the
