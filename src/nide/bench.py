@@ -171,7 +171,8 @@ def _paired_mse(config: ExperimentConfig, arms):
     ``config``.  One noise vector is drawn per trial (from the trial-indexed child seed)
     and reused, rescaled, across every signal, SNR and arm, so comparisons are paired.
     Each block of trials is analysed once per signal and SNR; every arm shrinks it into one
-    buffer and is scored on coefficients, with no inverse: that needs an orthonormal transform.
+    buffer and is scored there on coefficients, with no inverse: that needs an orthonormal
+    transform.
     """
     n, noise, trials, snrs, seed = config.n, config.noise, config.trials, config.snr_db, config.seed
     profile = _noise_profile(noise, n)
@@ -180,6 +181,7 @@ def _paired_mse(config: ExperimentConfig, arms):
             for key, (method, lam) in arms.items()}
     truths = {name: gen_signal(name, n).samples for name in config.signals}
     thetas = {name: dwt_forward(truth, config.levels).values for name, truth in truths.items()}
+    theta_sq = {name: _norm(theta) ** 2 for name, theta in thetas.items()}
     mses = {(name, snr, key): np.empty(trials) for name in truths for snr in snrs for key in arms}
     block = max(1, _TRIAL_BLOCK_ELEMENTS // n)
     for start in range(0, trials, block):
@@ -197,7 +199,10 @@ def _paired_mse(config: ExperimentConfig, arms):
                 out = np.empty_like(coeffs.values)
                 for key, (cfg, rule) in arms.items():
                     _shrink(coeffs, rule(coeffs, used, cfg)[0], out)
-                    mses[name, snr, key][start:stop] = normalized_mse(out, thetas[name])
+                    # normalized_mse's arithmetic, in the buffer the next arm overwrites
+                    np.subtract(out, thetas[name], out=out)
+                    np.multiply(out, out, out=out)
+                    mses[name, snr, key][start:stop] = np.sum(out, axis=-1) / theta_sq[name]
     return mses
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .gaussian_stats import _check_finite
 from .signature import CorrelationProfile
@@ -108,6 +107,10 @@ def gen_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
         innovation_std = spec.sigma * np.sqrt(1.0 - a * a)
         e = rng.normal(0.0, innovation_std, n)
         x_prev = rng.normal(0.0, spec.sigma)
+        # Imported here: scipy.signal is most of the package's import time, and only
+        # AR(1) noise needs it.
+        from scipy.signal import lfilter
+
         out, _ = lfilter([1.0], [1.0, -a], e, zi=[a * x_prev])
         return out
     # ma: y[t] = sum_k taps[k] e[t-k], innovations scaled for marginal sigma

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -69,6 +74,45 @@ class TestGenNoise:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             gen_noise(NoiseSpec.white(), 0, seed=0)
+
+    @pytest.mark.parametrize("a, sigma, seed", [
+        (0.8, 1.0, 0), (0.8, 2.5, 11), (-0.6, 1.0, 3), (0.99, 0.3, 7), (-0.95, 4.0, 123), (0.0, 1.0, 5),
+    ])
+    def test_ar1_equals_its_recurrence_bit_for_bit(self, a, sigma, seed):
+        rng = np.random.default_rng(seed)  # the generator's own draws
+        e = rng.normal(0.0, sigma * np.sqrt(1.0 - a * a), 300)
+        x_prev = rng.normal(0.0, sigma)
+        want = np.empty_like(e)
+        want[0] = a * x_prev + e[0]
+        for k in range(1, e.size):
+            want[k] = e[k] + a * want[k - 1]
+        got = gen_noise(NoiseSpec.ar1(a, sigma), 300, seed=seed)
+        assert got.tobytes() == want.tobytes()
+
+
+_SCIPY_SIGNAL_PROBE = """
+import sys
+import numpy as np
+from nide import NoiseSpec, denoise, denoise_with, gen_noise
+x = gen_noise(NoiseSpec.white(), 256, seed=0) + np.repeat([0.0, 4.0], 128)
+denoise(x)
+denoise_with("sure", x)
+gen_noise(NoiseSpec.ma([1.0, 0.5]), 256, seed=1)
+print("scipy.signal" in sys.modules)
+gen_noise(NoiseSpec.ar1(0.8), 256, seed=2)
+print("scipy.signal" in sys.modules)
+"""
+
+
+def test_scipy_signal_loads_only_for_ar1_noise():
+    """A fresh interpreter: importing the package, denoising and drawing white or MA
+    noise leave ``scipy.signal`` unloaded; the first AR(1) draw loads it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_SIGNAL_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class TestTheoreticalProfile:
