@@ -7,10 +7,10 @@ The white runs estimate the noise scale from the finest detail band; the
 colored runs hand every method the true marginal scale, since the
 finest-band median estimator is biased once the noise is correlated.
 
-Takes about 3.3 s at the default 100 trials (3.30-3.33 s over five runs on
-a 2-vCPU machine with Python 3.11 and numpy 2.4.6, of which the white matrix
-takes 0.30 s and the ar1 matrix 2.2 s); use --trials to shorten.  Each
-table is printed with its matrix's wall time.  Tables go to --out-dir, by
+Takes about 5 s at the default 100 trials (4.8-5.8 s over five runs on a
+shared 2-vCPU machine with Python 3.11 and numpy 2.4.6, of which the white
+matrix takes 0.50-0.77 s and the ar1 matrix 3.7-4.7 s); use --trials to
+shorten.  Each table is printed with its matrix's wall time.  Tables go to --out-dir, by
 default results/ in the working directory.
 """
 

@@ -183,10 +183,11 @@ def _paired_mse(config: ExperimentConfig, arms):
     thetas = {name: dwt_forward(truth, config.levels).values for name, truth in truths.items()}
     theta_sq = {name: _norm(theta) ** 2 for name, theta in thetas.items()}
     mses = {(name, snr, key): np.empty(trials) for name in truths for snr in snrs for key in arms}
+    noises = gen_noise(noise, n, [_trial_seed(seed, t) for t in range(trials)])
     block = max(1, _TRIAL_BLOCK_ELEMENTS // n)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        raw = np.stack([gen_noise(noise, n, _trial_seed(seed, t)) for t in range(start, stop)])
+        raw = noises[start:stop]
         raw_norm = _norm(raw)
         for name, truth in truths.items():
             truth_norm = _norm(truth)
@@ -372,9 +373,8 @@ def _check_colored_bound(runs, seed, *, n=1024, sigma=1.0, ar=0.8, z_max=None, z
     z_max = 4.0 * sigma if z_max is None else z_max
     spec = NoiseSpec.ar1(ar, sigma)
     zs = _z_values(z, np.linspace(z_max / 50, z_max, 50))
-    g = np.empty((runs, zs.size))
-    for run in range(runs):
-        g[run] = empirical_signature(zs, gen_noise(spec, n, _trial_seed(seed, run)))
+    noises = gen_noise(spec, n, [_trial_seed(seed, run) for run in range(runs)])
+    g = np.array([empirical_signature(zs, row) for row in noises])
     mc_var = g.var(axis=0, ddof=1)
     profile = theoretical_profile(spec, max_lag=n - 1)
     bound = colored_variance_bound(zs, sigma, profile, n)

@@ -4,11 +4,15 @@ robust median-based noise-scale estimator.
 Colored noise comes in two flavours: a first-order autoregressive process
 (``ar1``) and a finite moving average (``ma``).  Generators always rescale so
 the stationary marginal variance equals ``sigma**2``, which keeps the
-signature band center comparable across noise kinds.
+signature band center comparable across noise kinds.  ``gen_noise`` takes
+one seed or a sequence of them; a sequence gives one row per seed, each the
+row its seed gives alone, so a Monte Carlo loop can draw all its trials in
+one call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,34 +94,45 @@ class NoiseSpec:
         return f"ma:{taps}"
 
 
-def gen_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
+def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
     """Zero-mean Gaussian sequence of length ``n`` with marginal std ``spec.sigma``.
 
     Deterministic for a fixed ``(spec, n, seed)``.  AR output is started from
     its stationary distribution, so the marginal variance is exact at every
-    index.
+    index.  ``seed`` may also be a sequence of seeds: the result then has one
+    row per seed, and row ``i`` equals ``gen_noise(spec, n, seed[i])``.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
+    single = np.ndim(seed) == 0
+    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
+    out = np.empty((len(rngs), n))
     if spec.kind == "white":
-        return rng.normal(0.0, spec.sigma, n)
-    if spec.kind == "ar1":
+        for row, rng in zip(out, rngs):
+            row[:] = rng.normal(0.0, spec.sigma, n)
+    elif spec.kind == "ar1":
         a = spec.ar_coeff
         innovation_std = spec.sigma * np.sqrt(1.0 - a * a)
-        e = rng.normal(0.0, innovation_std, n)
-        x_prev = rng.normal(0.0, spec.sigma)
-        # Imported here: scipy.signal is most of the package's import time, and only
-        # AR(1) noise needs it.
-        from scipy.signal import lfilter
-
-        out, _ = lfilter([1.0], [1.0, -a], e, zi=[a * x_prev])
-        return out
-    # ma: y[t] = sum_k taps[k] e[t-k], innovations scaled for marginal sigma
-    taps = spec.ma_taps
-    innovation_std = spec.sigma / np.sqrt(np.sum(taps**2))
-    e = rng.normal(0.0, innovation_std, n + taps.size - 1)
-    return np.convolve(e, taps, mode="valid")
+        prev = np.empty(len(rngs))
+        for i, rng in enumerate(rngs):  # the innovations, then the start value y[-1]
+            out[i] = rng.normal(0.0, innovation_std, n)
+            prev[i] = rng.normal(0.0, spec.sigma)
+        # y[k] = e[k] + a*y[k-1], rounding the product and then the sum, one step at a
+        # time across every row of a time-major copy.
+        y, t = out.T.copy(), np.empty_like(prev)
+        for cur in y:
+            np.multiply(prev, a, out=t)
+            np.add(t, cur, out=cur)
+            prev = cur
+        out[:] = y.T
+    else:
+        # ma: y[t] = sum_k taps[k] e[t-k], innovations scaled for marginal sigma
+        taps = spec.ma_taps
+        innovation_std = spec.sigma / np.sqrt(np.sum(taps**2))
+        for row, rng in zip(out, rngs):
+            row[:] = np.convolve(rng.normal(0.0, innovation_std, n + taps.size - 1), taps,
+                                 mode="valid")
+    return out[0] if single else out
 
 
 def theoretical_profile(spec: NoiseSpec, max_lag: int) -> CorrelationProfile:

@@ -183,8 +183,8 @@ def per_trial_arms(config):
     profile = None
     if config.noise.kind != "white":
         profile = theoretical_profile(config.noise, config.n - 1)
-    for trial in range(config.trials):
-        raw_noise = gen_noise(config.noise, config.n, _trial_seed(config.seed, trial))
+    seeds = [_trial_seed(config.seed, trial) for trial in range(config.trials)]
+    for raw_noise in gen_noise(config.noise, config.n, seeds):
         raw_norm = _norm(raw_noise)
         for name in config.signals:
             truth = gen_signal(name, config.n).samples

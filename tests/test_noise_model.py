@@ -64,7 +64,7 @@ class TestGenNoise:
 
     def test_ar1_marginal_variance_exact_at_start(self):
         # stationary initialization: the first samples are not transient
-        first = np.array([gen_noise(NoiseSpec.ar1(0.9, 2.0), 4, seed=s)[0] for s in range(4000)])
+        first = gen_noise(NoiseSpec.ar1(0.9, 2.0), 4, seed=range(4000))[:, 0]
         assert first.var() == pytest.approx(4.0, rel=0.1)
 
     def test_ma_marginal_variance(self):
@@ -74,6 +74,21 @@ class TestGenNoise:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             gen_noise(NoiseSpec.white(), 0, seed=0)
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec.white(), NoiseSpec.ar1(0.8), NoiseSpec.ar1(-0.6, 2.0), NoiseSpec.ma([1.0, 0.5, -0.2]),
+    ], ids=["white", "ar1", "ar1-neg", "ma"])
+    @pytest.mark.parametrize("n", [1, 4, 2048])
+    def test_seed_list_stacks_the_single_seed_rows(self, spec, n):
+        seeds = [0, 7, 2**63 + 5, 123]
+        got = gen_noise(spec, n, seeds)
+        want = np.stack([gen_noise(spec, n, s) for s in seeds])
+        assert got.shape == (len(seeds), n)
+        assert got.tobytes() == want.tobytes()
+        assert gen_noise(spec, n, range(3)).tobytes() == gen_noise(spec, n, [0, 1, 2]).tobytes()
+        assert gen_noise(spec, n, []).shape == (0, n)
+        assert gen_noise(spec, n, 7).shape == (n,)
+        assert gen_noise(spec, n, np.int64(7)).tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("a, sigma, seed", [
         (0.8, 1.0, 0), (0.8, 2.5, 11), (-0.6, 1.0, 3), (0.99, 0.3, 7), (-0.95, 4.0, 123), (0.0, 1.0, 5),
@@ -93,26 +108,29 @@ class TestGenNoise:
 _SCIPY_SIGNAL_PROBE = """
 import sys
 import numpy as np
-from nide import NoiseSpec, denoise, denoise_with, gen_noise
+from nide import ExperimentConfig, NoiseSpec, denoise, denoise_with, gen_noise, run_experiment
 x = gen_noise(NoiseSpec.white(), 256, seed=0) + np.repeat([0.0, 4.0], 128)
 denoise(x)
 denoise_with("sure", x)
 gen_noise(NoiseSpec.ma([1.0, 0.5]), 256, seed=1)
-print("scipy.signal" in sys.modules)
 gen_noise(NoiseSpec.ar1(0.8), 256, seed=2)
+gen_noise(NoiseSpec.ar1(0.8), 256, seed=[3, 4])
+run_experiment(ExperimentConfig(signals=("blocks",), snr_db=(8.0,), noise=NoiseSpec.ar1(0.8),
+                                trials=1, n=256, levels=4, sigma_policy="known"))
 print("scipy.signal" in sys.modules)
 """
 
 
-def test_scipy_signal_loads_only_for_ar1_noise():
-    """A fresh interpreter: importing the package, denoising and drawing white or MA
-    noise leave ``scipy.signal`` unloaded; the first AR(1) draw loads it."""
+def test_scipy_signal_is_never_loaded():
+    """A fresh interpreter: importing the package, denoising, drawing white, MA and
+    AR(1) noise (one seed and a seed list) and an AR(1) benchmark matrix all leave
+    ``scipy.signal`` unloaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_SIGNAL_PROBE], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False"]
 
 
 class TestTheoreticalProfile:

@@ -280,8 +280,8 @@ class TestColoredVarianceBound:
         spec = NoiseSpec.ar1(0.8)
         zs = np.linspace(0.15, 4.0, 25)
         g = np.empty((runs, zs.size))
-        for i in range(runs):
-            v = np.sort(np.abs(gen_noise(spec, n, 50_000 + i)))
+        for i, noise in enumerate(gen_noise(spec, n, range(50_000, 50_000 + runs))):
+            v = np.sort(np.abs(noise))
             g[i] = np.searchsorted(v, zs, side="right") / n
         bound = colored_variance_bound(zs, 1.0, theoretical_profile(spec, n - 1), n)
         assert np.sum(g.var(axis=0, ddof=1) > bound) <= 1
@@ -311,7 +311,6 @@ class TestColoredBand:
         zs = np.linspace(0.0, 4.0, 30)
         band = colored_band(zs, 1.0, theoretical_profile(spec, n - 1), n, 4.5)
         hits = np.zeros(zs.size)
-        for i in range(runs):
-            g = empirical_signature(zs, gen_noise(spec, n, 90_000 + i))
-            hits += band.contains(g)
+        for noise in gen_noise(spec, n, range(90_000, 90_000 + runs)):
+            hits += band.contains(empirical_signature(zs, noise))
         assert np.min(hits / runs) >= 0.999
