@@ -9,7 +9,9 @@ band (grid, lower, upper and center).  The second (``baselines sha256``)
 covers the same fields of ``denoise_with`` for visu, sure and bayes, once
 per input, sigma policy and method, as the baselines do not read lambda.
 The third (``harness sha256``) covers the files that ``bench``,
-``lambda-sweep``, ``trace`` and ``mc`` write.  Two checkouts that
+``lambda-sweep``, ``trace`` and ``mc`` write; after it, one line per file
+gives the first 12 hex digits of that file's own SHA-256, so a harness
+digest that moves names the files that moved.  Two checkouts that
 print the same digests give the same results in every bit on these runs, so
 a change meant to be numerically neutral (a speed-up, a refactor) is checked
 by running this script before and after it:
@@ -128,18 +130,21 @@ def baselines(digest) -> int:
     return calls
 
 
-def harness(digest) -> int:
+def harness(digest) -> dict[str, str]:
     """Run every ``HARNESS`` command line and feed each file name and file to
-    ``digest``; returns the number of files."""
+    ``digest``; returns each file's own short digest by name."""
+    files = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in HARNESS:
             out = os.path.join(tmp, name)
             with contextlib.redirect_stdout(io.StringIO()):
                 nide_main([*argv, "--out", out])  # an mc FAIL exits 2 but still writes its report
-            digest.update(name.encode())
             with open(out, "rb") as fh:
-                digest.update(fh.read())
-    return len(HARNESS)
+                data = fh.read()
+            digest.update(name.encode())
+            digest.update(data)
+            files[name] = hashlib.sha256(data).hexdigest()[:12]
+    return files
 
 
 def main(argv=None) -> int:
@@ -152,7 +157,9 @@ def main(argv=None) -> int:
     print(f"baselines sha256 {digest.hexdigest()}  calls={calls}")
     digest = hashlib.sha256()
     files = harness(digest)
-    print(f"harness sha256 {digest.hexdigest()}  files={files}")
+    print(f"harness sha256 {digest.hexdigest()}  files={len(files)}")
+    for name, short in files.items():
+        print(f"  {short}  {name}")
     return 0
 
 

@@ -17,7 +17,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import warnings
@@ -52,6 +51,10 @@ __all__ = [
 METHODS = tuple(_RULES)
 SIGMA_POLICIES = ("mad", "known")
 COVERAGE_FLOOR = 0.999  # least per-z coverage the coverage check asks of the white band
+# The mc checks run on unit-variance noise, so z is in units of sigma.
+THETA = 1.5  # appendixC's coefficient shift
+AR = 0.8  # appendixD's AR(1) coefficient
+Z_MAX = 4.0  # top of appendixD's and coverage's default z grid
 
 # Largest (trials x N) array the paired-trial loop denoises in one call, as
 # signature._LAG_BLOCK_ELEMENTS bounds the lag slices: 32 trials at N = 2048.
@@ -112,8 +115,8 @@ class ExperimentConfig:
     noise: NoiseSpec = NoiseSpec.white()
     trials: int = 100
     seed: int = 0
-    levels: int = 5
-    lam: float = 4.5
+    levels: int = DenoiseConfig.levels
+    lam: float = DenoiseConfig.lam
     n: int = 2048
     sigma_policy: str = "mad"
 
@@ -301,13 +304,13 @@ def _signature_values(kind: str, z: float, v: np.ndarray) -> np.ndarray:
     return np.exp(-(v**2) / (2.0 * z**2))  # gaussian
 
 
-def _signature_moments(kind: str, z: float, sigma: float) -> tuple[float, float]:
-    """Closed-form per-sample mean and variance of the signature function."""
+def _signature_moments(kind: str, z: float) -> tuple[float, float]:
+    """Closed-form per-sample mean and variance of the signature function of unit noise."""
     if kind == "indicator":
-        F = abs_noise_cdf(z, sigma)
+        F = abs_noise_cdf(z, 1.0)
         return F, F * (1.0 - F)
-    mean = z / np.sqrt(z**2 + sigma**2)  # gaussian
-    second = z / np.sqrt(z**2 + 2.0 * sigma**2)
+    mean = z / np.sqrt(z**2 + 1.0)  # gaussian
+    second = z / np.sqrt(z**2 + 2.0)
     return mean, second - mean**2
 
 
@@ -316,15 +319,15 @@ def _z_values(z, default) -> np.ndarray:
     return np.atleast_1d(np.asarray(default if z is None else z, dtype=float))
 
 
-def _check_averaged_signature(signature, runs, seed, *, n=2048, sigma=1.0, z=None):
+def _check_averaged_signature(signature, runs, seed, *, n=2048, z=None):
     """Shared engine: MC mean/variance of the N-averaged signature vs theory."""
-    zs = _z_values(z, [0.5 * sigma, sigma, 2.0 * sigma])
+    zs = _z_values(z, [0.5, 1.0, 2.0])
     rng = np.random.default_rng(seed)
-    V = rng.normal(0.0, sigma, size=(runs, n))
+    V = rng.normal(0.0, 1.0, size=(runs, n))
     rows, ok = [], True
     for z in zs:
         g = _signature_values(signature, z, V).mean(axis=1)
-        mean_th, var_th = _signature_moments(signature, z, sigma)
+        mean_th, var_th = _signature_moments(signature, z)
         var_av = var_th / n
         mc_mean, mc_var = float(g.mean()), float(g.var(ddof=1))
         se = np.sqrt(var_av / runs)
@@ -348,16 +351,15 @@ def _check_averaged_signature(signature, runs, seed, *, n=2048, sigma=1.0, z=Non
     return rows, ok, summary
 
 
-def _check_shifted_mean(runs, seed, *, n=2048, sigma=1.0, theta=None, z=None):
-    theta = 1.5 * sigma if theta is None else theta
-    zs = _z_values(z, np.array([0.5, 1.0, 1.5, 2.0, 3.0]) * sigma)
+def _check_shifted_mean(runs, seed, *, n=2048, z=None):
+    zs = _z_values(z, [0.5, 1.0, 1.5, 2.0, 3.0])
     rng = np.random.default_rng(seed)
-    V = rng.normal(0.0, sigma, size=(runs, n))
-    shifted = np.abs(theta + V)
+    V = rng.normal(0.0, 1.0, size=(runs, n))
+    shifted = np.abs(THETA + V)
     rows, ok = [], True
     for z in zs:
         mc_mean = float((shifted <= z).mean())
-        H = shifted_abs_cdf(float(z), theta, sigma)
+        H = shifted_abs_cdf(float(z), THETA, 1.0)
         se = np.sqrt(max(H * (1.0 - H), 1e-30) / (runs * n))
         dev = abs(mc_mean - H) / se if se > 0 else 0.0
         row_ok = bool(dev <= 5.0)
@@ -366,18 +368,17 @@ def _check_shifted_mean(runs, seed, *, n=2048, sigma=1.0, theta=None, z=None):
             {"z": float(z), "mc_mean": mc_mean, "analytic_mean": float(H),
              "mean_dev_se": float(dev), "ok": row_ok}
         )
-    return rows, ok, f"shifted-coefficient curve mean within 5 SE at every z (theta={theta:g})"
+    return rows, ok, f"shifted-coefficient curve mean within 5 SE at every z (theta={THETA:g})"
 
 
-def _check_colored_bound(runs, seed, *, n=1024, sigma=1.0, ar=0.8, z_max=None, z=None):
-    z_max = 4.0 * sigma if z_max is None else z_max
-    spec = NoiseSpec.ar1(ar, sigma)
-    zs = _z_values(z, np.linspace(z_max / 50, z_max, 50))
+def _check_colored_bound(runs, seed, *, n=1024, z=None):
+    spec = NoiseSpec.ar1(AR)
+    zs = _z_values(z, np.linspace(Z_MAX / 50, Z_MAX, 50))
     noises = gen_noise(spec, n, [_trial_seed(seed, run) for run in range(runs)])
     g = np.array([empirical_signature(zs, row) for row in noises])
     mc_var = g.var(axis=0, ddof=1)
     profile = theoretical_profile(spec, max_lag=n - 1)
-    bound = colored_variance_bound(zs, sigma, profile, n)
+    bound = colored_variance_bound(zs, 1.0, profile, n)
     violations = int(np.sum(mc_var > bound))
     rows = [
         {"z": float(z), "mc_var": float(v), "bound": float(b), "ok": bool(v <= b)}
@@ -386,14 +387,13 @@ def _check_colored_bound(runs, seed, *, n=1024, sigma=1.0, ar=0.8, z_max=None, z
     return rows, violations <= 1, f"{violations}/{zs.size} grid points exceed the bound (allowed 1)"
 
 
-def _check_coverage(runs, seed, *, n=2048, sigma=1.0, lam=4.5, z_max=None, z=None):
-    z_max = 4.0 * sigma if z_max is None else z_max
-    zs = _z_values(z, np.linspace(0.0, z_max, 30))
-    band = white_band(zs, sigma, n, lam)
+def _check_coverage(runs, seed, *, n=2048, z=None):
+    zs = _z_values(z, np.linspace(0.0, Z_MAX, 30))
+    band = white_band(zs, 1.0, n, DenoiseConfig.lam)
     hits = np.zeros(zs.size)
     for run in range(runs):
         rng = np.random.default_rng(_trial_seed(seed, run))
-        g = empirical_signature(zs, rng.normal(0.0, sigma, n))
+        g = empirical_signature(zs, rng.normal(0.0, 1.0, n))
         hits += band.contains(g)
     coverage = hits / runs
     rows = [
@@ -405,8 +405,8 @@ def _check_coverage(runs, seed, *, n=2048, sigma=1.0, lam=4.5, z_max=None, z=Non
 
 
 # Check identifiers follow the layout of the statistical derivations they
-# verify (see README).  Each maps to its check and the least number of runs
-# it needs: the checks that estimate a variance need two.
+# verify (see README).  Each maps to its check, ``(runs, seed, *, n, z)``, and
+# the least number of runs it needs: the checks that estimate a variance need two.
 _CHECKS = {
     "appendixA": (partial(_check_averaged_signature, "gaussian"), 2),
     "appendixB": (partial(_check_averaged_signature, "indicator"), 2),
@@ -424,31 +424,30 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
                    signature function under IID Gaussian noise
     ``appendixB``  the same for the indicator signature (empirical CDF of
                    absolute values): mean F, variance F(1-F)/N
-    ``appendixC``  mean of the indicator curve for shifted coefficients vs H
-    ``appendixD``  MC variance of the sorted curve under AR(1) noise stays
-                   below the analytic bound at all but one of 50 z values
-    ``coverage``   per-z coverage of the white-noise band is at least 0.999
+    ``appendixC``  mean of the indicator curve for coefficients shifted by THETA vs H
+    ``appendixD``  MC variance of the sorted curve under AR(1) noise (coefficient AR)
+                   stays below the analytic bound at all but one of 50 z values
+    ``coverage``   per-z coverage of the default white-noise band is at least 0.999
 
-    ``params`` are the check's keyword parameters; one the check does not
-    take is rejected with ``ValueError``, as is a non-finite number or an
-    empty ``z``.  ``z`` replaces a check's z values.
+    Every check draws unit-variance noise.  ``params`` may set ``n`` (samples per
+    run) and ``z`` (in place of the check's default grid); another key, a
+    non-integer or nonpositive ``n``, or an empty, negative or non-finite ``z`` is
+    rejected with ``ValueError``.
     """
     params = dict(params or {})
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {MC_CHECKS}")
     run_check, least = _CHECKS[check]
-    try:
-        inspect.signature(run_check).bind(runs, seed, **params)
-    except TypeError as exc:
-        raise ValueError(f"check {check}: {exc}") from None
-    for key in ("sigma", "theta", "ar", "lam", "z_max", "z"):
-        value = params.get(key)  # None keeps the check's default
-        if value is not None and not (np.size(value) and np.all(np.isfinite(value))):
-            raise ValueError(f"{key} must be finite and nonempty, got {value!r}")
-    if "z" in params and "z_max" in params:
-        raise ValueError("z replaces the default grid, so give no z_max with it")
-    if params.get("n", 1) < 1:
-        raise ValueError(f"n must be at least 1, got {params['n']}")
+    unknown = set(params) - {"n", "z"}
+    if unknown:
+        raise ValueError(f"check {check} takes only n and z, not {', '.join(sorted(unknown))}")
+    n = params.get("n", 1)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be at least 1 and an integer, got {n!r}")
+    if params.get("z") is not None:
+        zs = np.asarray(params["z"], dtype=float)
+        if not (zs.size and np.all((0 <= zs) & (zs < np.inf))):
+            raise ValueError(f"z must be nonempty, finite and nonnegative, got {params['z']!r}")
     if runs < least:
         raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
     rows, ok, summary = run_check(runs, seed, **params)
@@ -470,15 +469,17 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _add_model(parser):
-    parser.add_argument("--levels", type=int, default=5)
+    parser.add_argument("--levels", type=int, default=DenoiseConfig.levels)
     parser.add_argument("--noise", default="white", help="white | ar1:<a> | ma:<t1,t2,...>")
 
 
 def _add_common(parser):
     _add_model(parser)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--length", type=int, default=2048, help="signal length (power of two)")
-    parser.add_argument("--sigma-policy", choices=SIGMA_POLICIES, default="mad")
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    parser.add_argument("--length", type=int, default=ExperimentConfig.n,
+                        help="signal length (power of two)")
+    parser.add_argument("--sigma-policy", choices=SIGMA_POLICIES,
+                        default=ExperimentConfig.sigma_policy)
 
 
 def _common(args) -> dict:
@@ -489,7 +490,7 @@ def _common(args) -> dict:
 
 def _add_experiment(parser):
     """Flags of the paired-trial commands: :func:`_add_common`'s and ``--trials``."""
-    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     parser.add_argument("--out", required=True)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(parser)
@@ -507,33 +508,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", default="blocks", help="comma separated signal names")
     p.add_argument("--method", default=",".join(METHODS), help="comma separated methods")
     p.add_argument("--snr", default="1,4,8,10,14", help="comma separated SNR values in dB")
-    p.add_argument("--lambda", dest="lam", type=float, default=4.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=DenoiseConfig.lam)
     _add_experiment(p)
 
     p = sub.add_parser("trace", help="emit a sorted-curve/band trace as CSV")
     p.set_defaults(run=_cmd_trace)
     p.add_argument("--signal", default="blocks")
     p.add_argument("--snr", type=float, default=5.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=4.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=DenoiseConfig.lam)
     p.add_argument("--out", required=True)
     _add_common(p)
 
-    p = sub.add_parser("mc", help="run a Monte Carlo self-check; a flag the check "
-                                  "does not read is an error")
+    p = sub.add_parser("mc", help="run a Monte Carlo self-check on unit-variance noise")
     p.set_defaults(run=_cmd_mc)
     p.add_argument("--check", required=True,
                    help=f"one of {', '.join(MC_CHECKS)}")
     p.add_argument("--runs", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=None, help="samples per run (default: the check's)")
     p.add_argument("--z", type=_parse_floats, default=None,
                    help="comma separated z values, in place of the check's default grid")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--ar", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--z-max", dest="z_max", type=float, default=None,
-                   help="upper end of the default z grid (appendixD, coverage: 4 sigma)")
     p.add_argument("--out", default=None, help="optional JSON report path")
 
     p = sub.add_parser("lambda-sweep", help="mean MSE per band-width multiplier")
@@ -549,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pad", choices=("reject", "zero"), default="reject",
                    help="how to handle non-dyadic input length")
-    p.add_argument("--lambda", dest="lam", type=float, default=4.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=DenoiseConfig.lam)
     p.add_argument("--sigma", type=float, default=None, help="known noise scale (default: estimate)")
     _add_model(p)
     return parser
@@ -572,8 +566,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    params = {key: getattr(args, key) for key in ("sigma", "n", "z", "theta", "ar", "lam", "z_max")
-              if getattr(args, key) is not None}
+    params = {key: getattr(args, key) for key in ("n", "z") if getattr(args, key) is not None}
     report = mc_validate(args.check, params, runs=args.runs, seed=args.seed)
     print(report.text())
     if args.out:

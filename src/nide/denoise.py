@@ -190,7 +190,7 @@ def _certified(a, end, sigma, lam, rows) -> np.ndarray:
     return np.where(best >= 0, a[rows, best], 0.0)
 
 
-def select_threshold(coeffs, sigma: float, lam: float = 4.5,
+def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam,
                      profile: CorrelationProfile | None = None) -> float:
     """Largest sorted absolute coefficient still inside the noise band.
 

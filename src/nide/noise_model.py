@@ -72,16 +72,16 @@ class NoiseSpec:
         return cls(kind="ma", sigma=sigma, ma_taps=taps)
 
     @classmethod
-    def parse(cls, text: str, sigma: float = 1.0) -> "NoiseSpec":
-        """Parse a CLI noise string: ``white``, ``ar1:<a>`` or ``ma:<t1,t2,...>``."""
+    def parse(cls, text: str) -> "NoiseSpec":
+        """Parse a CLI noise string, ``white``, ``ar1:<a>`` or ``ma:<t1,t2,...>``, at unit sigma."""
         text = text.strip()
         if text == "white":
-            return cls.white(sigma)
+            return cls.white()
         if text.startswith("ar1:"):
-            return cls.ar1(float(text[4:]), sigma)
+            return cls.ar1(float(text[4:]))
         if text.startswith("ma:"):
             taps = [float(t) for t in text[3:].split(",") if t]
-            return cls.ma(taps, sigma)
+            return cls.ma(taps)
         raise ValueError(f"cannot parse noise spec {text!r}")
 
     def describe(self) -> str:

@@ -164,7 +164,7 @@ def test_criterion_4_statistics_oracle_suite():
         "appendixA": mc_validate("appendixA", {"n": 2048}, runs=2000, seed=SEED),
         "appendixB": mc_validate("appendixB", {"n": 2048}, runs=2000, seed=SEED),
         "appendixC": mc_validate("appendixC", {"n": 2048}, runs=2000, seed=SEED),
-        "appendixD": mc_validate("appendixD", {"n": 1024, "ar": 0.8}, runs=2000, seed=SEED),
+        "appendixD": mc_validate("appendixD", {"n": 1024}, runs=2000, seed=SEED),
     }
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in reports.values()) and elapsed < 120.0
@@ -206,8 +206,8 @@ def test_criterion_5_band_coverage_to_four_sigma():
     so the 0.999 floor is not a property of this band at the last grid
     points and is not asserted there.
     """
-    report = mc_validate("coverage", {"n": 2048, "lam": 4.5, "z_max": 4.0}, runs=5000, seed=SEED)
-    n, lam, floor = report.params["n"], report.params["lam"], COVERAGE_FLOOR
+    report = mc_validate("coverage", {"n": 2048}, runs=5000, seed=SEED)
+    n, lam, floor = report.params["n"], DenoiseConfig.lam, COVERAGE_FLOOR
     off_binomial, below_floor, edge = [], [], ""
     for row in report.rows:
         exact = _exact_band_coverage(row["z"], n, lam)

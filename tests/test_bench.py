@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -212,9 +213,27 @@ class TestMcValidate:
 
     @pytest.mark.parametrize("check", MC_CHECKS)
     def test_rejects_a_parameter_the_check_does_not_take(self, check):
-        for name in ("bogus", "floor", "allowed_violations", "grid_points", "signature"):
+        for name in ("bogus", "floor", "allowed_violations", "grid_points", "signature",
+                     "sigma", "theta", "ar", "lam", "z_max"):
             with pytest.raises(ValueError, match=name):
                 mc_validate(check, {name: 1}, runs=2)
+
+    @pytest.mark.parametrize("check", MC_CHECKS)
+    @pytest.mark.parametrize("params, match", [
+        ({"z": [-1.0, 1.0]}, "z must be"),
+        ({"z": [0.5, np.inf]}, "z must be"),
+        ({"z": -np.inf}, "z must be"),
+        ({"z": []}, "z must be"),
+        ({"n": 2.5}, "n must be at least 1 and an integer"),
+        ({"n": 256.0}, "n must be at least 1 and an integer"),
+    ])
+    def test_rejects_a_negative_or_infinite_z_and_a_non_integer_n(self, check, params, match):
+        with pytest.raises(ValueError, match=match):
+            mc_validate(check, {"n": 64, **params}, runs=200)
+
+    def test_accepts_a_numpy_integer_n(self):
+        report = mc_validate("appendixC", {"n": np.int64(64)}, runs=2)
+        assert report.passed, report.text()
 
     @pytest.mark.parametrize("check", MC_CHECKS)
     def test_every_check_runs_at_the_given_z(self, check):
@@ -295,13 +314,19 @@ class TestCli:
         assert payload["passed"] is True
         assert all(row["ok"] is True for row in payload["rows"])
 
-    def test_mc_coverage_z_max_flag(self, tmp_path):
-        report = tmp_path / "mc.json"
-        main(["mc", "--check", "coverage", "--runs", "300", "--z-max", "3",
-              "--out", str(report)])
-        payload = json.loads(report.read_text())
-        assert payload["params"]["z_max"] == 3.0
-        assert max(row["z"] for row in payload["rows"]) == 3.0
+    def test_mc_takes_only_n_and_z_settings(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"(?<![\w-])--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--check", "--runs", "--seed", "--n", "--z", "--out"}
+
+    @pytest.mark.parametrize("flag", [["--n", "2.5"], ["--sigma", "1"], ["--theta", "1.5"],
+                                      ["--ar", "0.8"], ["--lambda", "4.5"], ["--z-max", "3"]])
+    def test_mc_rejects_a_non_integer_n_and_the_removed_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--check", "coverage", "--runs", "5", *flag])
+        assert exc.value.code == 2
 
     def test_lambda_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -372,15 +397,15 @@ class TestCli:
         ["mc", "--check", "appendixB", "--runs", "1"],
         ["mc", "--check", "coverage", "--runs", "0"],
         ["denoise-file", "--lambda", "9"],
-        ["mc", "--check", "coverage", "--theta", "2"],
-        ["mc", "--check", "appendixA", "--ar", "0.5"],
-        ["mc", "--check", "coverage", "--z", "1,2", "--z-max", "3", "--runs", "200"],
         ["mc", "--check", "appendixB", "--runs", "5", "--z", "nan"],
         ["mc", "--check", "appendixB", "--runs", "5", "--z", ","],
-        ["mc", "--check", "appendixC", "--runs", "5", "--theta", "inf"],
-        ["mc", "--check", "appendixB", "--runs", "5", "--sigma", "inf"],
-        ["mc", "--check", "appendixD", "--runs", "5", "--n", "64", "--z-max", "nan"],
         ["bench", "--noise", "ma:1,nan", "--trials", "1"],
+        ["mc", "--check", "appendixA", "--runs", "200", "--n", "256", "--z", "-1"],
+        ["mc", "--check", "appendixB", "--runs", "5", "--z", "0.5,inf"],
+        ["mc", "--check", "appendixC", "--runs", "5", "--z=-0.5,1"],
+        ["mc", "--check", "appendixD", "--runs", "5", "--n", "64", "--z=-inf"],
+        ["mc", "--check", "coverage", "--runs", "5", "--z=-1"],
+        ["mc", "--check", "appendixA", "--runs", "5", "--n", "-3"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"
