@@ -9,9 +9,9 @@ band (grid, lower, upper and center).  The second (``baselines sha256``)
 covers the same fields of ``denoise_with`` for visu, sure and bayes, once
 per input, sigma policy and method, as the baselines do not read lambda.
 The third (``harness sha256``) covers the files that ``bench``,
-``lambda-sweep``, ``trace`` and ``mc`` write; after it, one line per file
-gives the first 12 hex digits of that file's own SHA-256, so a harness
-digest that moves names the files that moved.  Two checkouts that
+``lambda-sweep``, ``trace``, ``mc`` and ``denoise-file`` write; after it, one
+line per file gives the first 12 hex digits of that file's own SHA-256, so a
+harness digest that moves names the files that moved.  Two checkouts that
 print the same digests give the same results in every bit on these runs, so
 a change meant to be numerically neutral (a speed-up, a refactor) is checked
 by running this script before and after it:
@@ -24,7 +24,9 @@ and MA(1, 0.5, 0.25) noise with the matching band profile.  The colored
 profiles stop at N = 16384 to keep the sweep short.  The command lines
 cover ``bench`` as CSV and JSON (white noise with MAD sigma, and ar1(0.8)
 with known sigma), ``lambda-sweep`` as CSV and JSON, a white and an ar1
-``trace``, and the JSON report of every ``mc`` check on its default grid.
+``trace``, the JSON report of every ``mc`` check on its default grid, and
+``denoise-file`` (output and report) on a 1500-sample input, which it
+mirror-pads to 2048: blocks plus unit white noise that the script writes.
 All three take about seven seconds on one core.
 
 The script runs BLAS on one thread, set before numpy is imported: at
@@ -39,6 +41,7 @@ import io
 import itertools
 import os
 import tempfile
+from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -64,16 +67,18 @@ BAND_EVERY = 7
 
 _BENCH = ["bench", "--signal", "blocks,heavysine,doppler", "--snr", "4,14", "--trials", "40"]
 _SWEEP = ["lambda-sweep", "--signal", "bumps", "--trials", "40"]
+NOISY = "noisy-blocks.csv"  # the non-dyadic denoise-file input; see noisy_blocks()
 # (output file name, command line without --out)
 HARNESS = (
     ("bench-white.csv", _BENCH),
-    ("bench-white.json", [*_BENCH, "--format", "json"]),
+    ("bench-white.json", _BENCH),
     ("bench-ar1.csv", [*_BENCH, "--noise", "ar1:0.8", "--sigma-policy", "known"]),
     ("sweep.csv", _SWEEP),
-    ("sweep.json", [*_SWEEP, "--format", "json"]),
+    ("sweep.json", _SWEEP),
     ("trace-white.csv", ["trace", "--seed", "1"]),
     ("trace-ar1.csv", ["trace", "--seed", "1", "--noise", "ar1:0.8", "--sigma-policy", "known"]),
     *((f"mc-{check}.json", ["mc", "--check", check, "--runs", "500"]) for check in MC_CHECKS),
+    ("denoise.csv", ["denoise-file", "--in", NOISY]),
 )
 
 
@@ -130,20 +135,30 @@ def baselines(digest) -> int:
     return calls
 
 
+def noisy_blocks() -> np.ndarray:
+    """The first 1500 samples of blocks (N = 2048) plus unit white noise, seed 3."""
+    truth = gen_signal("blocks", 2048).samples[:1500]
+    return truth + np.random.default_rng(3).normal(size=truth.size)
+
+
 def harness(digest) -> dict[str, str]:
-    """Run every ``HARNESS`` command line and feed each file name and file to
-    ``digest``; returns each file's own short digest by name."""
+    """Run every ``HARNESS`` command line in a scratch directory and feed the
+    name and bytes of each file it writes to ``digest``; returns each file's
+    own short digest by name."""
     files = {}
     with tempfile.TemporaryDirectory() as tmp:
+        np.savetxt(os.path.join(tmp, NOISY), noisy_blocks())
         for name, argv in HARNESS:
-            out = os.path.join(tmp, name)
+            before = set(os.listdir(tmp))
+            argv = [os.path.join(tmp, a) if a == NOISY else a for a in argv]
             with contextlib.redirect_stdout(io.StringIO()):
-                nide_main([*argv, "--out", out])  # an mc FAIL exits 2 but still writes its report
-            with open(out, "rb") as fh:
-                data = fh.read()
-            digest.update(name.encode())
-            digest.update(data)
-            files[name] = hashlib.sha256(data).hexdigest()[:12]
+                # an mc FAIL exits 2 but still writes its report
+                nide_main([*argv, "--out", os.path.join(tmp, name)])
+            for written in sorted(set(os.listdir(tmp)) - before):
+                data = Path(tmp, written).read_bytes()
+                digest.update(written.encode())
+                digest.update(data)
+                files[written] = hashlib.sha256(data).hexdigest()[:12]
     return files
 
 

@@ -9,9 +9,11 @@ Subcommands
 ``lambda-sweep``  mean MSE of the invalidation threshold across band widths
 ``denoise-file``  denoise a single-column CSV of samples
 
-Determinism: every randomized operation derives its generator from the
-user-supplied seed and the trial index, so identical configurations produce
-byte-identical outputs.
+Determinism: every draw derives from the user-supplied seed, so identical
+configurations produce byte-identical outputs.  ``bench``, ``lambda-sweep``,
+``appendixD`` and ``coverage`` seed each trial or run from the seed and its
+index; ``appendixA``-``appendixC`` draw all their runs from one generator seeded
+by the seed, and ``trace`` draws its one realization from the seed itself.
 """
 
 from __future__ import annotations
@@ -234,7 +236,8 @@ def _mean_std(values) -> tuple[float, float]:
 def emit_band_trace(signal: str, snr_db: float, path, **experiment) -> None:
     """Write the sorted-coefficient curve of one noisy realization together
     with the noise band ``denoise`` selected against, as CSV with columns
-    z, empirical, lower, upper.
+    z, empirical, lower, upper.  ``empirical`` is (m - 1/2) / N, the position
+    ``denoise`` tests, so the last row inside the band is the threshold.
 
     ``experiment`` takes the :class:`ExperimentConfig` fields but ``trials``
     (noise, seed, lam, n, levels, sigma_policy), with their defaults and
@@ -253,7 +256,7 @@ def emit_band_trace(signal: str, snr_db: float, path, **experiment) -> None:
     band = denoise(raw * scale + truth, denoise_config).band
     if band is None:
         raise ValueError("the input is noise free (denoise passed it through), so there is no band")
-    g = np.arange(1, band.n + 1) / band.n  # band.z_grid is the sorted curve
+    g = (np.arange(1, band.n + 1) - 0.5) / band.n  # band.z_grid is the sorted curve
     header = ("z", "empirical", "lower", "upper")
     _write_table(path, "csv", header, zip(band.z_grid, g, band.lower, band.upper))
 
@@ -432,7 +435,7 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
     Every check draws unit-variance noise.  ``params`` may set ``n`` (samples per
     run) and ``z`` (in place of the check's default grid); another key, a
     non-integer or nonpositive ``n``, or an empty, negative or non-finite ``z`` is
-    rejected with ``ValueError``.
+    rejected with ``ValueError``, as is z = 0 for ``appendixA``.
     """
     params = dict(params or {})
     if check not in _CHECKS:
@@ -448,6 +451,8 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
         zs = np.asarray(params["z"], dtype=float)
         if not (zs.size and np.all((0 <= zs) & (zs < np.inf))):
             raise ValueError(f"z must be nonempty, finite and nonnegative, got {params['z']!r}")
+        if check == "appendixA" and np.any(zs == 0):
+            raise ValueError("check appendixA divides by z (exp(-v^2 / 2z^2)), so z must be positive")
     if runs < least:
         raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
     rows, ok, summary = run_check(runs, seed, **params)
@@ -491,8 +496,7 @@ def _common(args) -> dict:
 def _add_experiment(parser):
     """Flags of the paired-trial commands: :func:`_add_common`'s and ``--trials``."""
     parser.add_argument("--trials", type=int, default=ExperimentConfig.trials)
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", required=True, help="CSV, or JSON for a name ending in .json")
     _add_common(parser)
 
 
@@ -541,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_denoise_file)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pad", choices=("reject", "zero"), default="reject",
-                   help="how to handle non-dyadic input length")
     p.add_argument("--lambda", dest="lam", type=float, default=DenoiseConfig.lam)
     p.add_argument("--sigma", type=float, default=None, help="known noise scale (default: estimate)")
     _add_model(p)
@@ -554,7 +556,7 @@ def _cmd_bench(args) -> int:
                               snr_db=_parse_floats(args.snr), lam=args.lam, trials=args.trials,
                               **_common(args))
     result = run_experiment(config)
-    (result.to_csv if args.format == "csv" else result.to_json)(args.out)
+    (result.to_json if args.out.endswith(".json") else result.to_csv)(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 
@@ -579,7 +581,8 @@ def _cmd_mc(args) -> int:
 
 def _cmd_lambda_sweep(args) -> int:
     rows = lambda_sweep(args.signal, args.snr, args.lambdas, trials=args.trials, **_common(args))
-    _write_table(args.out, args.format, ("lambda", "mean_mse", "std_mse"), rows)
+    fmt = "json" if args.out.endswith(".json") else "csv"
+    _write_table(args.out, fmt, ("lambda", "mean_mse", "std_mse"), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -598,15 +601,11 @@ def _cmd_denoise_file(args) -> int:
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("input must be a nonempty single-column CSV of numbers")
     n = samples.size
-    min_len = 2**args.levels
-    target = max(1 << (n - 1).bit_length(), min_len)
-    padded = samples
+    target = max(1 << (n - 1).bit_length(), 2**args.levels)
     if target != n:
-        if args.pad == "reject":
-            raise ValueError(f"length {n} is not a power of two >= {min_len}; "
-                             f"rerun with --pad zero to zero-pad to {target}")
-        print(f"warning: zero-padding input from {n} to {target} samples", file=sys.stderr)
-        padded = np.concatenate([samples, np.zeros(target - n)])
+        print(f"warning: mirror-padding input from {n} to {target} samples", file=sys.stderr)
+    # a mirror image keeps the finest band noise-like for the MAD sigma; zeros would not
+    padded = np.pad(samples, (0, target - n), mode="symmetric")
     noise = NoiseSpec.parse(args.noise)
     profile = _noise_profile(noise, target)
     cfg = DenoiseConfig(levels=args.levels, lam=args.lam, sigma=args.sigma, profile=profile)

@@ -21,7 +21,9 @@ from nide.bench import (
     normalized_mse,
     run_experiment,
 )
-from nide.noise_model import NoiseSpec, theoretical_profile
+from nide.denoise import DenoiseConfig, denoise
+from nide.noise_model import NoiseSpec, _norm, gen_noise, theoretical_profile
+from nide.signals import SIGNAL_NAMES, gen_signal
 
 
 class TestNormalizedMse:
@@ -64,10 +66,6 @@ class TestRunExperiment:
         assert len(calls) == 2
 
     def test_single_trial_matches_hand_run(self):
-        from nide.denoise import DenoiseConfig, denoise
-        from nide.noise_model import gen_noise
-        from nide.signals import gen_signal
-
         config = ExperimentConfig(
             signals=("blocks",), snr_db=(8.0,), methods=("nide",), trials=1, seed=3
         )
@@ -231,6 +229,16 @@ class TestMcValidate:
         with pytest.raises(ValueError, match=match):
             mc_validate(check, {"n": 64, **params}, runs=200)
 
+    def test_appendixA_rejects_z_zero(self):
+        # its signature exp(-v^2 / 2z^2) divides by z
+        with pytest.raises(ValueError, match="appendixA"):
+            mc_validate("appendixA", {"n": 64, "z": [0.0, 1.0]}, runs=20)
+
+    @pytest.mark.parametrize("check", MC_CHECKS[1:])
+    def test_other_checks_accept_z_zero(self, check):
+        report = mc_validate(check, {"n": 64, "z": [0.0, 1.0]}, runs=2)
+        assert [row["z"] for row in report.rows] == [0.0, 1.0]
+
     def test_accepts_a_numpy_integer_n(self):
         report = mc_validate("appendixC", {"n": np.int64(64)}, runs=2)
         assert report.passed, report.text()
@@ -260,10 +268,27 @@ class TestCli:
         out = tmp_path / "table.json"
         rc = main([
             "bench", "--signal", "blocks", "--method", "nide", "--snr", "8",
-            "--trials", "1", "--out", str(out), "--format", "json",
+            "--trials", "1", "--out", str(out),
         ])
         assert rc == 0
         assert json.loads(out.read_text())[0]["method"] == "nide"
+
+    def test_lambda_sweep_json(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        rc = main(["lambda-sweep", "--trials", "1", "--lambdas", "4,4.5", "--out", str(out)])
+        assert rc == 0
+        assert [row["lambda"] for row in json.loads(out.read_text())] == [4.0, 4.5]
+
+    @pytest.mark.parametrize("argv", [
+        ["denoise-file", "--in", "in.csv", "--pad", "zero"],
+        ["bench", "--format", "json"],
+        ["lambda-sweep", "--format", "csv"],
+    ])
+    def test_removed_pad_and_format_flags(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out.csv").exists()
 
     def test_trace_columns(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -283,6 +308,26 @@ class TestCli:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         z, g, lower, upper = rows.T
         assert np.any(g < lower)
+
+    @pytest.mark.parametrize("noise, policy", [("white", "mad"), ("ar1:0.8", "known")])
+    def test_trace_last_in_band_row_is_the_threshold(self, tmp_path, noise, policy):
+        spec = NoiseSpec.parse(noise)
+        profile = theoretical_profile(spec, max_lag=2047) if spec.kind != "white" else None
+        out = tmp_path / "trace.csv"
+        for signal in SIGNAL_NAMES:
+            truth = gen_signal(signal, 2048).samples
+            raw = gen_noise(spec, 2048, 1)
+            for snr in (4.0, 8.0, 14.0):
+                assert main(["trace", "--signal", signal, "--snr", str(snr), "--seed", "1",
+                             "--noise", noise, "--sigma-policy", policy, "--out", str(out)]) == 0
+                z, g, lower, upper = np.loadtxt(out, delimiter=",", skiprows=1).T
+                last_in_band = z[np.flatnonzero((g >= lower) & (g <= upper))[-1]]
+                # emit_band_trace's realization, denoised with the same band
+                scale = _norm(truth) * 10.0 ** (-snr / 20.0) / _norm(raw)
+                sigma = spec.sigma * scale if policy == "known" else None
+                config = DenoiseConfig(sigma=sigma, profile=profile)
+                threshold = denoise(raw * scale + truth, config).threshold
+                assert last_in_band == float(f"{threshold:.6g}"), (signal, snr)
 
     def test_trace_with_colored_noise(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -339,31 +384,39 @@ class TestCli:
         assert lines[0] == "lambda,mean_mse,std_mse"
         assert len(lines) == 3
 
-    def test_denoise_file_reject_and_pad(self, tmp_path, capsys):
+    def test_denoise_file_pads_a_non_dyadic_input(self, tmp_path, capsys):
         infile = tmp_path / "in.csv"
         np.savetxt(infile, np.random.default_rng(0).normal(size=100))
         out = tmp_path / "out.csv"
         rc = main([
             "denoise-file", "--in", str(infile), "--out", str(out), "--levels", "3",
         ])
-        assert rc == 2  # non-dyadic input rejected by default
-        rc = main([
-            "denoise-file", "--in", str(infile), "--out", str(out), "--levels", "3",
-            "--pad", "zero",
-        ])
         assert rc == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: mirror-padding input from 100 to 128") and err.count("\n") == 1
         values = np.loadtxt(out)
         assert values.size == 100
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert set(sidecar) == {"threshold", "sigma_used", "lambda"}
 
+    def test_denoise_file_mirror_padding_keeps_the_mad_sigma(self, tmp_path):
+        # Zero padding to 2048 filled half the finest band with zeros: sigma 0.001,
+        # and the output kept the input's error.
+        truth = gen_signal("blocks", 2048).samples[:1025]
+        noisy = truth + np.random.default_rng(3).normal(size=truth.size)
+        infile, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        np.savetxt(infile, noisy)
+        assert main(["denoise-file", "--in", str(infile), "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert report["sigma_used"] == pytest.approx(1.0, rel=0.05)
+        assert np.mean((np.loadtxt(out) - truth) ** 2) < np.mean((noisy - truth) ** 2)
+
     @pytest.mark.parametrize("text", ["value\n1.0\n2.0\n", "1.0\nabc\n", "", "\n\n"])
-    @pytest.mark.parametrize("pad", ["reject", "zero"])
-    def test_denoise_file_rejects_bad_csv(self, tmp_path, capsys, text, pad):
+    def test_denoise_file_rejects_bad_csv(self, tmp_path, capsys, text):
         infile = tmp_path / "in.csv"
         infile.write_text(text)
         out = tmp_path / "out.csv"
-        rc = main(["denoise-file", "--in", str(infile), "--out", str(out), "--pad", pad])
+        rc = main(["denoise-file", "--in", str(infile), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -377,8 +430,6 @@ class TestCli:
         assert not out.exists()
 
     def test_denoise_file_dyadic_roundtrip(self, tmp_path):
-        from nide.signals import gen_signal
-
         infile = tmp_path / "sig.csv"
         truth = gen_signal("heavysine", 256).samples
         noisy = truth + np.random.default_rng(1).normal(0, 1.0, 256)
@@ -406,6 +457,7 @@ class TestCli:
         ["mc", "--check", "appendixD", "--runs", "5", "--n", "64", "--z=-inf"],
         ["mc", "--check", "coverage", "--runs", "5", "--z=-1"],
         ["mc", "--check", "appendixA", "--runs", "5", "--n", "-3"],
+        ["mc", "--check", "appendixA", "--runs", "5", "--z", "0,1"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"
