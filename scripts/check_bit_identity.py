@@ -23,11 +23,12 @@ lambda 2, 4.5 and 7, MAD and known sigma, and white, ar1(0.8), ar1(-0.6)
 and MA(1, 0.5, 0.25) noise with the matching band profile.  The colored
 profiles stop at N = 16384 to keep the sweep short.  The command lines
 cover ``bench`` as CSV and JSON (white noise with MAD sigma, and ar1(0.8)
-with known sigma), ``lambda-sweep`` as CSV and JSON, a white and an ar1
-``trace``, the JSON report of every ``mc`` check on its default grid, and
-``denoise-file`` (output and report) on a 1500-sample input, which it
-mirror-pads to 2048: blocks plus unit white noise that the script writes.
-All three take about seven seconds on one core.
+with known sigma), ``lambda-sweep`` as CSV and JSON, a white ``trace`` as
+CSV and JSON and an ar1 one as CSV, the JSON report of every ``mc`` check on
+its default grid and the coverage rows as CSV, and ``denoise-file`` (output
+and report) on a 1500-sample input, which it mirror-pads to 2048: blocks
+plus unit white noise that the script writes.  All three take 17-19 s on
+one core of a shared 2-vCPU x86-64 host.
 
 The script runs BLAS on one thread, set before numpy is imported: at
 N >= 16384 ``np.linalg.norm`` rounds differently when multi-threaded, which
@@ -76,8 +77,10 @@ HARNESS = (
     ("sweep.csv", _SWEEP),
     ("sweep.json", _SWEEP),
     ("trace-white.csv", ["trace", "--seed", "1"]),
+    ("trace-white.json", ["trace", "--seed", "1"]),
     ("trace-ar1.csv", ["trace", "--seed", "1", "--noise", "ar1:0.8", "--sigma-policy", "known"]),
     *((f"mc-{check}.json", ["mc", "--check", check, "--runs", "500"]) for check in MC_CHECKS),
+    ("mc-coverage.csv", ["mc", "--check", "coverage", "--runs", "500"]),
     ("denoise.csv", ["denoise-file", "--in", NOISY]),
 )
 

@@ -66,14 +66,14 @@ def main():
         ExperimentConfig(noise=NoiseSpec.white(1.0), sigma_policy="mad", **common)
     )
     print_table(white, seconds)
-    white.to_csv(args.out_dir / "mse_white.csv")
+    white.write(args.out_dir / "mse_white.csv")
 
     print("\n== ar1(0.8) noise (known marginal scale for every method) ==")
     colored, seconds = timed_run(
         ExperimentConfig(noise=NoiseSpec.ar1(0.8, 1.0), sigma_policy="known", **common)
     )
     print_table(colored, seconds)
-    colored.to_csv(args.out_dir / "mse_ar1.csv")
+    colored.write(args.out_dir / "mse_ar1.csv")
 
     print(f"\nwrote {args.out_dir / 'mse_white.csv'} and {args.out_dir / 'mse_ar1.csv'}")
 

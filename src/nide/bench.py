@@ -4,7 +4,7 @@ validation of the analytic signature statistics, and the command line tool.
 Subcommands
 -----------
 ``bench``         run a (signal x method x SNR) matrix and write a table
-``trace``         emit the sorted-coefficient curve and its noise band as CSV
+``trace``         emit the sorted-coefficient curve and its noise band
 ``mc``            run one of the named statistical self-checks
 ``lambda-sweep``  mean MSE of the invalidation threshold across band widths
 ``denoise-file``  denoise a single-column CSV of samples
@@ -69,18 +69,24 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _write_table(path, fmt: str, header, rows) -> None:
-    """Write ``rows`` (tuples in ``header`` order) as CSV or as a JSON list of
-    objects; every float keeps six significant digits."""
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON and a newline; numpy scalars become floats."""
     with open(path, "w") as fh:
-        if fmt == "csv":
-            for row in (header, *rows):
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-        else:
-            payload = [{k: float(_fmt(v)) if isinstance(v, float) else v
-                        for k, v in zip(header, row)} for row in rows]
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        json.dump(payload, fh, indent=2, default=float)
+        fh.write("\n")
+
+
+def _write_table(path, header, rows) -> None:
+    """Write ``rows`` (tuples in ``header`` order) as a JSON list of objects for a
+    ``path`` ending in ``.json`` and as CSV otherwise; every float keeps six
+    significant digits."""
+    if str(path).endswith(".json"):
+        _write_json(path, [{k: float(_fmt(v)) if isinstance(v, float) else v
+                            for k, v in zip(header, row)} for row in rows])
+        return
+    with open(path, "w") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _trial_seed(seed: int, *indices: int) -> int:
@@ -151,11 +157,9 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list[ExperimentRow]
 
-    def to_csv(self, path) -> None:
-        _write_table(path, "csv", [f.name for f in fields(ExperimentRow)], map(astuple, self.rows))
-
-    def to_json(self, path) -> None:
-        _write_table(path, "json", [f.name for f in fields(ExperimentRow)], map(astuple, self.rows))
+    def write(self, path) -> None:
+        """Write the rows as JSON for a ``path`` ending in ``.json``, else as CSV."""
+        _write_table(path, [f.name for f in fields(ExperimentRow)], map(astuple, self.rows))
 
     def mean_mse(self, signal: str, method: str, snr_db: float) -> float:
         for r in self.rows:
@@ -235,9 +239,10 @@ def _mean_std(values) -> tuple[float, float]:
 
 def emit_band_trace(signal: str, snr_db: float, path, **experiment) -> None:
     """Write the sorted-coefficient curve of one noisy realization together
-    with the noise band ``denoise`` selected against, as CSV with columns
-    z, empirical, lower, upper.  ``empirical`` is (m - 1/2) / N, the position
-    ``denoise`` tests, so the last row inside the band is the threshold.
+    with the noise band ``denoise`` selected against, with columns z, empirical,
+    lower, upper: a JSON list of rows for a ``path`` ending in ``.json``, else CSV.
+    ``empirical`` is (m - 1/2) / N, the position ``denoise`` tests, so the last
+    row inside the band is the threshold.
 
     ``experiment`` takes the :class:`ExperimentConfig` fields but ``trials``
     (noise, seed, lam, n, levels, sigma_policy), with their defaults and
@@ -257,8 +262,8 @@ def emit_band_trace(signal: str, snr_db: float, path, **experiment) -> None:
     if band is None:
         raise ValueError("the input is noise free (denoise passed it through), so there is no band")
     g = (np.arange(1, band.n + 1) - 0.5) / band.n  # band.z_grid is the sorted curve
-    header = ("z", "empirical", "lower", "upper")
-    _write_table(path, "csv", header, zip(band.z_grid, g, band.lower, band.upper))
+    _write_table(path, ("z", "empirical", "lower", "upper"),
+                 zip(band.z_grid, g, band.lower, band.upper))
 
 
 def lambda_sweep(signal: str, snr_db: float, lambdas, **experiment):
@@ -479,6 +484,7 @@ def _add_model(parser):
 
 
 def _add_common(parser):
+    parser.add_argument("--out", required=True, help="CSV, or JSON for a name ending in .json")
     _add_model(parser)
     parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     parser.add_argument("--length", type=int, default=ExperimentConfig.n,
@@ -488,7 +494,7 @@ def _add_common(parser):
 
 
 def _common(args) -> dict:
-    """The :class:`ExperimentConfig` fields that the flags of :func:`_add_common` set."""
+    """The :class:`ExperimentConfig` fields that :func:`_add_common`'s flags set."""
     return dict(noise=NoiseSpec.parse(args.noise), seed=args.seed, levels=args.levels,
                 n=args.length, sigma_policy=args.sigma_policy)
 
@@ -496,7 +502,6 @@ def _common(args) -> dict:
 def _add_experiment(parser):
     """Flags of the paired-trial commands: :func:`_add_common`'s and ``--trials``."""
     parser.add_argument("--trials", type=int, default=ExperimentConfig.trials)
-    parser.add_argument("--out", required=True, help="CSV, or JSON for a name ending in .json")
     _add_common(parser)
 
 
@@ -515,12 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=DenoiseConfig.lam)
     _add_experiment(p)
 
-    p = sub.add_parser("trace", help="emit a sorted-curve/band trace as CSV")
+    p = sub.add_parser("trace", help="emit a sorted-curve/band trace")
     p.set_defaults(run=_cmd_trace)
     p.add_argument("--signal", default="blocks")
     p.add_argument("--snr", type=float, default=5.0)
     p.add_argument("--lambda", dest="lam", type=float, default=DenoiseConfig.lam)
-    p.add_argument("--out", required=True)
     _add_common(p)
 
     p = sub.add_parser("mc", help="run a Monte Carlo self-check on unit-variance noise")
@@ -532,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="samples per run (default: the check's)")
     p.add_argument("--z", type=_parse_floats, default=None,
                    help="comma separated z values, in place of the check's default grid")
-    p.add_argument("--out", default=None, help="optional JSON report path")
+    p.add_argument("--out", default=None, help="optional path: the full report as JSON for a "
+                   "name ending in .json, else its rows as CSV")
 
     p = sub.add_parser("lambda-sweep", help="mean MSE per band-width multiplier")
     p.set_defaults(run=_cmd_lambda_sweep)
@@ -556,7 +561,7 @@ def _cmd_bench(args) -> int:
                               snr_db=_parse_floats(args.snr), lam=args.lam, trials=args.trials,
                               **_common(args))
     result = run_experiment(config)
-    (result.to_json if args.out.endswith(".json") else result.to_csv)(args.out)
+    result.write(args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 
@@ -571,18 +576,16 @@ def _cmd_mc(args) -> int:
     params = {key: getattr(args, key) for key in ("n", "z") if getattr(args, key) is not None}
     report = mc_validate(args.check, params, runs=args.runs, seed=args.seed)
     print(report.text())
-    if args.out:
-        payload = asdict(report)
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, default=float)
-            fh.write("\n")
+    if args.out and args.out.endswith(".json"):
+        _write_json(args.out, asdict(report))
+    elif args.out:
+        _write_table(args.out, tuple(report.rows[0]), (tuple(row.values()) for row in report.rows))
     return 0 if report.passed else 2
 
 
 def _cmd_lambda_sweep(args) -> int:
     rows = lambda_sweep(args.signal, args.snr, args.lambdas, trials=args.trials, **_common(args))
-    fmt = "json" if args.out.endswith(".json") else "csv"
-    _write_table(args.out, fmt, ("lambda", "mean_mse", "std_mse"), rows)
+    _write_table(args.out, ("lambda", "mean_mse", "std_mse"), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -606,24 +609,12 @@ def _cmd_denoise_file(args) -> int:
         print(f"warning: mirror-padding input from {n} to {target} samples", file=sys.stderr)
     # a mirror image keeps the finest band noise-like for the MAD sigma; zeros would not
     padded = np.pad(samples, (0, target - n), mode="symmetric")
-    noise = NoiseSpec.parse(args.noise)
-    profile = _noise_profile(noise, target)
+    profile = _noise_profile(NoiseSpec.parse(args.noise), target)
     cfg = DenoiseConfig(levels=args.levels, lam=args.lam, sigma=args.sigma, profile=profile)
     result = denoise(padded, cfg)
-    with open(args.out, "w") as fh:
-        for value in result.denoised[:n]:
-            fh.write(f"{value:.12g}\n")
-    with open(sidecar, "w") as fh:
-        json.dump(
-            {
-                "threshold": result.threshold,
-                "sigma_used": result.sigma_used,
-                "lambda": args.lam,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    np.savetxt(args.out, result.denoised[:n], fmt="%.12g")
+    _write_json(sidecar, {"threshold": result.threshold, "sigma_used": result.sigma_used,
+                          "lambda": args.lam})
     print(f"wrote {n} samples to {args.out} (report: {sidecar})")
     return 0
 

@@ -118,13 +118,12 @@ def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
             out[i] = rng.normal(0.0, innovation_std, n)
             prev[i] = rng.normal(0.0, spec.sigma)
         # y[k] = e[k] + a*y[k-1], rounding the product and then the sum, one step at a
-        # time across every row of a time-major copy.
-        y, t = out.T.copy(), np.empty_like(prev)
-        for cur in y:
+        # time across every row, in place.
+        t = np.empty_like(prev)
+        for cur in out.T:
             np.multiply(prev, a, out=t)
             np.add(t, cur, out=cur)
             prev = cur
-        out[:] = y.T
     else:
         # ma: y[t] = sum_k taps[k] e[t-k], innovations scaled for marginal sigma
         taps = spec.ma_taps
@@ -155,18 +154,19 @@ def theoretical_profile(spec: NoiseSpec, max_lag: int) -> CorrelationProfile:
 
 
 def calibrate_noise_to_snr(signal, noise, snr_db: float) -> np.ndarray:
-    """Scale ``noise`` so ``10 log10(|signal|^2 / |scaled|^2) = snr_db``."""
+    """Scale ``noise`` so ``10 log10(|signal|^2 / |scaled|^2) = snr_db`` for one
+    ``signal``; each row (last axis) of a ``(rows, n)`` noise stack is scaled on its own."""
     signal = np.asarray(signal, dtype=float)
     noise = np.asarray(noise, dtype=float)
     for values, what in ((signal, "signal"), (noise, "noise"), (snr_db, "snr_db")):
         _check_finite(values, what)
-    signal_norm, noise_norm = _norm(signal.ravel()), _norm(noise.ravel())
+    signal_norm, noise_norm = _norm(signal.ravel()), _norm(noise)
     if signal_norm == 0:
         raise ValueError("signal has zero energy, SNR undefined")
-    if noise_norm == 0:
-        raise ValueError("noise vector has zero energy")
+    if np.any(noise_norm == 0):
+        raise ValueError("noise has a row with zero energy")
     scale = signal_norm * 10.0 ** (-snr_db / 20.0) / noise_norm
-    return noise * scale
+    return noise * scale[..., None]
 
 
 def _norm(x):

@@ -142,8 +142,8 @@ class TestRunExperiment:
         result = run_experiment(config)
         csv_path = tmp_path / "rows.csv"
         json_path = tmp_path / "rows.json"
-        result.to_csv(csv_path)
-        result.to_json(json_path)
+        result.write(csv_path)
+        result.write(json_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "signal,method,snr_db,noise,mean_mse,std_mse,trials"
         assert len(lines) == 3
@@ -163,8 +163,8 @@ class TestRunExperiment:
             seed=11,
         )
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_experiment(config).to_csv(a)
-        run_experiment(config).to_csv(b)
+        run_experiment(config).write(a)
+        run_experiment(config).write(b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -329,6 +329,16 @@ class TestCli:
                 threshold = denoise(raw * scale + truth, config).threshold
                 assert last_in_band == float(f"{threshold:.6g}"), (signal, snr)
 
+    def test_trace_json_rows_equal_the_csv_rows(self, tmp_path):
+        argv = ["trace", "--signal", "blocks", "--snr", "5", "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path / "t.json")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+        payload = json.loads((tmp_path / "t.json").read_text())
+        rows = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
+        assert set(payload[0]) == {"z", "empirical", "lower", "upper"}
+        as_rows = [[row[k] for k in ("z", "empirical", "lower", "upper")] for row in payload]
+        assert np.array_equal(as_rows, rows)
+
     def test_trace_with_colored_noise(self, tmp_path):
         out = tmp_path / "trace.csv"
         rc = main([
@@ -358,6 +368,19 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["passed"] is True
         assert all(row["ok"] is True for row in payload["rows"])
+
+    def test_mc_writes_its_rows_as_csv_and_its_report_as_json(self, tmp_path):
+        argv = ["mc", "--check", "coverage", "--runs", "20", "--n", "64"]
+        # a FAIL (exit 2) writes the same output as a PASS
+        rc = main([*argv, "--out", str(tmp_path / "c.csv")])
+        assert main([*argv, "--out", str(tmp_path / "c.json")]) == rc
+        report = json.loads((tmp_path / "c.json").read_text())
+        assert {"check", "params", "passed", "rows", "summary"} <= set(report)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert lines[0] == "z,coverage,ok"
+        assert len(lines) == 1 + len(report["rows"]) == 1 + 30
+        z = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1, usecols=0)
+        assert list(z) == [float(f"{row['z']:.6g}") for row in report["rows"]]
 
     def test_mc_takes_only_n_and_z_settings(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -171,6 +171,22 @@ class TestCalibrateNoise:
         ratio = 10 * np.log10(np.sum(signal**2) / np.sum(scaled**2))
         assert ratio == pytest.approx(8.0, abs=1e-9)
 
+    def test_each_row_of_a_stack_lands_at_the_target(self):
+        from nide.signals import gen_signal
+
+        signal = gen_signal("blocks", 2048).samples
+        noise = gen_noise(NoiseSpec.white(), 2048, range(100))
+        scaled = calibrate_noise_to_snr(signal, noise, 8.0)
+        snr = 10 * np.log10(np.sum(signal**2) / np.sum(scaled**2, axis=-1))
+        assert np.all(np.abs(snr - 8.0) < 1e-9)
+        assert np.array_equal(scaled[7], calibrate_noise_to_snr(signal, noise[7], 8.0))
+
+    def test_rejects_a_stack_with_a_zero_energy_row(self):
+        noise = np.ones((3, 8))
+        noise[1] = 0.0
+        with pytest.raises(ValueError, match="zero energy"):
+            calibrate_noise_to_snr(np.ones(8), noise, 3.0)
+
     @given(st.floats(-20, 40), st.floats(-20, 40))
     def test_scale_monotone_in_snr(self, a, b):
         rng = np.random.default_rng(1)
