@@ -96,7 +96,8 @@ def sure_threshold(band, sigma):
     rows, sigma = _rows(band, sigma)
     n = rows.shape[-1]
     t = visu_threshold(n, sigma)
-    energy_excess = (np.sum((rows / sigma[:, None]) ** 2, axis=-1) - n) / n
+    with np.errstate(over="ignore"):  # a sigma far below the band: inf energy reads as dense
+        energy_excess = (np.sum((rows / sigma[:, None]) ** 2, axis=-1) - n) / n
     dense = ~(energy_excess <= np.log2(n) ** 1.5 / np.sqrt(n))
     if dense.any():  # the risk search runs only where its result is used
         t[dense] = np.minimum(sure_minimizer(rows[dense], sigma[dense]), t[dense])

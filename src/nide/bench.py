@@ -58,11 +58,21 @@ THETA = 1.5  # appendixC's coefficient shift
 AR = 0.8  # appendixD's AR(1) coefficient
 Z_MAX = 4.0  # top of appendixD's and coverage's default z grid
 
-# Largest (trials x N) array the paired-trial loop denoises in one call, as
-# signature._LAG_BLOCK_ELEMENTS bounds the lag slices: 32 trials at N = 2048.
-# Twice as many ran about 7% faster on the white reference matrix, but every
-# (trials x N) temporary doubles with it.
-_TRIAL_BLOCK_ELEMENTS = 1 << 16
+# Largest (trials x N) array the paired-trial loop denoises in one call: 64
+# trials at N = 2048, so the reference 100 trials run as two even blocks of 50.
+# Each block pays a fixed cost per signal, SNR and arm, and its (trials x N)
+# temporaries grow with it.  Measured with perfbench (8 s runs, seeds
+# 911-913, median calls/s and peak RSS; white-matrix | ar1-matrix), with even
+# blocks for each cap and, as a control, full blocks with a short last one:
+#   2^15, 7 blocks of 14-15:  16.8k, 61.5-61.9 MB | 11.3k, 61.6-61.9 MB
+#   2^16, 4 blocks of 25:     20.7k, 62.1-62.6 MB | 12.9k, 62.4-62.8 MB
+#   2^17, 2 blocks of 50:     23.5k, 65.2-65.8 MB | 14.3k, 64.6-64.7 MB
+#   2^18, 1 block of 100:     25.3k, 69.7-70.2 MB | 14.9k, 68.1 MB
+#   2^16, 32+32+32+4:         21.0k, 63.5-63.8 MB | 12.9k, 63.6 MB
+#   2^17, 64+36:              23.8k, 66.4-67.0 MB | 14.6k, 65.3-65.7 MB
+# 2^18 is faster still, but its peak RSS is 10% above 32+32+32+4's, the most
+# BENCHMARK.json allows.
+_TRIAL_BLOCK_ELEMENTS = 1 << 17
 
 
 def _fmt(x: float) -> str:
@@ -131,6 +141,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(canonical_name(s) for s in self.signals))
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         object.__setattr__(self, "methods", tuple(self.methods))
         for m in self.methods:
             if m not in METHODS:
@@ -179,9 +191,11 @@ def _paired_mse(config: ExperimentConfig, arms):
     ``arms`` maps a key to a ``(method, lam)`` pair; every other setting comes from
     ``config``.  One noise vector is drawn per trial (from the trial-indexed child seed)
     and reused, rescaled, across every signal, SNR and arm, so comparisons are paired.
-    Each block of trials is analysed once per signal and SNR; every arm shrinks it into one
-    buffer and is scored there on coefficients, with no inverse: that needs an orthonormal
-    transform.
+    The trials run in the fewest blocks of at most ``_TRIAL_BLOCK_ELEMENTS`` samples, as
+    equal as possible (100 trials at N = 2048 as 50 + 50); every row is denoised on its own,
+    so the split changes no score.  Each block is analysed once per signal and SNR; every arm
+    shrinks it into one buffer and is scored there on coefficients, with no inverse: that
+    needs an orthonormal transform.
     """
     n, noise, trials, snrs, seed = config.n, config.noise, config.trials, config.snr_db, config.seed
     profile = _noise_profile(noise, n)
@@ -193,9 +207,9 @@ def _paired_mse(config: ExperimentConfig, arms):
     theta_sq = {name: _norm(theta) ** 2 for name, theta in thetas.items()}
     mses = {(name, snr, key): np.empty(trials) for name in truths for snr in snrs for key in arms}
     noises = gen_noise(noise, n, [_trial_seed(seed, t) for t in range(trials)])
-    block = max(1, _TRIAL_BLOCK_ELEMENTS // n)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
+    count = -(-trials // max(1, _TRIAL_BLOCK_ELEMENTS // n))
+    for i in range(count):
+        start, stop = trials * i // count, trials * (i + 1) // count
         raw = noises[start:stop]
         raw_norm = _norm(raw)
         for name, truth in truths.items():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,12 @@ class TestSureThreshold:
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
             sure_threshold(np.array([0.5, -1.0, 2.0]), sigma)
 
+    def test_sigma_far_below_the_band_reads_dense_without_overflow_warnings(self):
+        # (band / sigma)**2 overflows to inf: the band is dense, and SURE keeps everything.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sure_threshold(np.ones(64), 1e-300) == 0.0
+
 
 class TestBayesThreshold:
     def test_pure_noise_band_killed(self):
@@ -124,6 +132,14 @@ class TestDenoiseWith:
         assert err_after < err_before
         assert result.threshold >= 0
         assert result.sigma_used > 0
+
+    def test_sure_on_a_noise_free_input_keeps_every_coefficient_without_warnings(self):
+        # the MAD sigma of blocks is 0, floored at the smallest normal float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = denoise_with("sure", gen_signal("blocks", 2048).samples)
+        assert result.threshold == 0.0
+        assert result.coefficients_kept == 49
 
     @pytest.mark.parametrize("method", ["visu", "sure", "bayes", "nide"])
     def test_sigma_used_is_the_analysed_sigma_of_a_silent_input(self, method):

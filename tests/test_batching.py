@@ -214,7 +214,7 @@ def ref_trial_mses(config):
 
 
 PAIRED_CONFIGS = [
-    # 70 trials at N = 2048 run as blocks of 32, 32 and 6 trials.
+    # 70 trials at N = 2048 run as two blocks of 35 trials.
     ExperimentConfig(signals=("blocks",), snr_db=(4.0, 14.0), noise=noise, trials=70, seed=3,
                      sigma_policy=policy)
     for noise, policy in ((NoiseSpec.white(), "mad"), (NoiseSpec.ar1(0.8), "known"))
@@ -326,14 +326,19 @@ def test_sure_searches_only_dense_rows(seed, n, dense):
 
 def test_one_analysis_per_stack(monkeypatch):
     """_paired_mse transforms each block of trials once per signal and SNR,
-    whatever the number of arms."""
+    whatever the number of arms, in the fewest blocks of at most
+    _TRIAL_BLOCK_ELEMENTS samples, made as equal as possible."""
     module = importlib.import_module("nide.denoise")
     forward, calls = module.dwt_forward, []
     monkeypatch.setattr(module, "dwt_forward",
                         lambda x, levels: calls.append(x.shape) or forward(x, levels))
-    config = ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0), trials=40,
-                              seed=1)
     arms = {m: (m, LAM) for m in METHODS} | {"nide 3": ("nide", 3.0)}
-    # 40 trials at N = 2048 run as blocks of 32 and 8 trials: 2 x 2 signals x 2 SNRs.
-    _paired_mse(config, arms)
-    assert sorted(calls) == [(8, 2048)] * 4 + [(32, 2048)] * 4
+    # (trials, N): the blocks, each transformed once per signal and SNR (2 x 2).
+    # The reference 100 trials at N = 2048 run as two blocks of 50, with no
+    # short tail; at N = 4096 a block holds at most 32 trials, so 70 run as 23, 23, 24.
+    for (trials, n), blocks in {(100, 2048): [50, 50], (70, 4096): [23, 23, 24]}.items():
+        calls.clear()
+        config = ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0),
+                                  trials=trials, seed=1, n=n)
+        _paired_mse(config, arms)
+        assert calls == [(b, n) for b in blocks for _ in range(4)]

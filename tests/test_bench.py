@@ -112,6 +112,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(signals=("blocks",), snr_db=(1.0,), sigma_policy="oracle")
 
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_snr(self, snr):
+        # +inf would zero the noise, a NaN or -inf would make every sample NaN
+        with pytest.raises(ValueError, match="snr_db"):
+            ExperimentConfig(signals=("blocks",), snr_db=(8.0, snr))
+
     @pytest.mark.parametrize("bad", [{"sigma_policy": "oracle"}, {"trials": 0}])
     def test_lambda_sweep_validates_its_experiment(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -481,6 +487,11 @@ class TestCli:
         ["mc", "--check", "coverage", "--runs", "5", "--z=-1"],
         ["mc", "--check", "appendixA", "--runs", "5", "--n", "-3"],
         ["mc", "--check", "appendixA", "--runs", "5", "--z", "0,1"],
+        ["bench", "--snr", "nan", "--trials", "1"],
+        ["bench", "--snr", "inf", "--trials", "1"],
+        ["bench", "--snr=-inf", "--trials", "1"],
+        ["lambda-sweep", "--snr", "inf", "--trials", "1"],
+        ["trace", "--snr", "nan"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"
