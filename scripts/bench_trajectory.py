@@ -12,8 +12,9 @@ checkout's in the other, made as alternating pairs with the same seeds.
 For every workload and every end-to-end metric that ``BENCHMARK.json``
 declares, the output holds the parent's and the change's median and
 quartiles, the ratio of the medians, and the number of pairs the change
-wins.  It also records the seeds, the host, the numpy and scipy versions
-and each run's MSE-table digest.
+wins.  It also records the seeds, the host, the numpy and scipy versions,
+each run's MSE-table digest and both sides' timing metrics as measured,
+before perfbench rescales them to nominal machine speed.
 """
 
 import argparse
@@ -76,6 +77,12 @@ def trajectory(parent: dict, change: dict, declared: list[dict]) -> dict:
             "mse_table_sha256": [[p["info"].get("mse_table_sha256"), c["info"].get("mse_table_sha256")]
                                  for p, c in pairs],
             "metrics": metrics,
+            # The timing metrics before the machine-speed rescaling (perfbench/worker.py).
+            "as_measured": {
+                name: {side: _summary([run[i]["info"]["as_measured"][name] for run in pairs])
+                       for i, side in enumerate(("parent", "change"))}
+                for name in pairs[0][0]["info"].get("as_measured", {})
+            },
         }
     return workloads
 

@@ -14,13 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian_stats import _check_finite, _check_sigma, abs_noise_cdf
+from .gaussian_stats import _check_finite, _check_sigma
 from .noise_model import estimate_sigma_mad
 from .signature import (
     ConfidenceBand,
     CorrelationProfile,
-    _band_edges,
     _check_band_args,
+    _first_in_band,
     colored_band,
     white_band,
 )
@@ -38,14 +38,10 @@ __all__ = [
 # as zero: the band degenerates to a line and thresholding must be skipped.
 SIGMA_FLOOR_RATIO = 1e-12
 
-# Points in the first block of the top-down band scan; each further block is
-# twice as long.  After POINTWISE_BLOCKS blocks a white row is finished by
-# chunk certificates (see _select), which sorts only the top SORTED_TOP up front.
+# Points in the first block of the top-down band scan, each further block twice
+# as long; only the top SORTED_TOP points (four blocks) are sorted up front.
 SCAN_BLOCK = 8
-POINTWISE_BLOCKS = 4
-SORTED_TOP = SCAN_BLOCK * (2**POINTWISE_BLOCKS - 1)
-CHUNK = 64
-CHUNK_MARGIN = 1e-9
+SORTED_TOP = 15 * SCAN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -108,86 +104,42 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
 
 
 def _select(a, sigma, lam, profile, rows) -> np.ndarray:
-    """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients,
-    shape ``(rows, N)``, each row with the band over its N points) with per-row
-    noise scales ``sigma``, positive on ``rows`` and not checked here; the other
-    rows get 0.  ``a`` is reordered in place: every row is partitioned at
-    N - ``SORTED_TOP`` with its top sorted, and a row's lower points are sorted
-    when its scan reaches them.
+    """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients, shape
+    ``(rows, N)``, each row with the band over its N points) with per-row noise
+    scales ``sigma``, positive on ``rows`` and not checked here; the other rows get 0.
+    ``a`` is reordered in place: every row is partitioned at N - ``SORTED_TOP`` with
+    its top sorted, and the rest is sorted when the row's scan reaches it.
 
-    Band membership is tested at the midpoint plotting position
-    (m - 1/2) / N.  With g = m/N the final point (g = 1) always lies inside
-    the clamped band, so a curve that departed and never returned would
-    still report its maximum as "in band"; the half-step removes that
-    artifact without moving interior points by more than half a grid step.
-
-    The threshold is the *last* in-band point, so the band is evaluated
-    from the top of the curve down, in blocks of ``SCAN_BLOCK``,
-    ``2 * SCAN_BLOCK``, ... points, and a row leaves the scan at the first
-    block holding one of its in-band points.  Each point gets the same band
-    values as in a band built over its whole row.
-
-    A white row still in the scan after ``POINTWISE_BLOCKS`` blocks is cut
-    into chunks of ``CHUNK`` points: *out* when the widest band over a chunk
-    misses its g range, *in* when the narrowest band holds it.  Only the
-    undecided chunks above a row's top *in* chunk are evaluated pointwise;
-    with no in-band point there, T* is the top of that *in* chunk.  Sound,
-    because F is nondecreasing in z, so over a chunk it lies between its end
-    values (widened by ``CHUNK_MARGIN``, far above the pointwise rounding);
-    the half-width ``lam * sqrt(F (1 - F) / N)`` is concave in F, so its
-    minimum lies at an end and its maximum at the F nearest 1/2; and the
-    [0, 1] clamp never changes membership, as 0 < g < 1.  The colored band
-    has no cheap interval bound and is scanned pointwise throughout.
+    Membership is tested at the midpoint position (m - 1/2) / N: at m / N the top
+    point is always in the clamped band, so a curve that left it would report its
+    maximum as "in band".  T* is the *last* in-band point, so the scan runs from the
+    top down in blocks of ``SCAN_BLOCK``, twice that, ... points, up to the first
+    block with an in-band point (:func:`~nide.signature._first_in_band`).  A white
+    point is placed by its ``z / sigma`` against the band inverted once per (N, lam),
+    widened and narrowed by 1e-9 in F; only points within that margin, and colored
+    points, are evaluated.  Sound: outside the margin the exact band misses or holds
+    g by at least 5e-10 (the slack is concave in F inside the band and convex outside,
+    so least at the margin's edges: 5.04e-10 for N up to 2^20 and lam up to 8), while
+    F, the band edges and the table are evaluated to about 1e-15.
     """
-    unsorted = max(a.shape[-1] - SORTED_TOP, 0)
-    if unsorted:
-        a.partition(unsorted, axis=-1)
+    n, t = a.shape[-1], np.zeros(a.shape[0])
+    unsorted = max(n - SORTED_TOP, 0)
+    a.partition(unsorted, axis=-1)
     a[..., unsorted:].sort(axis=-1)
-    t = np.zeros(a.shape[0])
-    end, size, blocks = a.shape[-1], SCAN_BLOCK, 0
-    while end > 0 and rows.size:
-        if end <= unsorted:  # in place, as a fancy-index copy costs twice a sort
-            for part in [a[:, :end]] if rows.size == a.shape[0] else [a[i, :end] for i in rows]:
+    top, size, s = 0, SCAN_BLOCK, sigma[rows, None]
+    while top < n and rows.size:
+        if top >= n - unsorted:  # in place, as a fancy-index copy costs twice a sort
+            for part in [a[:, :unsorted]] if rows.size == a.shape[0] else [a[i, :unsorted] for i in rows]:
                 part.sort(axis=-1)
             unsorted = 0
-        if profile is None and blocks == POINTWISE_BLOCKS:
-            t[rows] = _certified(a, end, sigma, lam, rows)
-            break
-        start = max(end - size, unsorted)
-        z = a[rows, start:end]
-        _, lower, upper = _band_edges(z, sigma[rows, None], a.shape[-1], lam, profile)
-        g_mid = (np.arange(start + 1, end + 1) - 0.5) / a.shape[-1]
-        inside = (g_mid >= lower) & (g_mid <= upper)
-        hit = inside.any(axis=-1)
-        last = end - start - 1 - np.argmax(inside[:, ::-1], axis=-1)
-        t[rows[hit]] = z[hit, last[hit]]
-        rows = rows[~hit]
-        end, size, blocks = start, 2 * size, blocks + 1
+        stop = min(top + size, n - unsorted)
+        z = a[:, ::-1][rows, top:stop]  # descending
+        hit, first = _first_in_band(z, s, top, n, lam, profile)
+        if hit.any():
+            t[rows[hit]] = z[hit, first[hit]]
+            rows, s = rows[~hit], s[~hit]
+        top, size = stop, 2 * size
     return t
-
-
-def _certified(a, end, sigma, lam, rows) -> np.ndarray:
-    """Thresholds of the white ``rows`` from chunk certificates over the sorted
-    ``a[rows, :end]`` (see :func:`_select`); 0 where no point there is in band."""
-    n = a.shape[-1]
-    low = np.arange(0, end, CHUNK)
-    high = np.minimum(low + CHUNK, end) - 1
-    f_low = np.maximum(abs_noise_cdf(a[rows[:, None], low], sigma[rows, None]) - CHUNK_MARGIN, 0.0)
-    f_high = np.minimum(abs_noise_cdf(a[rows[:, None], high], sigma[rows, None]) + CHUNK_MARGIN, 1.0)
-    mid = np.clip(0.5, f_low, f_high)
-    widest = lam * np.sqrt(mid * (1.0 - mid) / n)
-    narrowest = lam * np.sqrt(np.minimum(f_low * (1.0 - f_low), f_high * (1.0 - f_high)) / n)
-    g_low, g_high = (low + 0.5) / n, (high + 0.5) / n
-    out = (g_low > f_high + widest) | (g_high < f_low - widest)
-    inside = (g_low >= f_high - narrowest) & (g_high <= f_low + narrowest)
-    top_in = np.where(inside.any(axis=-1), low.size - 1 - np.argmax(inside[:, ::-1], axis=-1), -1)
-    r, c = np.nonzero(~out & ~inside & (np.arange(low.size) > top_in[:, None]))
-    pos = np.minimum(low[c, None] + np.arange(CHUNK), high[c, None])
-    _, lower, upper = _band_edges(a[rows[r, None], pos], sigma[rows[r], None], n, lam)
-    g = (pos + 0.5) / n
-    best = np.where(top_in >= 0, high[top_in], -1)
-    np.maximum.at(best, r, np.where((g >= lower) & (g <= upper), pos, -1).max(axis=-1))
-    return np.where(best >= 0, a[rows, best], 0.0)
 
 
 def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam,

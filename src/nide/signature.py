@@ -7,6 +7,8 @@ so the sorted-absolute-value curve of pure noise lives in a narrow band
 around ``F``.  :func:`_band_edges` is the one band path: it picks the white
 variance or the correlated-noise bound and clamps ``F +/- lam * sqrt(var)``
 to [0, 1] for :func:`white_band`, :func:`colored_band` and the threshold scan.
+:func:`_white_edges` inverts the white band, once per (N, lam), so that
+:func:`_first_in_band` places most white points with two comparisons.
 
 Variance under correlated noise is handled with an upper bound obtained by
 rotating each coefficient pair ``(V_i, V_j)`` into independent components
@@ -17,8 +19,10 @@ with variances ``sigma^2 (1 +/- rho_ij)``; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfinv
 
 from .gaussian_stats import _abs_cdf, _check_finite, _check_sigma, abs_noise_cdf, erf_std
 
@@ -44,6 +48,9 @@ RHO_TRUNCATION = 1e-6
 # 512 KB buffers stay in cache: on a 63488-point grid, blocks of 2^18 and
 # 2^20 elements measured 25-60% slower.
 _LAG_BLOCK_ELEMENTS = 1 << 16
+
+# Margin in F of the inverted white band; denoise._select says why it is sound.
+EDGE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -193,6 +200,54 @@ def _band_edges(z, sigma, n, lam, profile=None):
         center, var = abs_noise_cdf(z, sigma), colored_variance_bound(z, sigma, profile, n)
     half = lam * np.sqrt(np.maximum(var, 0.0))
     return center, np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
+
+
+@lru_cache(maxsize=8)
+def _white_edges(n, lam):
+    """The white band inverted, as read-only rows ``(out_lo, out_hi, in_lo, in_hi)`` of
+    u = z / sigma at the positions p = 0..n-1 of an n-point curve counted from its top:
+    at g = (n - p - 1/2) / n, the roots of ``(F - g)^2 = (lam^2 / n) F (1 - F)``, where
+    F = erf(u / sqrt(2)) meets a band edge, widened and narrowed by ``EDGE_MARGIN``."""
+    g = (np.arange(n, 0, -1) - 0.5) / n
+    c = lam * lam / n
+    root = np.sqrt(c * (4.0 * g * (1.0 - g) + c))  # sqrt((2g + c)^2 - 4 (1 + c) g^2)
+    f_lo, f_hi = (2.0 * g + c - root) / (2.0 + 2.0 * c), (2.0 * g + c + root) / (2.0 + 2.0 * c)
+    f = np.stack([f_lo - EDGE_MARGIN, f_hi + EDGE_MARGIN, f_lo + EDGE_MARGIN, f_hi - EDGE_MARGIN])
+    edges = _SQRT2 * erfinv(np.clip(f, 0.0, 1.0))
+    edges.flags.writeable = False
+    return edges
+
+
+def _first_in_band(z, sigma, top, n, lam, profile=None):
+    """``(hit, first)``: whether each row of ``z`` holds a point in band, and the first.
+    ``z`` (rows, k) holds descending magnitudes at the positions ``top .. top + k - 1``
+    of an n-point curve, ``sigma`` (rows, 1) their noise scales.  A white point outside
+    the widened :func:`_white_edges` is out, and a row whose first point inside them
+    lies inside the narrowed ones is done; in the other rows, and every colored row,
+    the undecided points go through :func:`_band_edges` at g = (n - p - 1/2) / n."""
+    rows = np.arange(z.shape[0])
+    if profile is None:
+        out_lo, out_hi, in_lo, in_hi = _white_edges(n, float(lam))[:, top : top + z.shape[-1]]
+        u = z / sigma
+        inside = (u >= out_lo) & (u <= out_hi)
+        first = np.argmax(inside, axis=-1)
+        hit = inside[rows, first]
+        if not hit.any():
+            return hit, first
+        u_first = u[rows, first]
+        r = rows[hit & ((u_first < in_lo[first]) | (u_first > in_hi[first]))]
+    else:
+        inside, r = np.ones(z.shape, bool), rows
+    if r.size:
+        sure = (u[r] >= in_lo) & (u[r] <= in_hi) if profile is None else ~inside
+        i, j = np.nonzero(inside[r] & ~sure)
+        _, lower, upper = _band_edges(z[r[i], j], sigma[r[i], 0], n, lam, profile)
+        g = (n - top - 0.5 - j) / n
+        sure[i, j] = (g >= lower) & (g <= upper)
+        inside[r] = sure
+        first = np.argmax(inside, axis=-1)
+        hit = inside[rows, first]
+    return hit, first
 
 
 def _band(z_grid, sigma, n, lam, profile=None) -> ConfidenceBand:

@@ -14,6 +14,7 @@ import nide.bench
 from nide.bench import (
     ExperimentConfig,
     MC_CHECKS,
+    SNR_DB_MIN,
     emit_band_trace,
     lambda_sweep,
     main,
@@ -117,6 +118,20 @@ class TestRunExperiment:
         # +inf would zero the noise, a NaN or -inf would make every sample NaN
         with pytest.raises(ValueError, match="snr_db"):
             ExperimentConfig(signals=("blocks",), snr_db=(8.0, snr))
+
+    @pytest.mark.parametrize("snr", [-6000.0, SNR_DB_MIN - 1.0])
+    def test_rejects_an_snr_whose_noise_would_overflow(self, snr):
+        with pytest.raises(ValueError, match="snr_db"):
+            ExperimentConfig(signals=("blocks",), snr_db=(8.0, snr))
+
+    @pytest.mark.parametrize("sigma_policy", ["mad", "known"])
+    def test_lowest_snr_runs_without_overflow(self, sigma_policy):
+        config = ExperimentConfig(signals=("blocks",), snr_db=(SNR_DB_MIN,), trials=2, n=256,
+                                  sigma_policy=sigma_policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_experiment(config)
+        assert all(np.isfinite(r.mean_mse) and np.isfinite(r.std_mse) for r in result.rows)
 
     @pytest.mark.parametrize("bad", [{"sigma_policy": "oracle"}, {"trials": 0}])
     def test_lambda_sweep_validates_its_experiment(self, bad):
@@ -492,6 +507,10 @@ class TestCli:
         ["bench", "--snr=-inf", "--trials", "1"],
         ["lambda-sweep", "--snr", "inf", "--trials", "1"],
         ["trace", "--snr", "nan"],
+        ["bench", "--snr=-7000", "--trials", "2"],
+        ["bench", "--snr=-6000", "--trials", "2"],
+        ["lambda-sweep", "--snr=-7000", "--trials", "2"],
+        ["trace", "--snr=-6000"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"

@@ -3,15 +3,15 @@ every bit, and evaluates F on only the part of the curve it needs.
 
 The curves here are built point by point to sit on a band edge, within
 1e-12 of it or exactly on it, with runs of tied values and noise scales
-from 1e-300 to 1e300, so that the partial sort, the small pointwise blocks
-and the chunk certificates of the white band all meet their boundary cases.
+from 1e-300 to 1e300, so that the partial sort, the small first blocks and
+the inverted white band with its 1e-9 margin all meet their boundary cases.
 """
 
 import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfinv
 
@@ -73,8 +73,10 @@ def scrambled(z, seed):
 
 @settings(max_examples=120, deadline=None)
 @given(segments=SEGMENTS, m=st.one_of(st.integers(1, 2500), st.integers(2500, 20000)), sigma=SIGMAS, offset=OFFSETS,
-       lam=st.sampled_from([0.5, 2.0, 4.5, 8.0]), signal_top=st.sampled_from([0, 5, 200, 1000]),
+       lam=st.sampled_from([0.0, 0.5, 2.0, 4.5, 8.0]), signal_top=st.sampled_from([0, 5, 200, 1000]),
        colored=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(segments=[("upper", 300), ("tie", 40), ("lower", 200), ("center", 7)], m=65536, sigma=1.0,
+         offset=0.0, lam=4.5, signal_top=1000, colored=False, seed=0)
 def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam, signal_top,
                                                 colored, seed):
     profile = AR1 if colored and m <= 600 else None
@@ -87,10 +89,11 @@ def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam,
 @pytest.mark.parametrize("offset", [-1e-12, 0.0, 1e-12])
 @pytest.mark.parametrize("edge", ["upper", "lower"])
 def test_tied_chunk_on_band_edge(edge, offset, sigma):
-    # A chunk of CHUNK tied points below the sorted top, all the same value:
-    # F is flat over it, so its end point on the band edge decides between
-    # T* = the tied value and a lower point.  Everything above is signal.
-    chunk, m = denoise_module.CHUNK, denoise_module.SORTED_TOP + 8 * denoise_module.CHUNK
+    # A run of 64 tied points below the sorted top, all the same value: F is
+    # flat over it, so its end point on the band edge decides between T* = the
+    # tied value and a lower point.  Everything above is signal.
+    chunk = 64
+    m = denoise_module.SORTED_TOP + 8 * chunk
     low, high = 5 * chunk, 6 * chunk - 1
     g = (np.arange(1, m + 1) - 0.5) / m
     # The first tied point on the upper edge, or the last on the lower edge.
@@ -162,24 +165,22 @@ def test_pipeline_equals_pointwise_band(kinds, known, colored, sigma, segments, 
 
 @pytest.fixture
 def f_points(monkeypatch):
-    """Number of points the scan evaluates F at: through the band kernel, which
-    every white or colored band calls once per point, and through the chunk
-    certificates' own F at chunk ends."""
+    """Number of points the scan evaluates F at exactly: through the band
+    kernel, which every white or colored band calls once per point."""
     count = [0]
+    kernel = signature_module._band_moments
 
-    def counted(fn):
-        def wrapper(z, *args, **kwargs):
-            count[0] += np.size(z)
-            return fn(z, *args, **kwargs)
-        return wrapper
+    def counted(z, *args, **kwargs):
+        count[0] += np.size(z)
+        return kernel(z, *args, **kwargs)
 
-    monkeypatch.setattr(signature_module, "_band_moments", counted(signature_module._band_moments))
-    monkeypatch.setattr(denoise_module, "abs_noise_cdf", counted(denoise_module.abs_noise_cdf))
+    monkeypatch.setattr(signature_module, "_band_moments", counted)
     return count
 
 
-def test_deep_white_row_evaluates_under_a_tenth(f_points):
-    # Quadchirp at 4 dB, N = 65536: T* lies tens of thousands of points deep.
+def test_deep_white_row_evaluates_only_margin_points(f_points):
+    # Quadchirp at 4 dB, N = 65536: T* lies tens of thousands of points deep,
+    # and the inverted band places all but the points within 1e-9 of an edge.
     n = 65536
     truth = gen_signal("quadchirp", n).samples
     noise = gen_noise(NoiseSpec.white(), n, 4)
@@ -187,7 +188,7 @@ def test_deep_white_row_evaluates_under_a_tenth(f_points):
     result = denoise_module.denoise(x)
     scope = n - (n >> 5)
     assert result.coefficients_kept > 20000
-    assert 0 < f_points[0] < 0.1 * scope
+    assert f_points[0] <= 24
     magnitudes = np.abs(dwt_forward(x, 5).values[:scope])
     assert result.threshold == reference(magnitudes, result.sigma_used, scope, 4.5, None)[0]
 
