@@ -62,8 +62,18 @@ Z_MAX = 4.0  # top of appendixD's and coverage's default z grid
 
 # Largest (trials x N) array the paired-trial loop denoises in one call: 64
 # trials at N = 2048, so the reference 100 trials run as two even blocks of 50.
-# Each block pays a fixed cost per signal, SNR and arm, and its temporaries grow
-# with it; 2^18 ran faster but with 10% more peak RSS (sweep in CHANGES.md).
+# Each block pays a fixed cost per signal, SNR and arm, and its (trials x N)
+# temporaries grow with it.  Measured with perfbench (8 s runs, seeds
+# 911-913, median calls/s and peak RSS; white-matrix | ar1-matrix), with even
+# blocks for each cap and, as a control, full blocks with a short last one:
+#   2^15, 7 blocks of 14-15:  16.8k, 61.5-61.9 MB | 11.3k, 61.6-61.9 MB
+#   2^16, 4 blocks of 25:     20.7k, 62.1-62.6 MB | 12.9k, 62.4-62.8 MB
+#   2^17, 2 blocks of 50:     23.5k, 65.2-65.8 MB | 14.3k, 64.6-64.7 MB
+#   2^18, 1 block of 100:     25.3k, 69.7-70.2 MB | 14.9k, 68.1 MB
+#   2^16, 32+32+32+4:         21.0k, 63.5-63.8 MB | 12.9k, 63.6 MB
+#   2^17, 64+36:              23.8k, 66.4-67.0 MB | 14.6k, 65.3-65.7 MB
+# 2^18 is faster still, but its peak RSS is 10% above 32+32+32+4's, the most
+# BENCHMARK.json allows.
 _TRIAL_BLOCK_ELEMENTS = 1 << 17
 
 

@@ -115,9 +115,11 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     maximum as "in band".  T* is the *last* in-band point, so the scan runs from the
     top down in blocks of ``SCAN_BLOCK``, twice that, ... points, up to the first
     block with an in-band point (:func:`~nide.signature._first_in_band`).  A white
-    point is placed by its ``z / sigma`` against the band inverted once per (N, lam),
-    widened and narrowed by 1e-9 in F; only points within that margin, and colored
-    points, are evaluated.  Sound: outside the margin the exact band misses or holds
+    point is placed by its ``z / sigma`` against the band inverted per (N, lam),
+    widened and narrowed by 1e-9 in F; only points within that margin are evaluated.
+    The table pays off only when (N, lam) repeats: the first scan of an (N, lam), a
+    curve too long for the table budget, and every colored scan evaluate each point
+    they reach.  Sound: outside the margin the exact band misses or holds
     g by at least 5e-10 (the slack is concave in F inside the band and convex outside,
     so least at the margin's edges: 5.04e-10 for N up to 2^20 and lam up to 8), while
     F, the band edges and the table are evaluated to about 1e-15.

@@ -8,6 +8,9 @@ the inverted white band with its 1e-9 margin all meet their boundary cases.
 """
 
 import importlib
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,15 +77,20 @@ def scrambled(z, seed):
 @settings(max_examples=120, deadline=None)
 @given(segments=SEGMENTS, m=st.one_of(st.integers(1, 2500), st.integers(2500, 20000)), sigma=SIGMAS, offset=OFFSETS,
        lam=st.sampled_from([0.0, 0.5, 2.0, 4.5, 8.0]), signal_top=st.sampled_from([0, 5, 200, 1000]),
-       colored=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       colored=st.booleans(), table=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(segments=[("upper", 300), ("tie", 40), ("lower", 200), ("center", 7)], m=65536, sigma=1.0,
-         offset=0.0, lam=4.5, signal_top=1000, colored=False, seed=0)
+         offset=0.0, lam=4.5, signal_top=1000, colored=False, table=True, seed=0)
 def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam, signal_top,
-                                                colored, seed):
+                                                colored, table, seed):
+    # A white scan evaluates every point without a table: on the first scan of an
+    # (N, lam), and on a curve too long for the budget; the second scan uses one.
     profile = AR1 if colored and m <= 600 else None
     coeffs = scrambled(curve(segments, m, sigma, lam, m, offset, signal_top), seed)
     expected, _ = reference(coeffs, sigma, m, lam, profile)
-    assert select_threshold(coeffs, sigma, lam=lam, profile=profile) == expected
+    budget, cache = (signature_module._EDGE_CACHE_BYTES, signature_module._edge_cache) if table else (0, {})
+    with mock.patch.multiple(signature_module, _EDGE_CACHE_BYTES=budget, _edge_cache=cache):
+        for _ in range(2):
+            assert select_threshold(coeffs, sigma, lam=lam, profile=profile) == expected
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1.0, 1e300])
@@ -106,6 +114,59 @@ def test_tied_chunk_on_band_edge(edge, offset, sigma):
     assert abs(edges) < 1e-11
     expected, _ = reference(z, sigma, m, 4.5, None)
     assert select_threshold(scrambled(z, 0), sigma, lam=4.5) == expected
+
+
+def test_edge_tables_keep_to_their_byte_budget(monkeypatch):
+    # A table is built on the second scan of an (N, lam), filled only as deep as
+    # asked, read-only, dropped oldest first, and never built for a curve longer
+    # than the budget allows.
+    monkeypatch.setattr(signature_module, "_edge_cache", {})
+    white_edges, kept = signature_module._white_edges, signature_module._edge_cache
+    budget, n = signature_module._EDGE_CACHE_BYTES, 1 << 16
+    assert white_edges(n, 1.0, 0, 8) is None and white_edges(n, 1.0, 8, 24) is None
+    shallow = white_edges(n, 1.0, 0, 8)
+    assert not shallow.flags.writeable and kept[n, 1.0][1] == 8
+    assert white_edges(n, 1.0, 8, 24) is shallow and kept[n, 1.0][1] == 24
+    for lam in (2.0, 3.0, 4.0, 4.5):
+        assert white_edges(n, lam, 0, n) is None and white_edges(n, lam, 0, n).shape == (4, n)
+    assert list(kept) == [(n, 2.0), (n, 3.0), (n, 4.0), (n, 4.5)]
+    assert sum(e.nbytes for e, _ in kept.values()) <= budget
+    assert white_edges(budget // 32 + 1, 4.5, 0, 8) is None
+    assert white_edges(budget // 32 + 1, 4.5, 0, 8) is None and len(kept) == 4
+
+
+def test_threads_share_the_edge_tables(monkeypatch):
+    # Four threads scan three curves through a budget that holds one table, so
+    # tables are built, extended and dropped under each other; every threshold
+    # must still be the pointwise one.
+    monkeypatch.setattr(signature_module, "_edge_cache", {})
+    monkeypatch.setattr(signature_module, "_EDGE_CACHE_BYTES", 32 * 3000)
+    cases = []
+    for m, lam in ((2000, 4.5), (2500, 2.0), (1500, 4.5)):
+        z = scrambled(curve([("upper", 300), ("tie", 20), ("lower", 200)], m, 1.0, lam, m, 0.0, 200), m)
+        cases.append((z, lam, reference(z, 1.0, m, lam, None)[0]))
+    errors = []
+
+    def scan(k):
+        try:
+            for i in range(150):
+                z, lam, expected = cases[(i + k) % len(cases)]
+                assert select_threshold(z, 1.0, lam=lam) == expected
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
 
 
 ROW_KINDS = ("shallow", "deep", "none-in-band", "all-in-band", "passthrough", "edge")
@@ -178,13 +239,17 @@ def f_points(monkeypatch):
     return count
 
 
-def test_deep_white_row_evaluates_only_margin_points(f_points):
+def test_deep_white_row_evaluates_only_margin_points(f_points, monkeypatch):
     # Quadchirp at 4 dB, N = 65536: T* lies tens of thousands of points deep,
     # and the inverted band places all but the points within 1e-9 of an edge.
     n = 65536
     truth = gen_signal("quadchirp", n).samples
     noise = gen_noise(NoiseSpec.white(), n, 4)
     x = truth + noise * np.linalg.norm(truth) * 10.0 ** (-4.0 / 20.0) / np.linalg.norm(noise)
+    monkeypatch.setattr(signature_module, "_edge_cache", {})
+    denoise_module.denoise(x)  # the first scan of an (N, lam) evaluates every point it reaches
+    assert f_points[0] > 20000
+    f_points[0] = 0
     result = denoise_module.denoise(x)
     scope = n - (n >> 5)
     assert result.coefficients_kept > 20000
