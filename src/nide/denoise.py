@@ -8,19 +8,21 @@ pure noise and is invalidated; the last in-band value is the threshold.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
+from scipy.special import erfinv
 
 from .gaussian_stats import _check_finite, _check_sigma
 from .noise_model import estimate_sigma_mad
 from .signature import (
     ConfidenceBand,
     CorrelationProfile,
+    _band_edges,
     _check_band_args,
-    _first_in_band,
     colored_band,
     white_band,
 )
@@ -42,6 +44,16 @@ SIGMA_FLOOR_RATIO = 1e-12
 # as long; only the top SORTED_TOP points (four blocks) are sorted up front.
 SCAN_BLOCK = 8
 SORTED_TOP = 15 * SCAN_BLOCK
+
+# Margin in F of the inverted white band; _select says why it is sound.
+EDGE_MARGIN = 1e-9
+
+# Most bytes the inverted white band tables may take, 32 per curve point: four
+# tables for N = 2^16, one for N = 2^18.  _white_edges drops the oldest (n, lam)
+# first; a longer curve gets no table.
+_EDGE_CACHE_BYTES = 1 << 23
+_edge_cache: dict = {}  # (n, lam) -> (read-only (4, n) table, positions filled), or (None, 0)
+_edge_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,41 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
     return np.subtract(coeffs, clipped, out=out)
 
 
+def _white_edges(n, lam, top, stop):
+    """The white band inverted, as read-only rows ``(out_lo, out_hi, in_lo, in_hi)`` of
+    u = z / sigma at the positions p = 0 .. n - 1 of an n-point curve counted from its
+    top: at g = (n - p - 1/2) / n, the roots of ``(F - g)^2 = (lam^2 / n) F (1 - F)``,
+    where F = erf(u / sqrt(2)) meets a band edge, widened and narrowed by ``EDGE_MARGIN``.
+    A table is kept per (n, lam), up to ``_EDGE_CACHE_BYTES`` in all, and filled as deep
+    as scans have gone, at least to ``stop`` for a scan now at ``top``.  Its erfinv costs
+    more than the band at a point, so a table pays only when (n, lam) repeats: None for
+    the first scan of an (n, lam), which only records it, and for a curve too long for
+    the budget."""
+    edges, filled = _edge_cache.get((n, lam), (None, -1))
+    if filled >= stop or 32 * n > _EDGE_CACHE_BYTES:
+        return edges if filled >= stop else None
+    with _edge_lock:  # tables are filled in place, and the cache is checked then changed
+        edges, filled = _edge_cache.get((n, lam), (None, -1))
+        if edges is None and (filled < 0 or top > 0):
+            _edge_cache[n, lam] = None, 0
+        elif filled < stop:
+            if edges is None:
+                edges = np.empty((4, n))
+                edges.flags.writeable = False
+            g = (n - np.arange(filled, stop) - 0.5) / n
+            c = lam * lam / n
+            root = np.sqrt(c * (4.0 * g * (1.0 - g) + c))  # sqrt((2g + c)^2 - 4 (1 + c) g^2)
+            f_lo, f_hi = (2.0 * g + c - root) / (2.0 + 2.0 * c), (2.0 * g + c + root) / (2.0 + 2.0 * c)
+            f = np.stack([f_lo - EDGE_MARGIN, f_hi + EDGE_MARGIN, f_lo + EDGE_MARGIN, f_hi - EDGE_MARGIN])
+            edges.flags.writeable = True
+            edges[:, filled:stop] = np.sqrt(2.0) * erfinv(np.clip(f, 0.0, 1.0))
+            edges.flags.writeable = False
+            _edge_cache[n, lam] = edges, stop
+        while filled < 0 and sum(32 * m for m, _ in _edge_cache) > _EDGE_CACHE_BYTES:
+            del _edge_cache[next(iter(_edge_cache))]  # the oldest first
+    return edges
+
+
 def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients, shape
     ``(rows, N)``, each row with the band over its N points) with per-row noise
@@ -114,33 +161,51 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     point is always in the clamped band, so a curve that left it would report its
     maximum as "in band".  T* is the *last* in-band point, so the scan runs from the
     top down in blocks of ``SCAN_BLOCK``, twice that, ... points, up to the first
-    block with an in-band point (:func:`~nide.signature._first_in_band`).  A white
-    point is placed by its ``z / sigma`` against the band inverted per (N, lam),
-    widened and narrowed by 1e-9 in F; only points within that margin are evaluated.
-    The table pays off only when (N, lam) repeats: the first scan of an (N, lam), a
-    curve too long for the table budget, and every colored scan evaluate each point
-    they reach.  Sound: outside the margin the exact band misses or holds
-    g by at least 5e-10 (the slack is concave in F inside the band and convex outside,
-    so least at the margin's edges: 5.04e-10 for N up to 2^20 and lam up to 8), while
-    F, the band edges and the table are evaluated to about 1e-15.
+    block with an in-band point.  A white point is placed by its ``z / sigma``
+    against :func:`_white_edges`: outside the widened band it is out, and a row
+    whose first point inside that lies inside the narrowed band is done.  Every
+    other row (colored; white with no table yet for its (N, lam), or too long for
+    the budget; white with its first candidate in the margin) has its whole block
+    evaluated by :func:`~nide.signature._band_edges`.  Sound: outside the margin the
+    exact band misses or holds g by at least 5e-10 (the slack is concave in F inside
+    the band and convex outside, so least at the margin's edges: 5.04e-10 for N up
+    to 2^20 and lam up to 8), while F, the band edges and the table are evaluated
+    to about 1e-15.
     """
     n, t = a.shape[-1], np.zeros(a.shape[0])
     unsorted = max(n - SORTED_TOP, 0)
     a.partition(unsorted, axis=-1)
     a[..., unsorted:].sort(axis=-1)
-    top, size, s = 0, SCAN_BLOCK, sigma[rows, None]
-    while top < n and rows.size:
-        if top >= n - unsorted:  # in place, as a fancy-index copy costs twice a sort
+    stop, size, s = 0, SCAN_BLOCK, sigma[rows, None]
+    while stop < n and rows.size:
+        if stop >= n - unsorted:  # in place, as a fancy-index copy costs twice a sort
             for part in [a[:, :unsorted]] if rows.size == a.shape[0] else [a[i, :unsorted] for i in rows]:
                 part.sort(axis=-1)
             unsorted = 0
-        stop = min(top + size, n - unsorted)
-        z = a[:, ::-1][rows, top:stop]  # descending
-        hit, first = _first_in_band(z, s, top, n, lam, profile)
+        top, stop, size = stop, min(stop + size, n - unsorted), 2 * size
+        z, r = a[:, ::-1][rows, top:stop], np.arange(rows.size)  # descending
+        edges = None if profile is not None else _white_edges(n, float(lam), top, stop)
+        if edges is None:
+            exact, inside = r, np.empty(z.shape, bool)
+        else:
+            out_lo, out_hi, in_lo, in_hi = edges[:, top:stop]
+            u = z / s
+            inside = (u >= out_lo) & (u <= out_hi)
+            first = np.argmax(inside, axis=-1)
+            hit = inside[r, first]
+            if not hit.any():
+                continue
+            u_first = u[r, first]
+            exact = r[hit & ((u_first < in_lo[first]) | (u_first > in_hi[first]))]
+        if exact.size:
+            _, lower, upper = _band_edges(z[exact], s[exact], n, lam, profile)
+            g = (n - 0.5 - np.arange(top, stop)) / n
+            inside[exact] = (g >= lower) & (g <= upper)
+            first = np.argmax(inside, axis=-1)
+            hit = inside[r, first]
         if hit.any():
             t[rows[hit]] = z[hit, first[hit]]
             rows, s = rows[~hit], s[~hit]
-        top, size = stop, 2 * size
     return t
 
 

@@ -7,9 +7,6 @@ so the sorted-absolute-value curve of pure noise lives in a narrow band
 around ``F``.  :func:`_band_edges` is the one band path: it picks the white
 variance or the correlated-noise bound and clamps ``F +/- lam * sqrt(var)``
 to [0, 1] for :func:`white_band`, :func:`colored_band` and the threshold scan.
-:func:`_white_edges` inverts the white band, per (N, lam) from its second
-scan on and only as deep as scans go, so that :func:`_first_in_band` places
-most white points with two comparisons.
 
 Variance under correlated noise is handled with an upper bound obtained by
 rotating each coefficient pair ``(V_i, V_j)`` into independent components
@@ -19,11 +16,9 @@ with variances ``sigma^2 (1 +/- rho_ij)``; see
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfinv
 
 from .gaussian_stats import _abs_cdf, _check_finite, _check_sigma, abs_noise_cdf, erf_std
 
@@ -49,16 +44,6 @@ RHO_TRUNCATION = 1e-6
 # 512 KB buffers stay in cache: on a 63488-point grid, blocks of 2^18 and
 # 2^20 elements measured 25-60% slower.
 _LAG_BLOCK_ELEMENTS = 1 << 16
-
-# Margin in F of the inverted white band; denoise._select says why it is sound.
-EDGE_MARGIN = 1e-9
-
-# Most bytes the inverted white band tables may take, 32 per curve point: four
-# tables for N = 2^16, one for N = 2^18.  _white_edges drops the oldest (n, lam)
-# first; a longer curve gets no table.
-_EDGE_CACHE_BYTES = 1 << 23
-_edge_cache: dict = {}  # (n, lam) -> (read-only (4, n) table, positions filled), or (None, 0)
-_edge_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -208,78 +193,6 @@ def _band_edges(z, sigma, n, lam, profile=None):
         center, var = abs_noise_cdf(z, sigma), colored_variance_bound(z, sigma, profile, n)
     half = lam * np.sqrt(np.maximum(var, 0.0))
     return center, np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
-
-
-def _white_edges(n, lam, top, stop):
-    """The white band inverted, as read-only rows ``(out_lo, out_hi, in_lo, in_hi)`` of
-    u = z / sigma at the positions p = 0 .. n - 1 of an n-point curve counted from its
-    top: at g = (n - p - 1/2) / n, the roots of ``(F - g)^2 = (lam^2 / n) F (1 - F)``,
-    where F = erf(u / sqrt(2)) meets a band edge, widened and narrowed by ``EDGE_MARGIN``.
-    A table is kept per (n, lam), up to ``_EDGE_CACHE_BYTES`` in all, and filled as deep
-    as scans have gone, at least to ``stop`` for a scan now at ``top``.  Its erfinv costs
-    more than the band at a point, so a table pays only when (n, lam) repeats: None for
-    the first scan of an (n, lam), which only records it, and for a curve too long for
-    the budget."""
-    edges, filled = _edge_cache.get((n, lam), (None, -1))
-    if filled >= stop or 32 * n > _EDGE_CACHE_BYTES:
-        return edges if filled >= stop else None
-    with _edge_lock:  # tables are filled in place, and the cache is checked then changed
-        edges, filled = _edge_cache.get((n, lam), (None, -1))
-        if edges is None and (filled < 0 or top > 0):
-            _edge_cache[n, lam] = None, 0
-        elif filled < stop:
-            if edges is None:
-                edges = np.empty((4, n))
-                edges.flags.writeable = False
-            g = (n - np.arange(filled, stop) - 0.5) / n
-            c = lam * lam / n
-            root = np.sqrt(c * (4.0 * g * (1.0 - g) + c))  # sqrt((2g + c)^2 - 4 (1 + c) g^2)
-            f_lo, f_hi = (2.0 * g + c - root) / (2.0 + 2.0 * c), (2.0 * g + c + root) / (2.0 + 2.0 * c)
-            f = np.stack([f_lo - EDGE_MARGIN, f_hi + EDGE_MARGIN, f_lo + EDGE_MARGIN, f_hi - EDGE_MARGIN])
-            edges.flags.writeable = True
-            edges[:, filled:stop] = _SQRT2 * erfinv(np.clip(f, 0.0, 1.0))
-            edges.flags.writeable = False
-            _edge_cache[n, lam] = edges, stop
-        while filled < 0 and sum(32 * m for m, _ in _edge_cache) > _EDGE_CACHE_BYTES:
-            del _edge_cache[next(iter(_edge_cache))]  # the oldest first
-    return edges
-
-
-def _first_in_band(z, sigma, top, n, lam, profile=None):
-    """``(hit, first)``: whether each row of ``z`` holds a point in band, and the first.
-    ``z`` (rows, k) holds descending magnitudes at the positions p = ``top .. top + k - 1``
-    of an n-point curve, at g = (n - p - 1/2) / n, and ``sigma`` (rows, 1) their noise
-    scales.  A white point outside the widened :func:`_white_edges` is out, and a row
-    whose first point inside them lies inside the narrowed ones is done; only the
-    undecided points of the other rows go through :func:`_band_edges`.  A colored block,
-    or a white one with no table, goes through :func:`_band_edges` whole."""
-    rows, k = np.arange(z.shape[0]), z.shape[-1]
-    edges = None if profile is not None else _white_edges(n, float(lam), top, top + k)
-    if edges is None:
-        _, lower, upper = _band_edges(z, sigma, n, lam, profile)
-        g = (n - top - 0.5 - np.arange(k)) / n
-        inside = (g >= lower) & (g <= upper)
-        first = np.argmax(inside, axis=-1)
-        return inside[rows, first], first
-    out_lo, out_hi, in_lo, in_hi = edges[:, top : top + k]
-    u = z / sigma
-    inside = (u >= out_lo) & (u <= out_hi)
-    first = np.argmax(inside, axis=-1)
-    hit = inside[rows, first]
-    if not hit.any():
-        return hit, first
-    u_first = u[rows, first]
-    r = rows[hit & ((u_first < in_lo[first]) | (u_first > in_hi[first]))]
-    if r.size:
-        sure = (u[r] >= in_lo) & (u[r] <= in_hi)
-        i, j = np.nonzero(inside[r] & ~sure)
-        _, lower, upper = _band_edges(z[r[i], j], sigma[r[i], 0], n, lam)
-        g = (n - top - 0.5 - j) / n
-        sure[i, j] = (g >= lower) & (g <= upper)
-        inside[r] = sure
-        first = np.argmax(inside, axis=-1)
-        hit = inside[rows, first]
-    return hit, first
 
 
 def _band(z_grid, sigma, n, lam, profile=None) -> ConfidenceBand:

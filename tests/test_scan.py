@@ -87,8 +87,8 @@ def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam,
     profile = AR1 if colored and m <= 600 else None
     coeffs = scrambled(curve(segments, m, sigma, lam, m, offset, signal_top), seed)
     expected, _ = reference(coeffs, sigma, m, lam, profile)
-    budget, cache = (signature_module._EDGE_CACHE_BYTES, signature_module._edge_cache) if table else (0, {})
-    with mock.patch.multiple(signature_module, _EDGE_CACHE_BYTES=budget, _edge_cache=cache):
+    budget, cache = (denoise_module._EDGE_CACHE_BYTES, denoise_module._edge_cache) if table else (0, {})
+    with mock.patch.multiple(denoise_module, _EDGE_CACHE_BYTES=budget, _edge_cache=cache):
         for _ in range(2):
             assert select_threshold(coeffs, sigma, lam=lam, profile=profile) == expected
 
@@ -120,9 +120,9 @@ def test_edge_tables_keep_to_their_byte_budget(monkeypatch):
     # A table is built on the second scan of an (N, lam), filled only as deep as
     # asked, read-only, dropped oldest first, and never built for a curve longer
     # than the budget allows.
-    monkeypatch.setattr(signature_module, "_edge_cache", {})
-    white_edges, kept = signature_module._white_edges, signature_module._edge_cache
-    budget, n = signature_module._EDGE_CACHE_BYTES, 1 << 16
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    white_edges, kept = denoise_module._white_edges, denoise_module._edge_cache
+    budget, n = denoise_module._EDGE_CACHE_BYTES, 1 << 16
     assert white_edges(n, 1.0, 0, 8) is None and white_edges(n, 1.0, 8, 24) is None
     shallow = white_edges(n, 1.0, 0, 8)
     assert not shallow.flags.writeable and kept[n, 1.0][1] == 8
@@ -139,8 +139,8 @@ def test_threads_share_the_edge_tables(monkeypatch):
     # Four threads scan three curves through a budget that holds one table, so
     # tables are built, extended and dropped under each other; every threshold
     # must still be the pointwise one.
-    monkeypatch.setattr(signature_module, "_edge_cache", {})
-    monkeypatch.setattr(signature_module, "_EDGE_CACHE_BYTES", 32 * 3000)
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    monkeypatch.setattr(denoise_module, "_EDGE_CACHE_BYTES", 32 * 3000)
     cases = []
     for m, lam in ((2000, 4.5), (2500, 2.0), (1500, 4.5)):
         z = scrambled(curve([("upper", 300), ("tie", 20), ("lower", 200)], m, 1.0, lam, m, 0.0, 200), m)
@@ -239,23 +239,45 @@ def f_points(monkeypatch):
     return count
 
 
-def test_deep_white_row_evaluates_only_margin_points(f_points, monkeypatch):
-    # Quadchirp at 4 dB, N = 65536: T* lies tens of thousands of points deep,
-    # and the inverted band places all but the points within 1e-9 of an edge.
+def test_deep_white_row_with_a_table_skips_the_band_kernel(f_points, monkeypatch):
+    # Quadchirp at 4 dB, N = 65536: T* lies tens of thousands of points deep.  The
+    # first scan of an (N, lam) evaluates every point it reaches; on the second, the
+    # inverted band places every point, as none lies within 1e-9 of an edge.
     n = 65536
     truth = gen_signal("quadchirp", n).samples
     noise = gen_noise(NoiseSpec.white(), n, 4)
     x = truth + noise * np.linalg.norm(truth) * 10.0 ** (-4.0 / 20.0) / np.linalg.norm(noise)
-    monkeypatch.setattr(signature_module, "_edge_cache", {})
-    denoise_module.denoise(x)  # the first scan of an (N, lam) evaluates every point it reaches
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    denoise_module.denoise(x)
     assert f_points[0] > 20000
     f_points[0] = 0
     result = denoise_module.denoise(x)
     scope = n - (n >> 5)
     assert result.coefficients_kept > 20000
-    assert f_points[0] <= 24
+    assert f_points[0] == 0
     magnitudes = np.abs(dwt_forward(x, 5).values[:scope])
     assert result.threshold == reference(magnitudes, result.sigma_used, scope, 4.5, None)[0]
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 0.0, 1e-12])
+def test_white_row_with_its_candidate_in_the_margin_evaluates_one_block(f_points, monkeypatch, offset):
+    # Three rows under 200 signal points: the first has its point 200 from the top
+    # within 1e-12 of the band's lower edge, the others have it on F.  On the second
+    # scan the table exists, and only the first row's block at 120 .. 247 goes
+    # through the band kernel; every T* is the pointwise one.
+    m, lam = 2048, 4.5
+    rows = np.array([curve([("center", m - 201), ("lower", 1), ("signal", 200)], m, 1.0, lam, m, offset),
+                     curve([("center", m)], m, 1.0, lam, m, 0.0, 200),
+                     curve([("center", m)], m, 0.7, lam, m, 0.0, 200)])
+    sigma = np.array([1.0, 1.0, 0.7])
+    expected = [reference(row, s, m, lam, None)[0] for row, s in zip(rows, sigma)]
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    for scan in range(2):
+        f_points[0] = 0
+        t = denoise_module._select(rows[:, ::-1].copy(), sigma, lam, None, np.arange(3))
+        assert t.tolist() == expected
+    assert denoise_module._edge_cache[m, lam][0] is not None
+    assert f_points[0] == 128
 
 
 def test_shallow_ar1_row_stays_in_first_block(f_points):
