@@ -12,9 +12,14 @@ The third (``harness sha256``) covers the files that ``bench``,
 ``lambda-sweep``, ``trace``, ``mc`` and ``denoise-file`` write; after it, one
 line per file gives the first 12 hex digits of that file's own SHA-256, so a
 harness digest that moves names the files that moved.  Two checkouts that
-print the same digests give the same results in every bit on these runs, so
-a change meant to be numerically neutral (a speed-up, a refactor) is checked
-by running this script before and after it:
+print the same digests give the same results in every bit on these runs.
+
+The script checks its own output against the digests recorded in
+``EXPECTED`` and ``EXPECTED_FILES``: it exits 0 when all match, and 1 after
+naming on stderr every digest and every file that moved.  A change meant to
+be numerically neutral (a speed-up, a refactor) must leave them all in
+place; a change that moves a result by design records the new values in the
+same diff.  Run it as
 
     PYTHONPATH=src python3 scripts/check_bit_identity.py
 
@@ -41,6 +46,7 @@ import hashlib
 import io
 import itertools
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -83,6 +89,31 @@ HARNESS = (
     ("mc-coverage.csv", ["mc", "--check", "coverage", "--runs", "500"]),
     ("denoise.csv", ["denoise-file", "--in", NOISY]),
 )
+
+# The recorded digests: sweep, baselines and harness, then each harness file's own.
+EXPECTED = {
+    "sha256": "5faf074d0499831f2bac804378da44d296d9350f64f930e92bf62df30b5e181c",
+    "baselines sha256": "ee4f7d7bf88e4a2d6d5a8b13d13eae4481072865500d4fe25e4da62dc2c9b48a",
+    "harness sha256": "364a5dae55ebf7fbb05adc1f70e4e95986ed8f5b2f0a827abe61d65b219af328",
+}
+EXPECTED_FILES = {
+    "bench-white.csv": "13ce0c1cf1c8",
+    "bench-white.json": "24c2de4a9130",
+    "bench-ar1.csv": "09105ea231ae",
+    "sweep.csv": "1192d53e5c8a",
+    "sweep.json": "d9f9d48c0b06",
+    "trace-white.csv": "2021aac6e233",
+    "trace-white.json": "4b3af4ea9739",
+    "trace-ar1.csv": "b769b5324f8b",
+    "mc-appendixA.json": "832a2b2e7754",
+    "mc-appendixB.json": "1bf1de966cb3",
+    "mc-appendixC.json": "a4c716ef2771",
+    "mc-appendixD.json": "c71492037979",
+    "mc-coverage.json": "9d5f1aa43268",
+    "mc-coverage.csv": "fec227157e07",
+    "denoise.csv": "acedcedf7a2f",
+    "denoise.json": "42de1f0e89a6",
+}
 
 
 def _feed(digest, *arrays) -> None:
@@ -165,20 +196,38 @@ def harness(digest) -> dict[str, str]:
     return files
 
 
+def moved(digests: dict[str, str], files: dict[str, str]) -> list[str]:
+    """One line per digest or file that differs from, or is missing from, its
+    recorded value; empty when every one is in place."""
+    lines = [f"moved: {label} {digests.get(label)} (recorded {want})"
+             for label, want in EXPECTED.items() if digests.get(label) != want]
+    for name in sorted(EXPECTED_FILES.keys() | files.keys()):
+        if files.get(name) != EXPECTED_FILES.get(name):
+            lines.append(f"moved: file {name} {files.get(name)} (recorded {EXPECTED_FILES.get(name)})")
+    return lines
+
+
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    digests = {}
     digest = hashlib.sha256()
     calls, bands = sweep(digest)
+    digests["sha256"] = digest.hexdigest()
     print(f"sha256 {digest.hexdigest()}  calls={calls} bands={bands}")
     digest = hashlib.sha256()
     calls = baselines(digest)
+    digests["baselines sha256"] = digest.hexdigest()
     print(f"baselines sha256 {digest.hexdigest()}  calls={calls}")
     digest = hashlib.sha256()
     files = harness(digest)
+    digests["harness sha256"] = digest.hexdigest()
     print(f"harness sha256 {digest.hexdigest()}  files={len(files)}")
     for name, short in files.items():
         print(f"  {short}  {name}")
-    return 0
+    lines = moved(digests, files)
+    for line in lines:
+        print(line, file=sys.stderr)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

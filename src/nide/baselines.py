@@ -27,6 +27,10 @@ __all__ = [
 
 BASELINE_METHODS = ("visu", "sure", "bayes")
 
+# Largest sigma whose square is finite; sure and bayes square it with Python's float power,
+# which raises OverflowError above it.
+_SIGMA_MAX = float(np.sqrt(np.finfo(float).max))
+
 
 def _squares(sigma) -> np.ndarray:
     """``sigma**2`` elementwise with Python's float power, which can round
@@ -36,12 +40,16 @@ def _squares(sigma) -> np.ndarray:
 
 
 def _rows(band, sigma):
-    """``band`` as ``(rows, n)`` and one finite positive sigma per row, validated."""
+    """``band`` as ``(rows, n)`` and one positive sigma of at most ``_SIGMA_MAX`` per row,
+    validated."""
     band = np.asarray(band, dtype=float)
     if band.shape[-1] == 0:
         raise ValueError("band must be nonempty")
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), band.shape[:-1]).ravel()
     _check_sigma(sigma)
+    if sigma.max(initial=0.0) > _SIGMA_MAX:
+        raise ValueError(f"sigma must be at most {_SIGMA_MAX:.6g}, the square root of the largest "
+                         f"float, got {sigma.max():.6g}")
     return band.reshape(-1, band.shape[-1]), sigma
 
 

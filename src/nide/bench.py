@@ -124,6 +124,14 @@ def normalized_mse(estimate, truth):
     return float(out) if out.ndim == 0 else out
 
 
+def _distinct(name, values) -> tuple:
+    """``values`` as a tuple, which must be nonempty and hold no value twice."""
+    values = tuple(values)
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"{name} must be nonempty with no value twice, got {list(values)}")
+    return values
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one benchmark run; ``run_experiment``, ``lambda_sweep``
@@ -141,11 +149,11 @@ class ExperimentConfig:
     sigma_policy: str = "mad"
 
     def __post_init__(self):
-        object.__setattr__(self, "signals", tuple(canonical_name(s) for s in self.signals))
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        object.__setattr__(self, "signals", _distinct("signals", map(canonical_name, self.signals)))
+        object.__setattr__(self, "snr_db", _distinct("snr_db", map(float, self.snr_db)))
         if not all(SNR_DB_MIN <= s < np.inf for s in self.snr_db):
             raise ValueError(f"snr_db must be finite and at least {SNR_DB_MIN:g}, got {self.snr_db}")
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", _distinct("methods", self.methods))
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -293,7 +301,7 @@ def lambda_sweep(signal: str, snr_db: float, lambdas, **experiment):
     if "lam" in experiment:
         raise TypeError("lambda_sweep() takes its band widths from lambdas, not lam")
     config = ExperimentConfig(signals=(signal,), snr_db=(snr_db,), methods=("nide",), **experiment)
-    lambdas = [float(l) for l in lambdas]
+    lambdas = _distinct("lambdas", map(float, lambdas))
     mses = _paired_mse(config, {l: ("nide", l) for l in lambdas})
     return [(l, *_mean_std(mses[config.signals[0], config.snr_db[0], l])) for l in lambdas]
 

@@ -228,11 +228,21 @@ def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam,
 
 
 def _analyse(observed, levels: int, sigma=None):
-    """Finite check, transform and noise scale of every row of ``observed``, shape
+    """Magnitude check, transform and noise scale of every row of ``observed``, shape
     ``(rows, N)``; sigma is ``sigma`` (one, or one per row) if given, else the MAD
-    estimate of the finest details.  Returns the coefficients and sigma."""
+    estimate of the finest details.  Returns the coefficients and sigma.
+
+    Every sum the forward and inverse transforms form, with the details shrunk or
+    not, stays below 2.2 sqrt(N) times the largest sample magnitude, so samples up
+    to the largest float over 4 sqrt(N) cannot overflow; larger ones, NaN and
+    infinities are rejected."""
     observed = np.asarray(observed, dtype=float)
-    _check_finite(observed, "observed samples")
+    n = observed.shape[-1]
+    limit = np.finfo(float).max / (4.0 * np.sqrt(max(n, 1)))
+    if not (-limit <= observed.min(initial=0.0) and observed.max(initial=0.0) <= limit):
+        _check_finite(observed, "observed samples")
+        raise ValueError(f"observed samples must be at most {limit:.6g} in magnitude at N = {n}, "
+                         "or the Haar transform overflows")
     coeffs = dwt_forward(observed, levels)
     if sigma is None:
         return coeffs, estimate_sigma_mad(coeffs.detail_bands[0])

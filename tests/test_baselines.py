@@ -116,6 +116,28 @@ class TestBayesThreshold:
             bayes_threshold(np.array([0.5, -1.0, 2.0]), sigma)
 
 
+@pytest.mark.parametrize("rule", [sure_threshold, bayes_threshold])
+def test_sigma_whose_square_overflows_is_rejected(rule):
+    # Squared with Python's float power, a sigma above sqrt(float max) would raise OverflowError.
+    band = np.array([0.5, -1.0, 2.0]) * 1e153
+    largest = np.sqrt(np.finfo(float).max)
+    assert np.isfinite(rule(band, largest))
+    with pytest.raises(ValueError, match="sigma must be at most"):
+        rule(band, np.nextafter(largest, np.inf))
+    with pytest.raises(ValueError, match="sigma must be at most"):
+        rule(np.stack([band, band]), [1.0, 1e155])
+
+
+def test_denoise_with_rejects_a_sigma_whose_square_overflows():
+    x = gen_noise(NoiseSpec.white(1.0), 256, 2) * 1e160
+    with pytest.raises(ValueError, match="sigma must be at most"):
+        denoise_with("sure", x)
+    with pytest.raises(ValueError, match="sigma must be at most"):
+        denoise_with("bayes", x)
+    for method in ("nide", "visu"):
+        assert np.isfinite(denoise_with(method, x).denoised).all()
+
+
 class TestDenoiseWith:
     @pytest.fixture()
     def noisy_blocks(self):

@@ -511,6 +511,14 @@ class TestCli:
         ["bench", "--snr=-6000", "--trials", "2"],
         ["lambda-sweep", "--snr=-7000", "--trials", "2"],
         ["trace", "--snr=-6000"],
+        ["bench", "--signal", "", "--trials", "1"],
+        ["bench", "--signal", "blocks,Blocks", "--trials", "1"],
+        ["bench", "--snr", ",", "--trials", "1"],
+        ["bench", "--snr", "4,4.0", "--trials", "1"],
+        ["bench", "--method", "", "--trials", "1"],
+        ["bench", "--method", "nide,visu,nide", "--trials", "1"],
+        ["lambda-sweep", "--lambdas", "", "--trials", "1"],
+        ["lambda-sweep", "--lambdas", "4.5,4.5", "--trials", "1"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"
@@ -534,6 +542,17 @@ class TestCli:
         report = (tmp_path / name).with_suffix(".json")
         assert list(tmp_path.rglob("*.json")) == [report]
         assert set(json.loads(report.read_text())) == {"threshold", "sigma_used", "lambda"}
+
+    def test_denoise_file_rejects_samples_whose_haar_sums_overflow(self, tmp_path, capsys):
+        # Blocks at a peak of 1.7e308: the transform's pair sums overflow to inf.
+        truth = gen_signal("blocks", 2048).samples
+        infile, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        np.savetxt(infile, truth * (1.7e308 / np.abs(truth).max()), fmt="%.17g")
+        rc = main(["denoise-file", "--in", str(infile), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
     def test_denoise_file_rejects_json_output(self, tmp_path, capsys):
         infile = tmp_path / "in.csv"

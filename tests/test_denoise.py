@@ -325,6 +325,23 @@ class TestDenoisePipeline:
         with pytest.raises(ValueError, match="must be finite"):
             denoise(observed)
 
+    @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
+    def test_samples_whose_haar_sums_overflow_are_rejected(self, method):
+        # Blocks at a peak of 1.7e308: (x[2i] + x[2i+1]) overflows to inf.
+        truth = gen_signal("blocks", 2048).samples
+        with pytest.raises(ValueError, match="Haar transform overflows"):
+            denoise_with(method, truth * (1.7e308 / np.abs(truth).max()))
+
+    @pytest.mark.parametrize("method", ["nide", "visu"])
+    def test_samples_at_the_magnitude_limit_give_finite_output(self, method):
+        # A constant (largest approximations), alternating signs (largest details)
+        # and noisy blocks, each with its peak at the limit.
+        limit = np.finfo(float).max / (4.0 * np.sqrt(2048))
+        noisy = gen_signal("blocks", 2048).samples + gen_noise(NoiseSpec.white(1.0), 2048, 4)
+        for x in (np.full(2048, limit), np.resize([limit, -limit], 2048),
+                  noisy * (limit / np.abs(noisy).max())):
+            assert np.isfinite(denoise_with(method, x).denoised).all()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DenoiseConfig(levels=0)
