@@ -27,9 +27,7 @@ __all__ = [
 
 BASELINE_METHODS = ("visu", "sure", "bayes")
 
-# Largest sigma whose square is finite; sure and bayes square it with Python's float power,
-# which raises OverflowError above it.
-_SIGMA_MAX = float(np.sqrt(np.finfo(float).max))
+_SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # above it, _squares raises OverflowError
 
 
 def _squares(sigma) -> np.ndarray:
@@ -40,16 +38,14 @@ def _squares(sigma) -> np.ndarray:
 
 
 def _rows(band, sigma):
-    """``band`` as ``(rows, n)`` and one positive sigma of at most ``_SIGMA_MAX`` per row,
-    validated."""
+    """``band`` as ``(rows, n)`` and one positive sigma up to ``_SIGMA_MAX`` per row, validated."""
     band = np.asarray(band, dtype=float)
     if band.shape[-1] == 0:
         raise ValueError("band must be nonempty")
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), band.shape[:-1]).ravel()
     _check_sigma(sigma)
     if sigma.max(initial=0.0) > _SIGMA_MAX:
-        raise ValueError(f"sigma must be at most {_SIGMA_MAX:.6g}, the square root of the largest "
-                         f"float, got {sigma.max():.6g}")
+        raise ValueError(f"sigma must be at most {_SIGMA_MAX:.6g} (its square overflows), got {sigma.max():.6g}")
     return band.reshape(-1, band.shape[-1]), sigma
 
 

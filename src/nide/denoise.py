@@ -185,7 +185,7 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
         top, stop, size = stop, min(stop + size, n - unsorted), 2 * size
         z, r = a[:, ::-1][rows, top:stop], np.arange(rows.size)  # descending
         edges = None if profile is not None else _white_edges(n, float(lam), top, stop)
-        if edges is None:
+        if edges is None:  # exact: the rows the table cannot decide
             exact, inside = r, np.empty(z.shape, bool)
         else:
             out_lo, out_hi, in_lo, in_hi = edges[:, top:stop]
@@ -239,7 +239,7 @@ def _analyse(observed, levels: int, sigma=None):
     observed = np.asarray(observed, dtype=float)
     n = observed.shape[-1]
     limit = np.finfo(float).max / (4.0 * np.sqrt(max(n, 1)))
-    if not (-limit <= observed.min(initial=0.0) and observed.max(initial=0.0) <= limit):
+    if not np.abs(observed).max(initial=0.0) <= limit:  # NaN fails too
         _check_finite(observed, "observed samples")
         raise ValueError(f"observed samples must be at most {limit:.6g} in magnitude at N = {n}, "
                          "or the Haar transform overflows")
