@@ -52,7 +52,7 @@ EDGE_MARGIN = 1e-9
 # tables for N = 2^16, one for N = 2^18.  _white_edges drops the oldest (n, lam)
 # first; a longer curve gets no table.
 _EDGE_CACHE_BYTES = 1 << 23
-_edge_cache: dict = {}  # (n, lam) -> (read-only (4, n) table, positions filled), or (None, 0)
+_edge_cache: dict = {}  # (n, lam) -> its read-only (4, n) table, or None until built
 _edge_lock = threading.Lock()
 
 
@@ -115,39 +115,34 @@ def soft_threshold(coeffs, t, out=None) -> np.ndarray:
     return np.subtract(coeffs, clipped, out=out)
 
 
-def _white_edges(n, lam, top, stop):
-    """The white band inverted, as read-only rows ``(out_lo, out_hi, in_lo, in_hi)`` of
-    u = z / sigma at the positions p = 0 .. n - 1 of an n-point curve counted from its
-    top: at g = (n - p - 1/2) / n, the roots of ``(F - g)^2 = (lam^2 / n) F (1 - F)``,
+def _white_edges(n, lam):
+    """The white band inverted, as a read-only table of rows ``(out_lo, out_hi, in_lo,
+    in_hi)`` of u = z / sigma at the positions p = 0 .. n - 1 of an n-point curve counted
+    from its top: at g = (n - p - 1/2) / n, the roots of ``(F - g)^2 = (lam^2 / n) F (1 - F)``,
     where F = erf(u / sqrt(2)) meets a band edge, widened and narrowed by ``EDGE_MARGIN``.
-    A table is kept per (n, lam), up to ``_EDGE_CACHE_BYTES`` in all, and filled as deep
-    as scans have gone, at least to ``stop`` for a scan now at ``top``.  Its erfinv costs
-    more than the band at a point, so a table pays only when (n, lam) repeats: None for
-    the first scan of an (n, lam), which only records it, and for a curve too long for
-    the budget."""
-    edges, filled = _edge_cache.get((n, lam), (None, -1))
-    if filled >= stop or 32 * n > _EDGE_CACHE_BYTES:
-        return edges if filled >= stop else None
-    with _edge_lock:  # tables are filled in place, and the cache is checked then changed
-        edges, filled = _edge_cache.get((n, lam), (None, -1))
-        if edges is None and (filled < 0 or top > 0):
-            _edge_cache[n, lam] = None, 0
-        elif filled < stop:
-            if edges is None:
-                edges = np.empty((4, n))
-                edges.flags.writeable = False
-            g = (n - np.arange(filled, stop) - 0.5) / n
+    Its erfinv costs more than the band at a point, so a table pays only when (n, lam)
+    repeats: the first call for an (n, lam) only records it and returns None, the second
+    builds the whole table, and every later one returns that table.  Tables share
+    ``_EDGE_CACHE_BYTES``, the oldest (n, lam) dropped first when a new one is recorded;
+    a curve too long for the budget gets None."""
+    edges = _edge_cache.get((n, lam))
+    if edges is not None or 32 * n > _EDGE_CACHE_BYTES:
+        return edges
+    with _edge_lock:  # the cache is checked, then changed
+        if (n, lam) not in _edge_cache:
+            _edge_cache[n, lam] = None
+            while sum(32 * m for m, _ in _edge_cache) > _EDGE_CACHE_BYTES:
+                del _edge_cache[next(iter(_edge_cache))]  # the oldest first
+        elif _edge_cache[n, lam] is None:
+            g = (n - np.arange(n) - 0.5) / n
             c = lam * lam / n
             root = np.sqrt(c * (4.0 * g * (1.0 - g) + c))  # sqrt((2g + c)^2 - 4 (1 + c) g^2)
             f_lo, f_hi = (2.0 * g + c - root) / (2.0 + 2.0 * c), (2.0 * g + c + root) / (2.0 + 2.0 * c)
             f = np.stack([f_lo - EDGE_MARGIN, f_hi + EDGE_MARGIN, f_lo + EDGE_MARGIN, f_hi - EDGE_MARGIN])
-            edges.flags.writeable = True
-            edges[:, filled:stop] = np.sqrt(2.0) * erfinv(np.clip(f, 0.0, 1.0))
+            edges = np.sqrt(2.0) * erfinv(np.clip(f, 0.0, 1.0))
             edges.flags.writeable = False
-            _edge_cache[n, lam] = edges, stop
-        while filled < 0 and sum(32 * m for m, _ in _edge_cache) > _EDGE_CACHE_BYTES:
-            del _edge_cache[next(iter(_edge_cache))]  # the oldest first
-    return edges
+            _edge_cache[n, lam] = edges
+        return _edge_cache[n, lam]
 
 
 def _select(a, sigma, lam, profile, rows) -> np.ndarray:
@@ -162,11 +157,12 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     maximum as "in band".  T* is the *last* in-band point, so the scan runs from the
     top down in blocks of ``SCAN_BLOCK``, twice that, ... points, up to the first
     block with an in-band point.  A white point is placed by its ``z / sigma``
-    against :func:`_white_edges`: outside the widened band it is out, and a row
-    whose first point inside that lies inside the narrowed band is done.  Every
-    other row (colored; white with no table yet for its (N, lam), or too long for
-    the budget; white with its first candidate in the margin) has its whole block
-    evaluated by :func:`~nide.signature._band_edges`.  Sound: outside the margin the
+    against the table of :func:`_white_edges`, looked up once per call: outside the
+    widened band it is out, and a row whose first point inside that lies inside the
+    narrowed band is done.  Every other row (every row of a scan with no table:
+    colored, the first scan of a white (N, lam), or one too long for the budget; a
+    white row with its first candidate in the margin) has its whole block evaluated
+    by :func:`~nide.signature._band_edges`.  Sound: outside the margin the
     exact band misses or holds g by at least 5e-10 (the slack is concave in F inside
     the band and convex outside, so least at the margin's edges: 5.04e-10 for N up
     to 2^20 and lam up to 8), while F, the band edges and the table are evaluated
@@ -177,6 +173,7 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     a.partition(unsorted, axis=-1)
     a[..., unsorted:].sort(axis=-1)
     stop, size, s = 0, SCAN_BLOCK, sigma[rows, None]
+    edges = _white_edges(n, float(lam)) if profile is None and rows.size else None
     while stop < n and rows.size:
         if stop >= n - unsorted:  # in place, as a fancy-index copy costs twice a sort
             for part in [a[:, :unsorted]] if rows.size == a.shape[0] else [a[i, :unsorted] for i in rows]:
@@ -184,7 +181,6 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
             unsorted = 0
         top, stop, size = stop, min(stop + size, n - unsorted), 2 * size
         z, r = a[:, ::-1][rows, top:stop], np.arange(rows.size)  # descending
-        edges = None if profile is not None else _white_edges(n, float(lam), top, stop)
         if edges is None:  # exact: the rows the table cannot decide
             exact, inside = r, np.empty(z.shape, bool)
         else:

@@ -117,27 +117,53 @@ def test_tied_chunk_on_band_edge(edge, offset, sigma):
 
 
 def test_edge_tables_keep_to_their_byte_budget(monkeypatch):
-    # A table is built on the second scan of an (N, lam), filled only as deep as
-    # asked, read-only, dropped oldest first, and never built for a curve longer
-    # than the budget allows.
+    # The first call for an (N, lam) records it, the second builds the whole table,
+    # read-only, and every later call returns that same table.  Tables are dropped
+    # oldest first, and nothing is recorded for a curve longer than the budget allows.
     monkeypatch.setattr(denoise_module, "_edge_cache", {})
     white_edges, kept = denoise_module._white_edges, denoise_module._edge_cache
     budget, n = denoise_module._EDGE_CACHE_BYTES, 1 << 16
-    assert white_edges(n, 1.0, 0, 8) is None and white_edges(n, 1.0, 8, 24) is None
-    shallow = white_edges(n, 1.0, 0, 8)
-    assert not shallow.flags.writeable and kept[n, 1.0][1] == 8
-    assert white_edges(n, 1.0, 8, 24) is shallow and kept[n, 1.0][1] == 24
+    assert white_edges(n, 1.0) is None and kept == {(n, 1.0): None}
+    table = white_edges(n, 1.0)
+    assert table.shape == (4, n) and not table.flags.writeable and kept[n, 1.0] is table
+    assert np.all(np.diff(table[[0, 2, 3, 1]], axis=0) >= 0)  # out_lo <= in_lo <= in_hi <= out_hi
+    assert all(white_edges(n, 1.0) is table for _ in range(3))
     for lam in (2.0, 3.0, 4.0, 4.5):
-        assert white_edges(n, lam, 0, n) is None and white_edges(n, lam, 0, n).shape == (4, n)
+        assert white_edges(n, lam) is None and white_edges(n, lam).shape == (4, n)
     assert list(kept) == [(n, 2.0), (n, 3.0), (n, 4.0), (n, 4.5)]
-    assert sum(e.nbytes for e, _ in kept.values()) <= budget
-    assert white_edges(budget // 32 + 1, 4.5, 0, 8) is None
-    assert white_edges(budget // 32 + 1, 4.5, 0, 8) is None and len(kept) == 4
+    assert sum(e.nbytes for e in kept.values()) <= budget
+    assert white_edges(budget // 32 + 1, 4.5) is None
+    assert white_edges(budget // 32 + 1, 4.5) is None
+    assert list(kept) == [(n, 2.0), (n, 3.0), (n, 4.0), (n, 4.5)]
+
+
+def test_scan_deeper_than_earlier_scans_builds_nothing(monkeypatch):
+    # The table is built whole, so a scan that goes deeper than every earlier scan
+    # of its (N, lam) uses it as it is: erfinv runs once, at the build.
+    m, lam, calls = 2048, 4.5, []
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    monkeypatch.setattr(denoise_module, "erfinv", lambda f: calls.append(f.shape) or erfinv(f))
+    shallow = curve([("center", m)], m, 1.0, lam, m, 0.0, 5)
+    deep = curve([("center", m)], m, 1.0, lam, m, 0.0, 1000)
+    for z in (shallow, shallow, deep):
+        assert select_threshold(z, 1.0, lam=lam) == reference(z, 1.0, m, lam, None)[0]
+    assert calls == [(4, m)]
+
+
+def test_scan_with_only_passthrough_rows_records_nothing(monkeypatch):
+    # A zero row and a row whose sigma is negligible next to its peak pass through:
+    # _select has no live row, so it never asks for a table.
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    rows = np.stack([np.zeros(N), gen_noise(NoiseSpec.white(), N, 1)])
+    analysed, used = _analyse(rows, LEVELS, [1.0, 1e-300])
+    t, bands = _nide_rule(analysed, used, DenoiseConfig(levels=LEVELS))
+    assert t.ravel().tolist() == [0.0, 0.0] and bands == [None, None]
+    assert denoise_module._edge_cache == {}
 
 
 def test_threads_share_the_edge_tables(monkeypatch):
     # Four threads scan three curves through a budget that holds one table, so
-    # tables are built, extended and dropped under each other; every threshold
+    # tables are recorded, built and dropped under each other; every threshold
     # must still be the pointwise one.
     monkeypatch.setattr(denoise_module, "_edge_cache", {})
     monkeypatch.setattr(denoise_module, "_EDGE_CACHE_BYTES", 32 * 3000)
@@ -276,7 +302,7 @@ def test_white_row_with_its_candidate_in_the_margin_evaluates_one_block(f_points
         f_points[0] = 0
         t = denoise_module._select(rows[:, ::-1].copy(), sigma, lam, None, np.arange(3))
         assert t.tolist() == expected
-    assert denoise_module._edge_cache[m, lam][0] is not None
+    assert denoise_module._edge_cache[m, lam].shape == (4, m)
     assert f_points[0] == 128
 
 
