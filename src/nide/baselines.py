@@ -29,6 +29,9 @@ BASELINE_METHODS = ("visu", "sure", "bayes")
 
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # above it, _squares raises OverflowError
 
+# A rule whose squares of the band sum to inf would return a wrong threshold without a word.
+_SQUARES_OVERFLOW = "the squares of the band sum past the largest float; scale the input down"
+
 
 def _squares(sigma) -> np.ndarray:
     """``sigma**2`` elementwise with Python's float power, which can round
@@ -74,13 +77,17 @@ def sure_risk(band, sigma: float, t: float) -> float:
 
 def sure_minimizer(band, sigma):
     """Threshold minimizing :func:`sure_risk` over candidates ``{0} | sorted |band|``,
-    per row of ``band`` (last axis), with one ``sigma`` per row."""
+    per row of ``band`` (last axis), with one ``sigma`` per row.  A row whose squares
+    sum past the largest float is rejected with ``ValueError``."""
     band = np.asarray(band, dtype=float)
     n = band.shape[-1]
     if n == 0:
         raise ValueError("band must be nonempty")
-    sq = np.concatenate([np.zeros(band.shape[:-1] + (1,)), np.sort(band**2, axis=-1)], axis=-1)
-    candidates, cumsq = np.sqrt(sq), np.cumsum(sq, axis=-1)
+    with np.errstate(over="ignore"):  # checked below
+        sq = np.concatenate([np.zeros(band.shape[:-1] + (1,)), np.sort(band**2, axis=-1)], axis=-1)
+        candidates, cumsq = np.sqrt(sq), np.cumsum(sq, axis=-1)
+    if np.isinf(cumsq[..., -1]).any():
+        raise ValueError(_SQUARES_OVERFLOW)
     k = np.arange(n + 1)  # number of |x| <= candidate (ties share the value)
     s2 = _squares(sigma)[..., None]
     risks = n * s2 - 2.0 * s2 * k + (cumsq + (n - k) * candidates**2)
@@ -114,11 +121,15 @@ def bayes_threshold(band, sigma):
     (last axis) with one ``sigma`` per row; a float for a 1-D band.
 
     A band whose variance does not exceed the noise variance is treated as
-    pure noise: the threshold is ``max |band|``, which zeroes it.
+    pure noise: the threshold is ``max |band|``, which zeroes it.  A row whose
+    squares sum past the largest float is rejected with ``ValueError``.
     """
     rows, sigma = _rows(band, sigma)
     s2 = _squares(sigma)
-    variance = np.mean(rows**2, axis=-1)  # detail bands are zero mean
+    with np.errstate(over="ignore"):  # checked below
+        variance = np.mean(rows**2, axis=-1)  # detail bands are zero mean
+    if np.isinf(variance).any():
+        raise ValueError(_SQUARES_OVERFLOW)
     sigma_x = np.sqrt(np.maximum(variance - s2, 0.0))
     noise_only = sigma_x == 0.0
     t = s2 / np.where(noise_only, 1.0, sigma_x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nide.baselines import (
+    _baseline_rule,
     bayes_threshold,
     denoise_with,
     sure_minimizer,
@@ -11,7 +12,7 @@ from nide.baselines import (
     sure_threshold,
     visu_threshold,
 )
-from nide.denoise import DenoiseConfig
+from nide.denoise import DenoiseConfig, _analyse
 from nide.noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise
 from nide.signals import gen_signal
 
@@ -126,6 +127,31 @@ def test_sigma_whose_square_overflows_is_rejected(rule):
         rule(band, np.nextafter(largest, np.inf))
     with pytest.raises(ValueError, match="sigma must be at most"):
         rule(np.stack([band, band]), [1.0, 1e155])
+
+
+@pytest.mark.parametrize("method", ["sure", "bayes"])
+def test_thresholds_scale_with_the_input_until_the_squares_overflow(method):
+    # Noisy blocks: at 1e100 every level's threshold and the output scale with the
+    # input.  At 1e153 the MAD sigma (2.02e153) is accepted but the coefficient
+    # squares overflow; the rule rejects the input, where it returned thresholds
+    # too low (Bayes 0 at every level) after overflow warnings.
+    x = gen_signal("blocks", 2048).samples + 2 * np.random.default_rng(0).normal(size=2048)
+
+    def thresholds(scale):
+        coeffs, sigma = _analyse(x[None] * scale, DenoiseConfig.levels)
+        return _baseline_rule(method, coeffs, sigma, DenoiseConfig())[0][0]
+
+    np.testing.assert_allclose(thresholds(1e100), thresholds(1.0) * 1e100, rtol=1e-12)
+    np.testing.assert_allclose(denoise_with(method, x * 1e100).denoised,
+                               denoise_with(method, x).denoised * 1e100, rtol=1e-12)
+    truth = gen_signal("blocks", 2048).samples
+    limit = np.finfo(float).max / (4.0 * np.sqrt(2048))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the noisy input, and the noise-free one just under the magnitude limit (MAD sigma 0)
+        for big in (x * 1e153, truth * (0.99 * limit / np.abs(truth).max())):
+            with pytest.raises(ValueError, match="squares of the band sum past the largest float"):
+                denoise_with(method, big)
 
 
 def test_denoise_with_rejects_a_sigma_whose_square_overflows():
