@@ -159,6 +159,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.sigma_policy not in SIGMA_POLICIES:
             raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}")
 
@@ -484,6 +486,8 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
             raise ValueError("check appendixA divides by z (exp(-v^2 / 2z^2)), so z must be positive")
     if runs < least:
         raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rows, ok, summary = run_check(runs, seed, **params)
     return McReport(check=check, params=params, runs=runs, seed=seed, passed=ok,
                     rows=rows, summary=summary)

@@ -519,6 +519,10 @@ class TestCli:
         ["bench", "--method", "nide,visu,nide", "--trials", "1"],
         ["lambda-sweep", "--lambdas", "", "--trials", "1"],
         ["lambda-sweep", "--lambdas", "4.5,4.5", "--trials", "1"],
+        ["bench", "--seed", "-1", "--trials", "1"],
+        ["trace", "--seed", "-1"],
+        ["lambda-sweep", "--seed", "-1", "--trials", "1"],
+        ["mc", "--check", "coverage", "--runs", "2", "--seed", "-1"],
     ])
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, argv):
         infile = tmp_path / "in.csv"
@@ -530,6 +534,8 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        if "--seed" in argv:
+            assert "seed" in err and "-1" in err
 
     @pytest.mark.parametrize("name", ["./den", "den.csv", "run.v2/den"])
     def test_denoise_file_report_beside_output(self, tmp_path, monkeypatch, name):
