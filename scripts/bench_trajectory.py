@@ -12,9 +12,11 @@ checkout's in the other, made as alternating pairs with the same seeds.
 For every workload and every end-to-end metric that ``BENCHMARK.json``
 declares, the output holds the parent's and the change's median and
 quartiles, the ratio of the medians, and the number of pairs the change
-wins.  It also records the seeds, the host, the numpy and scipy versions,
-each run's MSE-table digest and both sides' timing metrics as measured,
-before perfbench rescales them to nominal machine speed.
+wins.  The timing metrics as measured, before perfbench rescales them to
+nominal machine speed, get the same four figures under ``as_measured``, so
+a change whose raw and rescaled timings disagree shows both ratios.  It also
+records the seeds, the host, the numpy and scipy versions and each run's
+MSE-table digest.
 """
 
 import argparse
@@ -49,40 +51,40 @@ def _cpu_model() -> str | None:
     return None
 
 
+def _compare(spec: dict, pairs: list, value) -> dict:
+    """``value(run)`` over the pairs: both sides' median and quartiles, the ratio of
+    the medians and the number of pairs the change wins, by ``spec["better"]``."""
+    before, after = [value(p) for p, _ in pairs], [value(c) for _, c in pairs]
+    higher = spec["better"] == "higher"
+    parent_stats, change_stats = _summary(before), _summary(after)
+    return {
+        "unit": spec["unit"], "better": spec["better"],
+        "parent": parent_stats, "change": change_stats,
+        "change_over_parent": change_stats["median"] / parent_stats["median"]
+        if parent_stats["median"] else None,
+        "change_wins": sum((a > b) if higher else (a < b) for b, a in zip(before, after)),
+    }
+
+
 def trajectory(parent: dict, change: dict, declared: list[dict]) -> dict:
+    specs = {spec["name"]: spec for spec in declared}
     workloads = {}
     for workload in sorted({w for w, _ in parent}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
         if len(seeds) < 2:
             continue
         pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
-        metrics = {}
-        for spec in declared:
-            name, higher = spec["name"], spec["better"] == "higher"
-            before = [p["result"]["metrics"][name]["value"] for p, _ in pairs]
-            after = [c["result"]["metrics"][name]["value"] for _, c in pairs]
-            wins = sum((a > b) if higher else (a < b) for b, a in zip(before, after))
-            parent_stats, change_stats = _summary(before), _summary(after)
-            metrics[name] = {
-                "unit": spec["unit"], "better": spec["better"],
-                "parent": parent_stats, "change": change_stats,
-                "change_over_parent": change_stats["median"] / parent_stats["median"]
-                if parent_stats["median"] else None,
-                "change_wins": wins,
-            }
         workloads[workload] = {
             "seeds": seeds,
             "pairs": len(seeds),
             "failed": [[p["result"]["failed"], c["result"]["failed"]] for p, c in pairs],
             "mse_table_sha256": [[p["info"].get("mse_table_sha256"), c["info"].get("mse_table_sha256")]
                                  for p, c in pairs],
-            "metrics": metrics,
+            "metrics": {name: _compare(spec, pairs, lambda run: run["result"]["metrics"][name]["value"])
+                        for name, spec in specs.items()},
             # The timing metrics before the machine-speed rescaling (perfbench/worker.py).
-            "as_measured": {
-                name: {side: _summary([run[i]["info"]["as_measured"][name] for run in pairs])
-                       for i, side in enumerate(("parent", "change"))}
-                for name in pairs[0][0]["info"].get("as_measured", {})
-            },
+            "as_measured": {name: _compare(specs[name], pairs, lambda run: run["info"]["as_measured"][name])
+                            for name in pairs[0][0]["info"].get("as_measured", {})},
         }
     return workloads
 
