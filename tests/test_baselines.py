@@ -133,8 +133,8 @@ def test_sigma_whose_square_overflows_is_rejected(rule):
 def test_thresholds_scale_with_the_input_until_the_squares_overflow(method):
     # Noisy blocks: at 1e100 every level's threshold and the output scale with the
     # input.  At 1e153 the MAD sigma (2.02e153) is accepted but the coefficient
-    # squares overflow; the rule rejects the input, where it returned thresholds
-    # too low (Bayes 0 at every level) after overflow warnings.
+    # squares overflow, and the rule rejects the input rather than return
+    # thresholds that are too low (Bayes 0 at every level).
     x = gen_signal("blocks", 2048).samples + 2 * np.random.default_rng(0).normal(size=2048)
 
     def thresholds(scale):
