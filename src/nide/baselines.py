@@ -137,20 +137,26 @@ def bayes_threshold(band, sigma):
     return float(t[0]) if np.ndim(band) == 1 else t.reshape(np.shape(band)[:-1])
 
 
-def _baseline_rule(method, coeffs, sigma, config):
-    """Pipeline rule of a classical threshold: one per row for ``visu``, one per row and
-    detail level for ``sure`` and ``bayes``, from sigma floored at the smallest normal float."""
+def _visu_rule(coeffs, sigma, config):
+    """Pipeline rule of the universal threshold: one per row for all detail coefficients,
+    from sigma floored at the smallest normal float."""
     sigma = np.maximum(sigma, np.finfo(float).tiny)
-    if method == "visu":
-        t = visu_threshold(coeffs.values.shape[-1], sigma)[..., None]
-    else:
-        rule = sure_threshold if method == "sure" else bayes_threshold
-        t = np.stack([rule(b, sigma) for b in coeffs.detail_bands], axis=-1)
-    return t, None
+    return visu_threshold(coeffs.values.shape[-1], sigma)[..., None], None
 
 
-# The threshold rule of every method: (coeffs, sigma, config) -> (thresholds, band factories).
-_RULES = {"nide": _nide_rule, **{m: partial(_baseline_rule, m) for m in BASELINE_METHODS}}
+def _level_rule(threshold, coeffs, sigma, config):
+    """Pipeline rule of a per-level threshold: ``threshold(band, sigma)`` per row and
+    detail level, from sigma floored at the smallest normal float."""
+    sigma = np.maximum(sigma, np.finfo(float).tiny)
+    return np.stack([threshold(b, sigma) for b in coeffs.detail_bands], axis=-1), None
+
+
+# The one table from method name to threshold rule: (coeffs, sigma, config) -> (thresholds,
+# band factories).  The lambdas look up the module's sure_threshold and bayes_threshold at
+# each call, so a tracer that wraps them sees the calls.
+_RULES = {"nide": _nide_rule, "visu": _visu_rule,
+          "sure": partial(_level_rule, lambda b, s: sure_threshold(b, s)),
+          "bayes": partial(_level_rule, lambda b, s: bayes_threshold(b, s))}
 
 
 def denoise_with(method: str, observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:

@@ -200,8 +200,9 @@ def _noise_profile(noise: NoiseSpec, n: int):
 def _paired_mse(config: ExperimentConfig, arms):
     """Per-trial normalized MSE, ``{(signal, snr, arm): array of trials}``.
 
-    ``arms`` maps a key to a ``(method, lam)`` pair; every other setting comes from
-    ``config``.  One noise vector is drawn per trial (from the trial-indexed child seed)
+    ``arms`` maps a key to a ``(rule, lam)`` pair, a threshold rule as in
+    :data:`nide.baselines._RULES` and the band width it runs with; every other setting, the
+    noise profile included, comes from ``config``.  One noise vector is drawn per trial (from the trial-indexed child seed)
     and reused, rescaled, across every signal, SNR and arm, so comparisons are paired.
     The trials run in the fewest blocks of at most ``_TRIAL_BLOCK_ELEMENTS`` samples, as
     equal as possible (100 trials at N = 2048 as 50 + 50); every row is denoised on its own,
@@ -211,9 +212,8 @@ def _paired_mse(config: ExperimentConfig, arms):
     """
     n, noise, trials, snrs, seed = config.n, config.noise, config.trials, config.snr_db, config.seed
     profile = _noise_profile(noise, n)
-    arms = {key: (DenoiseConfig(levels=config.levels, lam=lam,
-                                profile=profile if method == "nide" else None), _RULES[method])
-            for key, (method, lam) in arms.items()}
+    arms = {key: (DenoiseConfig(levels=config.levels, lam=lam, profile=profile), rule)
+            for key, (rule, lam) in arms.items()}
     truths = {name: gen_signal(name, n).samples for name in config.signals}
     thetas = {name: dwt_forward(truth, config.levels).values for name, truth in truths.items()}
     theta_sq = {name: _norm(theta) ** 2 for name, theta in thetas.items()}
@@ -248,7 +248,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Method comparisons are paired: every method denoises the same noise
     draws (see :func:`_paired_mse`).
     """
-    mses = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
+    mses = _paired_mse(config, {m: (_RULES[m], config.lam) for m in config.methods})
     noise_label = config.noise.describe()
     rows = [
         ExperimentRow(name, method, float(snr), noise_label,
@@ -304,7 +304,7 @@ def lambda_sweep(signal: str, snr_db: float, lambdas, **experiment):
         raise TypeError("lambda_sweep() takes its band widths from lambdas, not lam")
     config = ExperimentConfig(signals=(signal,), snr_db=(snr_db,), methods=("nide",), **experiment)
     lambdas = _distinct("lambdas", map(float, lambdas))
-    mses = _paired_mse(config, {l: ("nide", l) for l in lambdas})
+    mses = _paired_mse(config, {l: (_RULES["nide"], l) for l in lambdas})
     return [(l, *_mean_std(mses[config.signals[0], config.snr_db[0], l])) for l in lambdas]
 
 

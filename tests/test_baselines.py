@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nide.baselines import (
-    _baseline_rule,
+    _RULES,
     bayes_threshold,
     denoise_with,
     sure_minimizer,
@@ -139,7 +139,7 @@ def test_thresholds_scale_with_the_input_until_the_squares_overflow(method):
 
     def thresholds(scale):
         coeffs, sigma = _analyse(x[None] * scale, DenoiseConfig.levels)
-        return _baseline_rule(method, coeffs, sigma, DenoiseConfig())[0][0]
+        return _RULES[method](coeffs, sigma, DenoiseConfig())[0][0]
 
     np.testing.assert_allclose(thresholds(1e100), thresholds(1.0) * 1e100, rtol=1e-12)
     np.testing.assert_allclose(denoise_with(method, x * 1e100).denoised,

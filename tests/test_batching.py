@@ -224,7 +224,7 @@ PAIRED_CONFIGS = [
 def test_paired_trials_equal_the_per_trial_loop():
     for config in PAIRED_CONFIGS:
         want = ref_trial_mses(config)
-        got = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
+        got = _paired_mse(config, {m: (_RULES[m], config.lam) for m in config.methods})
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key]), key
@@ -246,20 +246,51 @@ def test_coefficient_scores_equal_time_domain_errors(config):
     denoised = {}
     for key, observed, cfg, truth in per_trial_arms(config):
         denoised.setdefault(key, []).append(denoise_with(key[2], observed, cfg).denoised)
-    got = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
+    got = _paired_mse(config, {m: (_RULES[m], config.lam) for m in config.methods})
     for (name, snr, method), rows in denoised.items():
         truth = gen_signal(name, config.n).samples
         want = normalized_mse(np.array(rows), truth)
         np.testing.assert_allclose(got[name, snr, method], want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("noise, policy", [(NoiseSpec.white(), "mad"), (NoiseSpec.ar1(0.8), "known")],
+                         ids=("white-mad", "ar1-known"))
+def test_paired_trials_run_a_rule_outside_the_method_table(noise, policy):
+    """An arm is a rule and a band width, not a method name: rules that are not in
+    ``_RULES`` run, a wrapper of a baseline's rule scores that baseline's arm in every
+    bit, and every arm, a baseline's too, is given the experiment's noise profile."""
+    config = ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0), noise=noise,
+                              trials=12, seed=7, n=N, sigma_policy=policy)
+    profiles = []
+
+    def wrapped(method):
+        def rule(coeffs, sigma, cfg):
+            profiles.append(cfg.profile)
+            return _RULES[method](coeffs, sigma, cfg)
+        return rule
+
+    arms = {m: (_RULES[m], LAM) for m in ("visu", "sure")}
+    got = _paired_mse(config, arms | {f"wrapped {m}": (wrapped(m), LAM) for m in arms})
+    for name in config.signals:
+        for snr in config.snr_db:
+            for m in arms:
+                assert np.array_equal(got[name, snr, f"wrapped {m}"], got[name, snr, m])
+    assert len(profiles) == 2 * len(config.signals) * len(config.snr_db)  # one block of trials
+    if noise.kind == "white":
+        assert all(p is None for p in profiles)
+    else:
+        want = theoretical_profile(noise, max_lag=N - 1).rho
+        assert all(np.array_equal(p.rho, want) for p in profiles)
+
+
 # Prints a digest of the per-trial scores of a run long enough (N = 16384) that
 # a BLAS dot on two threads rounds differently from one on one thread.
 _PAIRED_DIGEST = """
 import hashlib
+from nide.baselines import _RULES
 from nide.bench import ExperimentConfig, _paired_mse
 config = ExperimentConfig(signals=("blocks", "bumps"), snr_db=(4.0, 14.0), trials=4, n=16384)
-mses = _paired_mse(config, {m: (m, config.lam) for m in config.methods})
+mses = _paired_mse(config, {m: (_RULES[m], config.lam) for m in config.methods})
 print(hashlib.sha256(b"".join(mses[key].tobytes() for key in sorted(mses))).hexdigest())
 """
 
@@ -332,7 +363,7 @@ def test_one_analysis_per_stack(monkeypatch):
     forward, calls = module.dwt_forward, []
     monkeypatch.setattr(module, "dwt_forward",
                         lambda x, levels: calls.append(x.shape) or forward(x, levels))
-    arms = {m: (m, LAM) for m in METHODS} | {"nide 3": ("nide", 3.0)}
+    arms = {m: (_RULES[m], LAM) for m in METHODS} | {"nide 3": (_RULES["nide"], 3.0)}
     # (trials, N): the blocks, each transformed once per signal and SNR (2 x 2).
     # The reference 100 trials at N = 2048 run as two blocks of 50, with no
     # short tail; at N = 4096 a block holds at most 32 trials, so 70 run as 23, 23, 24.
