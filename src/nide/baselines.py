@@ -78,19 +78,23 @@ def sure_risk(band, sigma: float, t: float) -> float:
 def sure_minimizer(band, sigma):
     """Threshold minimizing :func:`sure_risk` over candidates ``{0} | sorted |band|``,
     per row of ``band`` (last axis), with one ``sigma`` per row.  A row whose squares
-    sum past the largest float is rejected with ``ValueError``."""
+    sum past the largest float, or a sigma whose ``n sigma^2`` is not finite, is
+    rejected with ``ValueError``."""
     band = np.asarray(band, dtype=float)
     n = band.shape[-1]
     if n == 0:
         raise ValueError("band must be nonempty")
+    sigma = np.asarray(sigma, dtype=float)
+    s2 = _squares(sigma)[..., None] if np.all(np.abs(sigma) <= _SIGMA_MAX) else np.inf  # NaN too
     with np.errstate(over="ignore"):  # checked below
         sq = np.concatenate([np.zeros(band.shape[:-1] + (1,)), np.sort(band**2, axis=-1)], axis=-1)
-        candidates, cumsq = np.sqrt(sq), np.cumsum(sq, axis=-1)
+        candidates, cumsq, ns2 = np.sqrt(sq), np.cumsum(sq, axis=-1), n * s2
     if np.isinf(cumsq[..., -1]).any():
         raise ValueError(_SQUARES_OVERFLOW)
+    if not np.isfinite(ns2).all():
+        raise ValueError(f"n sigma^2 must be finite, got sigma up to {np.max(sigma):.6g} at n = {n}")
     k = np.arange(n + 1)  # number of |x| <= candidate (ties share the value)
-    s2 = _squares(sigma)[..., None]
-    risks = n * s2 - 2.0 * s2 * k + (cumsq + (n - k) * candidates**2)
+    risks = ns2 - 2.0 * s2 * k + (cumsq + (n - k) * candidates**2)
     best = np.take_along_axis(candidates, np.argmin(risks, axis=-1)[..., None], axis=-1)[..., 0]
     return float(best) if best.ndim == 0 else best
 

@@ -34,7 +34,7 @@ from .noise_model import NoiseSpec, _norm, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
 from .signature import colored_variance_bound, empirical_signature, white_band
 from .wavelet import dwt_forward
-from .gaussian_stats import abs_noise_cdf, shifted_abs_cdf
+from .gaussian_stats import _check_integer, abs_noise_cdf, shifted_abs_cdf
 
 __all__ = [
     "ExperimentConfig",
@@ -157,6 +157,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        _check_integer(trials=self.trials, n=self.n, levels=self.levels, seed=self.seed)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
@@ -200,10 +201,11 @@ def _noise_profile(noise: NoiseSpec, n: int):
 def _paired_mse(config: ExperimentConfig, arms):
     """Per-trial normalized MSE, ``{(signal, snr, arm): array of trials}``.
 
-    ``arms`` maps a key to a ``(rule, lam)`` pair, a threshold rule as in
-    :data:`nide.baselines._RULES` and the band width it runs with; every other setting, the
-    noise profile included, comes from ``config``.  One noise vector is drawn per trial (from the trial-indexed child seed)
-    and reused, rescaled, across every signal, SNR and arm, so comparisons are paired.
+    ``arms`` maps a key to a ``(rule, lam)`` pair: a threshold rule, such as a value of
+    :data:`nide.baselines._RULES`, and the band width it runs with.  Every other setting,
+    the noise profile included, comes from ``config``.  One noise vector is drawn per trial
+    (from the trial-indexed child seed) and reused, rescaled, across every signal, SNR and
+    arm, so comparisons are paired.
     The trials run in the fewest blocks of at most ``_TRIAL_BLOCK_ELEMENTS`` samples, as
     equal as possible (100 trials at N = 2048 as 50 + 50); every row is denoised on its own,
     so the split changes no score.  Each block is analysed once per signal and SNR; every arm
@@ -484,6 +486,7 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
             raise ValueError(f"z must be nonempty, finite and nonnegative, got {params['z']!r}")
         if check == "appendixA" and np.any(zs == 0):
             raise ValueError("check appendixA divides by z (exp(-v^2 / 2z^2)), so z must be positive")
+    _check_integer(runs=runs, seed=seed)
     if runs < least:
         raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
     if seed < 0:

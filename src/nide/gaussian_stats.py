@@ -41,6 +41,13 @@ def _check_finite(values, what) -> None:
         raise ValueError(f"{what} must be finite; found {bad} NaN or infinite value(s)")
 
 
+def _check_integer(**settings) -> None:
+    """Reject any setting given that is not a Python or numpy integer, by its name."""
+    for name, value in settings.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_sigma(sigma) -> None:
     """Reject any noise scale in ``sigma`` that is not finite and positive (a NaN fails both)."""
     sigma = np.asarray(sigma, dtype=float)

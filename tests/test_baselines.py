@@ -52,6 +52,17 @@ class TestSureThreshold:
         grid_risks = [sure_risk(band, 1.0, g) for g in grid]
         assert sure_risk(band, 1.0, t) <= min(grid_risks) + 1e-9
 
+    @pytest.mark.parametrize("sigma", [1e154, np.sqrt(np.finfo(float).max), 1e155, np.inf, np.nan,
+                                       [1.0, 1e154]])
+    def test_minimizer_rejects_a_sigma_whose_n_sigma_squared_overflows(self, sigma):
+        # 4 sigma^2 overflows at 1e154 although sigma^2 does not; at 1e150 it is finite
+        band = np.array([1.0, 2.0, 3.0, 4.0])
+        assert sure_minimizer(band, 1e150) == 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n sigma\\^2 must be finite, got sigma"):
+                sure_minimizer(np.broadcast_to(band, np.shape(sigma) + (4,)), sigma)
+
     def test_dominant_coefficients_give_small_threshold(self):
         rng = np.random.default_rng(2)
         band = 10.0 + rng.normal(0, 0.1, 512)  # everything far above sigma

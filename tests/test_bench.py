@@ -133,9 +133,11 @@ class TestRunExperiment:
             result = run_experiment(config)
         assert all(np.isfinite(r.mean_mse) and np.isfinite(r.std_mse) for r in result.rows)
 
-    @pytest.mark.parametrize("bad", [{"sigma_policy": "oracle"}, {"trials": 0}])
+    # A float seed had run as its truncation; the other floats ended in tracebacks.
+    @pytest.mark.parametrize("bad", [{"sigma_policy": "oracle"}, {"trials": 0}, {"trials": 2.5},
+                                     {"n": 2048.0}, {"levels": 2.5}, {"seed": 1.5}])
     def test_lambda_sweep_validates_its_experiment(self, bad):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
             lambda_sweep("blocks", 8.0, [4.5], **{"trials": 2, **bad})
 
     @pytest.mark.parametrize("field", ["lam", "methods"])
@@ -220,10 +222,21 @@ class TestMcValidate:
         ("appendixD", {"n": 64}, 1),
         ("coverage", {"n": 64}, 0),
         ("appendixC", {"n": 64}, 0),
+        ("appendixC", {"n": 64}, 2.5),
+        ("coverage", {"n": 64}, 2.0),
     ])
     def test_rejects_too_few_runs_or_samples(self, check, params, runs):
-        with pytest.raises(ValueError, match="must be at least 1|needs runs >="):
+        with pytest.raises(ValueError, match="must be at least 1|needs runs >=|runs must be an integer"):
             mc_validate(check, params, runs=runs)
+
+    @pytest.mark.parametrize("check", ["appendixC", "coverage"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, check):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            mc_validate(check, {"n": 64}, runs=2, seed=1.5)
+
+    def test_accepts_numpy_integer_runs_and_seed(self):
+        want = mc_validate("appendixC", {"n": 64}, runs=2, seed=3)
+        assert mc_validate("appendixC", {"n": 64}, runs=np.int64(2), seed=np.int64(3)) == want
 
     @pytest.mark.parametrize("check", ["appendixC", "coverage"])
     def test_mean_checks_accept_one_run(self, check):

@@ -345,6 +345,8 @@ class TestDenoisePipeline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DenoiseConfig(levels=0)
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            DenoiseConfig(levels=2.5)
         with pytest.raises(ValueError):
             DenoiseConfig(lam=9.0)
         with pytest.raises(ValueError):
