@@ -25,8 +25,6 @@ __all__ = [
     "BASELINE_METHODS",
 ]
 
-BASELINE_METHODS = ("visu", "sure", "bayes")
-
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # above it, _squares raises OverflowError
 
 # A rule whose squares of the band sum to inf would return a wrong threshold without a word.
@@ -161,6 +159,7 @@ def _level_rule(threshold, coeffs, sigma, config):
 _RULES = {"nide": _nide_rule, "visu": _visu_rule,
           "sure": partial(_level_rule, lambda b, s: sure_threshold(b, s)),
           "bayes": partial(_level_rule, lambda b, s: bayes_threshold(b, s))}
+BASELINE_METHODS = tuple(_RULES)[1:]  # every method but nide
 
 
 def denoise_with(method: str, observed, config: DenoiseConfig = DenoiseConfig()) -> DenoiseResult:
