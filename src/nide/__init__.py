@@ -21,7 +21,7 @@ from .bench import (
     run_experiment,
 )
 from .denoise import DenoiseConfig, DenoiseResult, denoise, select_threshold, soft_threshold
-from .gaussian_stats import abs_noise_cdf, erf_std, shifted_abs_cdf, std_normal_cdf
+from .gaussian_stats import abs_noise_cdf, shifted_abs_cdf, std_normal_cdf
 from .noise_model import (
     NoiseSpec,
     calibrate_noise_to_snr,
@@ -36,7 +36,6 @@ from .signature import (
     colored_band,
     colored_variance_bound,
     empirical_signature,
-    lambda_to_confidence,
     white_band,
 )
 from .wavelet import CoefficientSet, dwt_forward, dwt_inverse
@@ -64,12 +63,10 @@ __all__ = [
     "dwt_forward",
     "dwt_inverse",
     "empirical_signature",
-    "erf_std",
     "estimate_sigma_mad",
     "gen_noise",
     "gen_signal",
     "lambda_sweep",
-    "lambda_to_confidence",
     "mc_validate",
     "normalized_mse",
     "run_experiment",

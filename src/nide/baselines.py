@@ -13,11 +13,10 @@ from functools import partial
 import numpy as np
 
 from .denoise import DenoiseConfig, DenoiseResult, _nide_rule, _one
-from .gaussian_stats import _check_finite, _check_sigma
+from .gaussian_stats import _check_count, _check_finite, _check_sigma
 
 __all__ = [
     "visu_threshold",
-    "sure_risk",
     "sure_minimizer",
     "sure_threshold",
     "bayes_threshold",
@@ -52,8 +51,7 @@ def _rows(band, sigma):
 
 def visu_threshold(n: int, sigma):
     """Universal threshold ``sigma * sqrt(2 ln n)``; one per element of ``sigma``."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_count(1, n=n)
     sigma = np.asarray(sigma, dtype=float)
     _check_finite(sigma, "sigma")
     if np.any(sigma < 0):
@@ -62,22 +60,12 @@ def visu_threshold(n: int, sigma):
     return float(t) if t.ndim == 0 else t
 
 
-def sure_risk(band, sigma: float, t: float) -> float:
-    """Unbiased risk estimate of soft thresholding ``band`` at ``t``.
-
-    ``n sigma^2 - 2 sigma^2 #{|x| <= t} + sum min(x^2, t^2)``.
-    """
-    band = np.asarray(band, dtype=float)
-    n = band.size
-    below = np.count_nonzero(np.abs(band) <= t)
-    return float(n * sigma**2 - 2.0 * sigma**2 * below + np.sum(np.minimum(band**2, t**2)))
-
-
 def sure_minimizer(band, sigma):
-    """Threshold minimizing :func:`sure_risk` over candidates ``{0} | sorted |band|``,
-    per row of ``band`` (last axis), with one ``sigma`` per row.  A row whose squares
-    sum past the largest float, or a sigma whose ``n sigma^2`` is not finite, is
-    rejected with ``ValueError``."""
+    """Threshold minimizing Stein's unbiased risk of soft thresholding at ``t``,
+    ``n sigma^2 - 2 sigma^2 #{|x| <= t} + sum min(x^2, t^2)``, over the candidates
+    ``{0} | sorted |band|``, per row of ``band`` (last axis), with one ``sigma`` per
+    row.  A row whose squares sum past the largest float, or a sigma whose
+    ``n sigma^2`` is not finite, is rejected with ``ValueError``."""
     band = np.asarray(band, dtype=float)
     n = band.shape[-1]
     if n == 0:

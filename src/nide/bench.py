@@ -30,11 +30,11 @@ import numpy as np
 
 from .baselines import _RULES
 from .denoise import DenoiseConfig, _analyse, _shrink, denoise
-from .noise_model import NoiseSpec, _norm, gen_noise, theoretical_profile
+from .noise_model import SNR_DB_MIN, NoiseSpec, _check_snr, _norm, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
 from .signature import colored_variance_bound, empirical_signature, white_band
 from .wavelet import dwt_forward
-from .gaussian_stats import _check_integer, abs_noise_cdf, shifted_abs_cdf
+from .gaussian_stats import _check_count, abs_noise_cdf, shifted_abs_cdf
 
 __all__ = [
     "ExperimentConfig",
@@ -52,8 +52,6 @@ __all__ = [
 
 METHODS = tuple(_RULES)
 SIGMA_POLICIES = ("mad", "known")
-# Lowest SNR accepted: its MSE (about 1e100) is squared for the spread, which overflows below -1540 dB.
-SNR_DB_MIN = -1000.0
 COVERAGE_FLOOR = 0.999  # least per-z coverage the coverage check asks of the white band
 # The mc checks run on unit-variance noise, so z is in units of sigma.
 THETA = 1.5  # appendixC's coefficient shift
@@ -151,17 +149,13 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "signals", _distinct("signals", map(canonical_name, self.signals)))
         object.__setattr__(self, "snr_db", _distinct("snr_db", map(float, self.snr_db)))
-        if not all(SNR_DB_MIN <= s < np.inf for s in self.snr_db):
-            raise ValueError(f"snr_db must be finite and at least {SNR_DB_MIN:g}, got {self.snr_db}")
+        _check_snr(self.snr_db)
         object.__setattr__(self, "methods", _distinct("methods", self.methods))
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        _check_integer(trials=self.trials, n=self.n, levels=self.levels, seed=self.seed)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_count(1, trials=self.trials, n=self.n, levels=self.levels)
+        _check_count(0, seed=self.seed)
         if self.sigma_policy not in SIGMA_POLICIES:
             raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}")
 
@@ -477,20 +471,15 @@ def mc_validate(check: str, params: dict | None = None, runs: int = 2000, seed: 
     unknown = set(params) - {"n", "z"}
     if unknown:
         raise ValueError(f"check {check} takes only n and z, not {', '.join(sorted(unknown))}")
-    n = params.get("n", 1)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be at least 1 and an integer, got {n!r}")
+    _check_count(1, n=params.get("n", 1))
     if params.get("z") is not None:
         zs = np.asarray(params["z"], dtype=float)
         if not (zs.size and np.all((0 <= zs) & (zs < np.inf))):
             raise ValueError(f"z must be nonempty, finite and nonnegative, got {params['z']!r}")
         if check == "appendixA" and np.any(zs == 0):
             raise ValueError("check appendixA divides by z (exp(-v^2 / 2z^2)), so z must be positive")
-    _check_integer(runs=runs, seed=seed)
-    if runs < least:
-        raise ValueError(f"check {check} needs runs >= {least}, got {runs}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_count(least, runs=runs)
+    _check_count(0, seed=seed)
     rows, ok, summary = run_check(runs, seed, **params)
     return McReport(check=check, params=params, runs=runs, seed=seed, passed=ok,
                     rows=rows, summary=summary)
@@ -651,12 +640,15 @@ def _cmd_denoise_file(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Input the library rejects (a ``ValueError``) ends
-    in one ``error:`` line on stderr and exit code 2."""
+    """Run one subcommand.  Input the library rejects (a ``ValueError``) and a file
+    that cannot be read or written (an ``OSError``) end in one ``error:`` line on
+    stderr and exit code 2; an ``--out`` in a missing directory does so before any work."""
     args = build_parser().parse_args(argv)
     try:
+        if not Path(args.out or ".").parent.is_dir():
+            raise OSError(f"--out {args.out}: no directory {Path(args.out).parent}")
         return args.run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

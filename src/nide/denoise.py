@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfinv
 
-from .gaussian_stats import _check_finite, _check_integer, _check_sigma
+from .gaussian_stats import _check_count, _check_finite, _check_sigma
 from .noise_model import estimate_sigma_mad
 from .signature import (
     ConfidenceBand,
@@ -72,9 +72,7 @@ class DenoiseConfig:
     threshold_scope = "details"  # not a field: perfbench's tracer reads it on denoise calls
 
     def __post_init__(self):
-        _check_integer(levels=self.levels)
-        if self.levels < 1:
-            raise ValueError(f"levels must be at least 1, got {self.levels}")
+        _check_count(1, levels=self.levels)
         if not 0.0 <= self.lam <= 8.0:
             raise ValueError(f"lam must lie in [0, 8], got {self.lam}")
         if self.sigma is not None:

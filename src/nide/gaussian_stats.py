@@ -1,4 +1,5 @@
-"""Scalar Gaussian primitives: the error function and the two absolute-value CDFs.
+"""Scalar Gaussian primitives: the normal CDF and the two absolute-value CDFs, and the
+input checks every public function shares.
 
 Two cumulative curves drive everything else in this package:
 
@@ -16,7 +17,6 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "erf_std",
     "std_normal_cdf",
     "abs_noise_cdf",
     "shifted_abs_cdf",
@@ -25,13 +25,8 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
-def erf_std(x):
-    """Conventional error function ``(2/sqrt(pi)) int_0^x exp(-t^2) dt``, range (-1, 1)."""
-    return special.erf(x)
-
-
 def std_normal_cdf(x):
-    """Standard normal CDF ``phi(x) = 0.5 * (1 + erf_std(x / sqrt(2)))``."""
+    """Standard normal CDF ``phi(x) = 0.5 * (1 + erf(x / sqrt(2)))``."""
     return 0.5 * (1.0 + special.erf(np.asarray(x, dtype=float) / _SQRT2))
 
 
@@ -41,11 +36,14 @@ def _check_finite(values, what) -> None:
         raise ValueError(f"{what} must be finite; found {bad} NaN or infinite value(s)")
 
 
-def _check_integer(**settings) -> None:
-    """Reject any setting given that is not a Python or numpy integer, by its name."""
+def _check_count(least, **settings) -> None:
+    """Reject any count given that is not a Python or numpy integer, or is below ``least``,
+    by its name."""
     for name, value in settings.items():
         if not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _check_sigma(sigma) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_stats import _check_finite
+from .gaussian_stats import _check_count, _check_finite, _check_sigma
 from .signature import CorrelationProfile
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
 
 # Gaussian consistency constant: median(|N(0,1)|) = 0.6745 (to 4 digits).
 MAD_SCALE = 0.6745
+# Lowest SNR accepted: its MSE (about 1e100) is squared for the spread, which overflows below -1540 dB.
+SNR_DB_MIN = -1000.0
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("white", "ar1", "ma"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        _check_sigma(self.sigma)
         if self.kind == "ar1":
             if self.ar_coeff is None or not abs(self.ar_coeff) < 1:
                 raise ValueError("ar1 coefficient must satisfy |a| < 1")
@@ -102,8 +103,7 @@ def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
     index.  ``seed`` may also be a sequence of seeds: the result then has one
     row per seed, and row ``i`` equals ``gen_noise(spec, n, seed[i])``.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_count(1, n=n)
     single = np.ndim(seed) == 0
     rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
     out = np.empty((len(rngs), n))
@@ -136,8 +136,7 @@ def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
 
 def theoretical_profile(spec: NoiseSpec, max_lag: int) -> CorrelationProfile:
     """Exact normalized autocorrelation of ``spec`` up to ``max_lag``."""
-    if max_lag < 0:
-        raise ValueError("max_lag must be nonnegative")
+    _check_count(0, max_lag=max_lag)
     lags = np.arange(max_lag + 1)
     if spec.kind == "white":
         rho = np.zeros(max_lag + 1)
@@ -158,8 +157,9 @@ def calibrate_noise_to_snr(signal, noise, snr_db: float) -> np.ndarray:
     ``signal``; each row (last axis) of a ``(rows, n)`` noise stack is scaled on its own."""
     signal = np.asarray(signal, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    for values, what in ((signal, "signal"), (noise, "noise"), (snr_db, "snr_db")):
+    for values, what in ((signal, "signal"), (noise, "noise")):
         _check_finite(values, what)
+    _check_snr(snr_db)
     signal_norm, noise_norm = _norm(signal.ravel()), _norm(noise)
     if signal_norm == 0:
         raise ValueError("signal has zero energy, SNR undefined")
@@ -167,6 +167,13 @@ def calibrate_noise_to_snr(signal, noise, snr_db: float) -> np.ndarray:
         raise ValueError("noise has a row with zero energy")
     scale = signal_norm * 10.0 ** (-snr_db / 20.0) / noise_norm
     return noise * scale[..., None]
+
+
+def _check_snr(snr_db) -> None:
+    """Reject any SNR in ``snr_db`` (dB; one or several) not finite or below ``SNR_DB_MIN``."""
+    snr = np.asarray(snr_db, dtype=float)
+    if not np.all((snr >= SNR_DB_MIN) & (snr < np.inf)):  # a NaN fails too
+        raise ValueError(f"snr_db must be finite and at least {SNR_DB_MIN:g}, got {snr_db}")
 
 
 def _norm(x):

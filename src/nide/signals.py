@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian_stats import _check_count
+
 __all__ = ["TestSignal", "SIGNAL_NAMES", "canonical_name", "gen_signal"]
 
 SIGNAL_NAMES = ("blocks", "bumps", "heavysine", "doppler", "quadchirp", "mishmash")
@@ -77,7 +79,8 @@ def gen_signal(name: str, n: int) -> TestSignal:
     ``NOMINAL_STD``.
     """
     key = canonical_name(name)
-    if n < 64 or (n & (n - 1)) != 0:
+    _check_count(64, n=n)
+    if n & (n - 1):
         raise ValueError(f"n must be a power of two >= 64, got {n}")
     raw = _raw_signal(key, n)
     samples = raw * (NOMINAL_STD / np.std(raw))

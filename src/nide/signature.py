@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_stats import _abs_cdf, _check_finite, _check_sigma, abs_noise_cdf, erf_std
+from .gaussian_stats import _abs_cdf, _check_count, _check_finite, _check_sigma, abs_noise_cdf
 
 __all__ = [
     "ConfidenceBand",
@@ -29,7 +29,6 @@ __all__ = [
     "white_band",
     "colored_band",
     "colored_variance_bound",
-    "lambda_to_confidence",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -81,8 +80,7 @@ class ConfidenceBand:
     """Pointwise band ``[lower, upper]`` around the noise curve ``center = F``.
 
     ``lower``/``upper`` are clamped to [0, 1]; ``center`` is the unclamped
-    ``F(z)``.  ``lam`` is the half-width multiplier and ``confidence`` the
-    per-point normal coverage it corresponds to.
+    ``F(z)``.  ``lam`` is the half-width multiplier.
     """
 
     z_grid: np.ndarray
@@ -91,7 +89,6 @@ class ConfidenceBand:
     center: np.ndarray
     lam: float
     n: int
-    confidence: float = field(default=float("nan"))
 
     def __post_init__(self):
         for name in ("z_grid", "lower", "upper", "center"):
@@ -122,17 +119,9 @@ def empirical_signature(z, samples):
     return float(out) if np.isscalar(z) else out
 
 
-def lambda_to_confidence(lam: float) -> float:
-    """Per-point coverage of a ``lam``-standard-deviation normal interval."""
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
-    return float(erf_std(lam / _SQRT2))
-
-
 def _check_band_args(sigma, n, lam=0.0) -> None:
     _check_sigma(sigma)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n}")
+    _check_count(1, n=n)
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
@@ -211,7 +200,6 @@ def _band(z_grid, sigma, n, lam, profile=None) -> ConfidenceBand:
         center=center,
         lam=float(lam),
         n=int(n),
-        confidence=lambda_to_confidence(lam),
     )
 
 

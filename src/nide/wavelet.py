@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian_stats import _check_count
+
 __all__ = ["CoefficientSet", "dwt_forward", "dwt_inverse"]
 
 _SQRT2 = np.sqrt(2.0)
@@ -37,9 +39,9 @@ class CoefficientSet:
         n = self.values.shape[-1] if self.values.ndim else 0
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"signal length must be a power of two >= 2, got {n}")
-        max_levels = n.bit_length() - 1
-        if not 1 <= self.levels <= max_levels:
-            raise ValueError(f"levels must be in [1, {max_levels}], got {self.levels}")
+        _check_count(1, levels=self.levels)
+        if self.levels > n.bit_length() - 1:
+            raise ValueError(f"levels must be at most log2(N) = {n.bit_length() - 1}, got {self.levels}")
 
     @property
     def detail_bands(self) -> list[np.ndarray]:

@@ -8,13 +8,22 @@ from nide.baselines import (
     bayes_threshold,
     denoise_with,
     sure_minimizer,
-    sure_risk,
     sure_threshold,
     visu_threshold,
 )
 from nide.denoise import DenoiseConfig, _analyse
 from nide.noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise
 from nide.signals import gen_signal
+
+
+def sure_risk(band, sigma: float, t: float) -> float:
+    """Reference for ``sure_minimizer``: Stein's unbiased risk estimate of soft
+    thresholding ``band`` at ``t``, ``n sigma^2 - 2 sigma^2 #{|x| <= t} + sum min(x^2, t^2)``.
+    Called at sigma = 1 only; it overflows where ``sure_minimizer`` rejects sigma."""
+    band = np.asarray(band, dtype=float)
+    n = band.size
+    below = np.count_nonzero(np.abs(band) <= t)
+    return float(n * sigma**2 - 2.0 * sigma**2 * below + np.sum(np.minimum(band**2, t**2)))
 
 
 class TestVisuThreshold:

@@ -226,7 +226,7 @@ class TestMcValidate:
         ("coverage", {"n": 64}, 2.0),
     ])
     def test_rejects_too_few_runs_or_samples(self, check, params, runs):
-        with pytest.raises(ValueError, match="must be at least 1|needs runs >=|runs must be an integer"):
+        with pytest.raises(ValueError, match=r"^(n|runs) must be (at least [12]|an integer), got"):
             mc_validate(check, params, runs=runs)
 
     @pytest.mark.parametrize("check", ["appendixC", "coverage"])
@@ -256,8 +256,8 @@ class TestMcValidate:
         ({"z": [0.5, np.inf]}, "z must be"),
         ({"z": -np.inf}, "z must be"),
         ({"z": []}, "z must be"),
-        ({"n": 2.5}, "n must be at least 1 and an integer"),
-        ({"n": 256.0}, "n must be at least 1 and an integer"),
+        ({"n": 2.5}, "n must be an integer, got 2.5"),
+        ({"n": 256.0}, "n must be an integer, got 256.0"),
     ])
     def test_rejects_a_negative_or_infinite_z_and_a_non_integer_n(self, check, params, match):
         with pytest.raises(ValueError, match=match):
@@ -549,6 +549,23 @@ class TestCli:
         assert not out.exists()
         if "--seed" in argv:
             assert "seed" in err and "-1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--trials", "1", "--snr", "8", "--length", "256"],
+        ["trace", "--length", "256"],
+        ["mc", "--check", "coverage", "--runs", "2", "--n", "64"],
+        ["denoise-file"],
+    ])
+    def test_out_in_a_missing_directory_is_one_error_line_before_any_work(self, tmp_path, capsys,
+                                                                          argv):
+        infile = tmp_path / "in.csv"
+        np.savetxt(infile, np.random.default_rng(0).normal(size=64))
+        io = ["--in", str(infile)] if argv[0] == "denoise-file" else []
+        rc = main(argv + io + ["--out", str(tmp_path / "missing" / "out.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "missing" in err
+        assert out == ""
 
     @pytest.mark.parametrize("name", ["./den", "den.csv", "run.v2/den"])
     def test_denoise_file_report_beside_output(self, tmp_path, monkeypatch, name):

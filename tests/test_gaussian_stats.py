@@ -7,47 +7,15 @@ from hypothesis import strategies as st
 
 from nide.gaussian_stats import (
     abs_noise_cdf,
-    erf_std,
     shifted_abs_cdf,
     std_normal_cdf,
 )
-
-
-def erf_series(x, terms=200):
-    """Independent oracle: Maclaurin series of the conventional erf."""
-    total, term = 0.0, x
-    for k in range(terms):
-        total += term / (2 * k + 1)
-        term *= -x * x / (k + 1)
-    return 2.0 / math.sqrt(math.pi) * total
 
 
 def erf_trapezoid(x, points=200_001):
     """Independent oracle: trapezoidal quadrature of (2/sqrt(pi)) exp(-t^2)."""
     t = np.linspace(0.0, x, points)
     return float(np.trapezoid(2.0 / math.sqrt(math.pi) * np.exp(-(t**2)), t))
-
-
-class TestErf:
-    def test_zero(self):
-        assert erf_std(0.0) == 0.0
-
-    def test_against_series_oracle(self):
-        # frozen from the series oracle
-        assert erf_std(1.0) == pytest.approx(0.8427007929497148, abs=1e-10)
-        assert erf_std(3 / math.sqrt(2)) == pytest.approx(0.997300203937, abs=1e-10)
-        for x in (-2.0, -0.7, 0.1, 1.3, 3.0):
-            assert erf_std(x) == pytest.approx(erf_series(x), abs=1e-12)
-
-    def test_against_quadrature_oracle(self):
-        for x in np.linspace(-6.0, 6.0, 13):
-            assert erf_std(float(x)) == pytest.approx(erf_trapezoid(float(x)), abs=1e-8)
-
-    def test_vectorized(self):
-        x = np.array([-1.0, 0.0, 1.0])
-        out = erf_std(x)
-        assert out.shape == (3,)
-        assert out[1] == 0.0
 
 
 class TestStdNormalCdf:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nide.noise_model import (
+    SNR_DB_MIN,
     NoiseSpec,
     calibrate_noise_to_snr,
     estimate_sigma_mad,
@@ -218,6 +219,12 @@ class TestCalibrateNoise:
             calibrate_noise_to_snr(np.zeros(8), np.ones(8), 3.0)
         with pytest.raises(ValueError):
             calibrate_noise_to_snr(np.ones(8), np.zeros(8), 3.0)
+
+    def test_snr_bound_is_the_experiments(self):
+        # -7000 dB had overflowed Python's float power; ExperimentConfig has the same bound
+        with pytest.raises(ValueError, match=f"snr_db must be finite and at least {SNR_DB_MIN:g}"):
+            calibrate_noise_to_snr(np.ones(8), np.arange(8.0), -7000.0)
+        assert np.isfinite(calibrate_noise_to_snr(np.ones(8), np.arange(8.0), SNR_DB_MIN)).all()
 
 
 class TestMadEstimator:

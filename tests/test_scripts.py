@@ -1,5 +1,6 @@
 """The checking scripts under ``scripts/``: the digest comparison of
-``check_bit_identity.py`` and the run pairing of ``bench_trajectory.py``."""
+``check_bit_identity.py``, the run pairing of ``bench_trajectory.py`` and the
+line counts of ``code_lines.py``."""
 
 import importlib.util
 import os
@@ -144,3 +145,34 @@ class TestTrajectory:
         assert raw["calls_per_s"]["change_wins"] == 1  # seed 4, higher is better
         assert raw["call_ms_p50"]["better"] == "lower"
         assert raw["call_ms_p50"]["change_wins"] == 1  # seed 4's 1.0 ms against 1.5 ms
+
+
+SAMPLE_MODULE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+
+
+def f(x):
+    """One-line docstring."""
+    text = """a string that is
+not a docstring"""
+    return x  # a trailing comment
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+
+
+def test_code_lines_leaves_out_blanks_comments_and_docstrings_only(tmp_path, capsys):
+    code_lines = load("code_lines")
+    # def f, text = (two lines), return, class C, y = 1
+    assert code_lines.code_lines(SAMPLE_MODULE) == 6
+    (tmp_path / "sample.py").write_text(SAMPLE_MODULE)
+    (tmp_path / "other.py").write_text("x = 1\n\ny = 2\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "     3      2  other.py", "    17      6  sample.py", "    20      8  total", ""]

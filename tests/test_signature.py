@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import erfinv
 
 from nide.gaussian_stats import abs_noise_cdf, shifted_abs_cdf
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
@@ -12,7 +11,6 @@ from nide.signature import (
     colored_band,
     colored_variance_bound,
     empirical_signature,
-    lambda_to_confidence,
     white_band,
 )
 
@@ -53,31 +51,6 @@ class TestEmpiricalSignature:
         assert np.allclose(out, [0.0, 2 / 3, 1.0])
 
 
-class TestLambdaConfidence:
-    def test_known_values(self):
-        assert lambda_to_confidence(3.0) == pytest.approx(0.997300203937, abs=1e-10)
-        # exact value of the lam=4.5 coverage; 0.999997 is the figure usually
-        # quoted after rounding
-        assert lambda_to_confidence(4.5) == pytest.approx(0.9999932046537067, abs=1e-12)
-        assert lambda_to_confidence(4.5) == pytest.approx(0.999997, abs=5e-6)
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.5])
-    def test_rejects_non_finite_or_negative(self, lam):
-        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
-            lambda_to_confidence(lam)
-
-    def test_roundtrip(self):
-        # sqrt(2) erfinv(p) inverts the coverage.  Above lam ~ 5.5 the
-        # roundtrip hits the double-precision spacing of probabilities near 1
-        # (flat plateau of width ~5e-9 at lam = 6).
-        for lam in np.linspace(1.0, 5.5, 10):
-            p = lambda_to_confidence(float(lam))
-            assert np.sqrt(2.0) * erfinv(p) == pytest.approx(lam, abs=1e-9)
-        for lam in (5.8, 6.0):
-            p = lambda_to_confidence(lam)
-            assert np.sqrt(2.0) * erfinv(p) == pytest.approx(lam, abs=2e-8)
-
-
 class TestWhiteBand:
     def test_degenerate_lambda_zero(self):
         z = np.linspace(0, 5, 64)
@@ -104,7 +77,6 @@ class TestWhiteBand:
         assert np.all(band.upper >= band.center - 1e-15)
         assert np.all(band.lower <= band.center + 1e-15)
         assert np.all(np.diff(band.center) >= 0)
-        assert band.confidence == pytest.approx(lambda_to_confidence(4.5))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
