@@ -92,19 +92,19 @@ HARNESS = (
 
 # The recorded digests: sweep, baselines and harness, then each harness file's own.
 EXPECTED = {
-    "sha256": "5faf074d0499831f2bac804378da44d296d9350f64f930e92bf62df30b5e181c",
+    "sha256": "6cb32d6e28da18990bcd74a6dcc02f9b797a9e87cfce5a44a8e6dcadd1d4a8c8",
     "baselines sha256": "ee4f7d7bf88e4a2d6d5a8b13d13eae4481072865500d4fe25e4da62dc2c9b48a",
-    "harness sha256": "364a5dae55ebf7fbb05adc1f70e4e95986ed8f5b2f0a827abe61d65b219af328",
+    "harness sha256": "abd1378e5da2b606dd7831c30b09e72ea8acfd5ad87b10523a3454f8082280bc",
 }
 EXPECTED_FILES = {
     "bench-white.csv": "13ce0c1cf1c8",
     "bench-white.json": "24c2de4a9130",
-    "bench-ar1.csv": "09105ea231ae",
+    "bench-ar1.csv": "e05ce1804dc8",
     "sweep.csv": "1192d53e5c8a",
     "sweep.json": "d9f9d48c0b06",
     "trace-white.csv": "2021aac6e233",
     "trace-white.json": "4b3af4ea9739",
-    "trace-ar1.csv": "b769b5324f8b",
+    "trace-ar1.csv": "653f35b4bcf3",
     "mc-appendixA.json": "832a2b2e7754",
     "mc-appendixB.json": "1bf1de966cb3",
     "mc-appendixC.json": "a4c716ef2771",

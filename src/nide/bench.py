@@ -188,7 +188,8 @@ class ExperimentResult:
 
 
 def _noise_profile(noise: NoiseSpec, n: int):
-    """The correlation profile the colored band needs, or None for white noise."""
+    """The correlation profile of colored noise, from which nide's rule standardizes each
+    detail level, or None for white noise."""
     return theoretical_profile(noise, max_lag=n - 1) if noise.kind != "white" else None
 
 
@@ -264,7 +265,9 @@ def emit_band_trace(signal: str, snr_db: float, path, **experiment) -> None:
     with the noise band ``denoise`` selected against, with columns z, empirical,
     lower, upper: a JSON list of rows for a ``path`` ending in ``.json``, else CSV.
     ``empirical`` is (m - 1/2) / N, the position ``denoise`` tests, so the last
-    row inside the band is the threshold.
+    row inside the band is the threshold.  Under colored noise z is the curve
+    standardized level by level (see :class:`~nide.denoise.DenoiseResult`), so the
+    last in-band row is T*, before each level's noise ratio.
 
     ``experiment`` takes the :class:`ExperimentConfig` fields but ``trials``
     (noise, seed, lam, n, levels, sigma_policy), with their defaults and

@@ -17,16 +17,16 @@ import numpy as np
 from scipy.special import erfinv
 
 from .gaussian_stats import _check_count, _check_finite, _check_sigma
-from .noise_model import estimate_sigma_mad
+from .noise_model import _level_ratios, estimate_sigma_mad
 from .signature import (
     ConfidenceBand,
     CorrelationProfile,
     _band_edges,
     _check_band_args,
-    colored_band,
+    _check_lam,
     white_band,
 )
-from .wavelet import dwt_forward, dwt_inverse
+from .wavelet import CoefficientSet, dwt_forward, dwt_inverse
 
 __all__ = [
     "DenoiseConfig",
@@ -61,8 +61,10 @@ class DenoiseConfig:
     """Configuration of the denoising pipeline.
 
     ``sigma=None`` estimates the noise scale from the finest detail band by the robust median
-    rule.  ``profile=None`` selects the white-noise band; a :class:`CorrelationProfile` selects
-    the correlated-noise band.  Every rule thresholds the detail bands, never the approximation.
+    rule.  A :class:`CorrelationProfile` gives the noise's correlation: invalidation then
+    standardizes each detail level by its noise ratio (see :func:`_nide_rule`), and sigma
+    stays the marginal noise scale.  Every rule thresholds the detail bands, never the
+    approximation.
     """
 
     levels: int = 5
@@ -73,8 +75,7 @@ class DenoiseConfig:
 
     def __post_init__(self):
         _check_count(1, levels=self.levels)
-        if not 0.0 <= self.lam <= 8.0:
-            raise ValueError(f"lam must lie in [0, 8], got {self.lam}")
+        _check_lam(self.lam)
         if self.sigma is not None:
             _check_sigma(self.sigma)
 
@@ -85,7 +86,10 @@ class DenoiseResult:
 
     ``band`` is the noise band the threshold was selected against.  It is
     built from ``band_factory`` on first read and cached, and it is ``None``
-    when no band was used (noise-free passthrough, baseline rules).
+    when no band was used (noise-free passthrough, baseline rules).  Under a
+    correlation profile its ``z_grid`` is the standardized curve, each detail
+    level divided by its noise ratio r_j, with the white band's edges; its last
+    in-band point is T*, and ``threshold`` is the largest ``min(T* r_j, max |c_j|)``.
     """
 
     threshold: float
@@ -144,7 +148,7 @@ def _white_edges(n, lam):
         return _edge_cache[n, lam]
 
 
-def _select(a, sigma, lam, profile, rows) -> np.ndarray:
+def _select(a, sigma, lam, rows) -> np.ndarray:
     """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients, shape
     ``(rows, N)``, each row with the band over its N points) with per-row noise
     scales ``sigma``, positive on ``rows`` and not checked here; the other rows get 0.
@@ -158,21 +162,21 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     block with an in-band point.  A white point is placed by its ``z / sigma``
     against the table of :func:`_white_edges`, looked up once per call: outside the
     widened band it is out, and a row whose first point inside that lies inside the
-    narrowed band is done.  Every other row (every row of a scan with no table:
-    colored, the first scan of a white (N, lam), or one too long for the budget; a
-    white row with its first candidate in the margin) has its whole block evaluated
+    narrowed band is done.  Every other row (every row of a scan with no table: the
+    first scan of an (N, lam), or one too long for the budget; a row with its first
+    candidate in the margin) has its whole block evaluated
     by :func:`~nide.signature._band_edges`.  Sound: outside the margin the
     exact band misses or holds g by at least 5e-10 (the slack is concave in F inside
     the band and convex outside, so least at the margin's edges: 5.04e-10 for N up
-    to 2^20 and lam up to 8), while F, the band edges and the table are evaluated
-    to about 1e-15.
+    to 2^20 and lam up to ``signature.LAM_MAX`` = 8, the most any lam may be), while
+    F, the band edges and the table are evaluated to about 1e-15.
     """
     n, t = a.shape[-1], np.zeros(a.shape[0])
     unsorted = max(n - SORTED_TOP, 0)
     a.partition(unsorted, axis=-1)
     a[..., unsorted:].sort(axis=-1)
     stop, size, s = 0, SCAN_BLOCK, sigma[rows, None]
-    edges = _white_edges(n, float(lam)) if profile is None and rows.size else None
+    edges = _white_edges(n, float(lam)) if rows.size else None
     while stop < n and rows.size:
         if stop >= n - unsorted:  # in place, as a fancy-index copy costs twice a sort
             for part in [a[:, :unsorted]] if rows.size == a.shape[0] else [a[i, :unsorted] for i in rows]:
@@ -193,7 +197,7 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
             u_first = u[r, first]
             exact = r[hit & ((u_first < in_lo[first]) | (u_first > in_hi[first]))]
         if exact.size:
-            _, lower, upper = _band_edges(z[exact], s[exact], n, lam, profile)
+            _, lower, upper = _band_edges(z[exact], s[exact], n, lam)
             g = (n - 0.5 - np.arange(top, stop)) / n
             inside[exact] = (g >= lower) & (g <= upper)
             first = np.argmax(inside, axis=-1)
@@ -204,12 +208,11 @@ def _select(a, sigma, lam, profile, rows) -> np.ndarray:
     return t
 
 
-def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam,
-                     profile: CorrelationProfile | None = None) -> float:
+def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam) -> float:
     """Largest sorted absolute coefficient still inside the noise band.
 
-    The band is over the N finite coefficients given: half-width
-    ``lam * sqrt(F (1 - F) / N)``, or the correlated-noise band for a ``profile``.
+    The band is over the N finite coefficients given, as independent noise of scale
+    ``sigma``: half-width ``lam * sqrt(F (1 - F) / N)``.
     Returns 0 when no point is inside the band (keep everything) and the maximum
     absolute coefficient when every point is inside (discard everything).
     """
@@ -219,7 +222,7 @@ def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam,
     if a.size == 0:
         raise ValueError("coefficient vector must be nonempty")
     _check_band_args(sigma, a.size, lam)
-    return float(_select(a, np.asarray([sigma], dtype=float), lam, profile, np.arange(1))[0])
+    return float(_select(a, np.asarray([sigma], dtype=float), lam, np.arange(1))[0])
 
 
 def _analyse(observed, levels: int, sigma=None):
@@ -259,26 +262,36 @@ def _shrink(coeffs, t, out) -> None:
 
 def _nide_rule(coeffs, sigma, config):
     """The invalidation threshold of each row.  A row whose noise scale is
-    negligible next to its largest coefficient passes through: 0, no band."""
+    negligible next to its largest coefficient passes through: 0, no band.
+
+    Under a ``config.profile`` each detail level j is divided by its noise ratio
+    r_j = sigma_j / sigma (:func:`~nide.noise_model._level_ratios`), so every pooled
+    coefficient has noise scale sigma, and the white scan's T* gives level j the threshold
+    ``min(T* r_j, max |c_j|)``: at or above the level's largest magnitude it zeroes the
+    level either way, so the clip changes no output and no threshold exceeds the details."""
     magnitude = np.abs(coeffs.values)
     peak = magnitude.max(axis=-1, initial=0.0)
     live = (sigma > SIGMA_FLOOR_RATIO * peak) & (peak != 0.0)
     a = magnitude[..., : coeffs.detail_values().shape[-1]]  # the details are a prefix
-    t = _select(a, sigma, config.lam, config.profile, np.flatnonzero(live))
+    if config.profile is not None:  # each detail level divided by its noise ratio, in place
+        levels = CoefficientSet(magnitude, coeffs.levels).detail_bands
+        peaks = np.stack([level.max(axis=-1) for level in levels], axis=-1)
+        r = _level_ratios(config.profile, coeffs.levels)
+        a /= np.repeat(r, [level.shape[-1] for level in levels])
+    t = _select(a, sigma, config.lam, np.flatnonzero(live))[:, None]
     bands = [
-        partial(_sorted_band, curve, s, config) if ok else None
+        partial(_sorted_band, curve, s, config.lam) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
     ]
-    return t[:, None], bands
+    return (t if config.profile is None else np.minimum(t * r, peaks)), bands
 
 
-def _sorted_band(curve, sigma, config):
-    """The band of ``config`` over ``curve`` sorted in place, a magnitude row owned
-    by one result; built through the public band names, which tracers wrap."""
+def _sorted_band(curve, sigma, lam):
+    """The white band over ``curve`` sorted in place, a magnitude row owned by one
+    result (standardized under a profile); built through the public band name, which
+    tracers wrap."""
     curve.sort()
-    if config.profile is None:
-        return white_band(curve, sigma, n=curve.size, lam=config.lam)
-    return colored_band(curve, sigma, config.profile, n=curve.size, lam=config.lam)
+    return white_band(curve, sigma, n=curve.size, lam=lam)
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:

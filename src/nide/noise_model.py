@@ -100,12 +100,15 @@ def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
 
     Deterministic for a fixed ``(spec, n, seed)``.  AR output is started from
     its stationary distribution, so the marginal variance is exact at every
-    index.  ``seed`` may also be a sequence of seeds: the result then has one
-    row per seed, and row ``i`` equals ``gen_noise(spec, n, seed[i])``.
+    index.  ``seed`` is a nonnegative integer, or a sequence of them: the result then
+    has one row per seed, and row ``i`` equals ``gen_noise(spec, n, seed[i])``.
     """
     _check_count(1, n=n)
     single = np.ndim(seed) == 0
-    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
+    seeds = [seed] if single else list(seed)
+    for s in seeds:
+        _check_count(0, seed=s)
+    rngs = [np.random.default_rng(s) for s in seeds]
     out = np.empty((len(rngs), n))
     if spec.kind == "white":
         for row, rng in zip(out, rngs):
@@ -150,6 +153,24 @@ def theoretical_profile(spec: NoiseSpec, max_lag: int) -> CorrelationProfile:
         for k in range(min(max_lag, taps.size - 1) + 1):
             rho[k] = np.sum(taps[: taps.size - k] * taps[k:]) / r0
     return CorrelationProfile(rho=rho)
+
+
+def _level_ratios(profile: CorrelationProfile, levels: int) -> np.ndarray:
+    """``sigma_j / sigma`` of the Haar details at the levels j = 1 .. ``levels``, finest first,
+    for noise of marginal sigma and correlation ``profile``: ``sigma_j^2 = h^T R h`` for the
+    level-j filter h, 2^(j-1) taps of 2^(-j/2) and then 2^(j-1) of -2^(-j/2).  Summed over the
+    filter's autocorrelation, ``(2 V(m) - 2 C(m)) / 2^j`` with m = 2^(j-1),
+    ``V(m) = sum_{|k|<m} (m - |k|) rho_k`` and ``C(m) = sum_{d=1}^{2m-1} (m - |d - m|) rho_d``,
+    in O(2^j); lags past the profile count as 0.  A profile that gives some level a variance
+    that is not positive (rho_1 = 1, or a sequence that is no autocorrelation) is rejected."""
+    var = []
+    for m in 2 ** np.arange(levels):
+        k = np.arange(min(2 * m, profile.rho.size))
+        weights = (2 * np.maximum(m - k, 0) - m + np.abs(k - m)) * np.where(k > 0, 2.0, 1.0)
+        var.append(np.sum(weights * profile.rho[: k.size]) / (2 * m))
+    if not min(var) > 0.0:
+        raise ValueError(f"Haar level {np.argmin(var) + 1} gets noise variance {min(var):.3g}, not > 0")
+    return np.sqrt(var)
 
 
 def calibrate_noise_to_snr(signal, noise, snr_db: float) -> np.ndarray:

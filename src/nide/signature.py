@@ -8,10 +8,12 @@ around ``F``.  :func:`_band_edges` is the one band path: it picks the white
 variance or the correlated-noise bound and clamps ``F +/- lam * sqrt(var)``
 to [0, 1] for :func:`white_band`, :func:`colored_band` and the threshold scan.
 
-Variance under correlated noise is handled with an upper bound obtained by
-rotating each coefficient pair ``(V_i, V_j)`` into independent components
-with variances ``sigma^2 (1 +/- rho_ij)``; see
-:func:`colored_variance_bound`.
+:func:`colored_variance_bound` is a time-domain model of correlated noise: an
+upper bound on the variance obtained by rotating each coefficient pair
+``(V_i, V_j)`` into independent components with variances
+``sigma^2 (1 +/- rho_ij)``.  The ``appendixD`` Monte Carlo check tests it;
+``denoise`` no longer uses it, as it standardizes each Haar level by its own
+noise scale and runs the white band instead.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ _SQRT2 = np.sqrt(2.0)
 # O(rho^2) and utterly negligible next to F(1-F)/N; skipping them keeps the
 # lag sum O(N) and keeps the white case exact.
 RHO_TRUNCATION = 1e-6
+
+# Largest band multiplier accepted anywhere: the one the soundness argument of the
+# threshold scan's inverted white band (``denoise._select``) is proven for.
+LAM_MAX = 8.0
 
 # Largest (lags x points) block the lag sum of the variance bound evaluates
 # at once.  Long profiles on long inputs are summed in slices of lags, whose
@@ -80,7 +86,9 @@ class ConfidenceBand:
     """Pointwise band ``[lower, upper]`` around the noise curve ``center = F``.
 
     ``lower``/``upper`` are clamped to [0, 1]; ``center`` is the unclamped
-    ``F(z)``.  ``lam`` is the half-width multiplier.
+    ``F(z)``.  ``lam`` is the half-width multiplier, in [0, ``LAM_MAX``], and
+    ``n`` the number of points the band is over, a positive integer.  The
+    edges must satisfy ``0 <= lower <= center <= upper <= 1``.
     """
 
     z_grid: np.ndarray
@@ -95,6 +103,11 @@ class ConfidenceBand:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.z_grid.shape == self.lower.shape == self.upper.shape == self.center.shape):
             raise ValueError("z_grid, lower, center, upper must have equal shapes")
+        _check_count(1, n=self.n)
+        _check_lam(self.lam)
+        if not np.all((0.0 <= self.lower) & (self.lower <= self.center)
+                      & (self.center <= self.upper) & (self.upper <= 1.0)):  # a NaN fails too
+            raise ValueError("band edges must satisfy 0 <= lower <= center <= upper <= 1")
 
     def contains(self, values) -> np.ndarray:
         """Elementwise test of ``lower <= values <= upper``."""
@@ -119,11 +132,15 @@ def empirical_signature(z, samples):
     return float(out) if np.isscalar(z) else out
 
 
+def _check_lam(lam) -> None:
+    if not 0.0 <= lam <= LAM_MAX:  # a NaN fails too
+        raise ValueError(f"lam must lie in [0, {LAM_MAX:g}], got {lam}")
+
+
 def _check_band_args(sigma, n, lam=0.0) -> None:
     _check_sigma(sigma)
     _check_count(1, n=n)
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+    _check_lam(lam)
 
 
 def _pair_cdf(root2z, spread, sigma, out):

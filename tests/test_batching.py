@@ -25,9 +25,9 @@ from nide.baselines import _RULES, denoise_with, sure_threshold
 from nide.bench import (ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, normalized_mse,
                         run_experiment)
 from nide.denoise import SORTED_TOP, DenoiseConfig, _analyse, _shrink
-from nide.noise_model import NoiseSpec, _norm, gen_noise, theoretical_profile
+from nide.noise_model import NoiseSpec, _level_ratios, _norm, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
-from nide.signature import colored_band, white_band
+from nide.signature import white_band
 from nide.wavelet import CoefficientSet, dwt_forward, dwt_inverse
 
 N, LEVELS, LAM = 512, 5, 4.5
@@ -65,19 +65,21 @@ def ref_bayes(band, s):
     return float(np.max(np.abs(band))) if sigma_x == 0.0 else float(s**2 / sigma_x)
 
 
-def ref_nide(scope, values, s, profile):
-    """None for a noise-free passthrough, else the last in-band point."""
+def ref_nide(details, values, s, profile):
+    """None for a noise-free passthrough, else one threshold per level: the last
+    in-band point of the pooled curve, each level divided by its noise ratio r_j under
+    a profile, then times r_j and at most the level's largest magnitude."""
     peak = float(np.max(np.abs(values)))
     if s <= 1e-12 * peak or peak == 0.0:
         return None
-    a = np.sort(np.abs(scope))
+    ratios = [1.0] * len(details) if profile is None else _level_ratios(profile, len(details))
+    a = np.sort(np.concatenate([np.abs(b) / r for b, r in zip(details, ratios)]))
     g_mid = (np.arange(1, a.size + 1) - 0.5) / a.size
+    inside = np.flatnonzero(white_band(a, s, a.size, LAM).contains(g_mid))
+    t = float(a[inside[-1]]) if inside.size else 0.0
     if profile is None:
-        band = white_band(a, s, a.size, LAM)
-    else:
-        band = colored_band(a, s, profile, a.size, LAM)
-    inside = np.flatnonzero(band.contains(g_mid))
-    return float(a[inside[-1]]) if inside.size else 0.0
+        return [t] * len(details)
+    return [min(t * r, float(np.max(np.abs(b)))) for b, r in zip(details, ratios)]
 
 
 def ref_denoise(method, row, sigma, config):
@@ -87,11 +89,9 @@ def ref_denoise(method, row, sigma, config):
     if sigma is None:
         sigma = float(np.median(np.abs(bands[0])) / 0.6745)
     if method == "nide":
-        scope = np.concatenate(bands[:-1])
-        t = ref_nide(scope, coeffs.values, sigma, config.profile)
-        if t is None:
-            return 0.0, dwt_inverse(coeffs), int(np.count_nonzero(scope)), sigma
-        ts = [t] * LEVELS
+        ts = ref_nide(bands[:-1], coeffs.values, sigma, config.profile)
+        if ts is None:
+            return 0.0, dwt_inverse(coeffs), int(np.count_nonzero(np.concatenate(bands[:-1]))), sigma
     else:
         floored = max(sigma, np.finfo(float).tiny)  # for the thresholds only
         if method == "visu":

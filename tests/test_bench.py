@@ -22,9 +22,10 @@ from nide.bench import (
     normalized_mse,
     run_experiment,
 )
-from nide.denoise import DenoiseConfig, denoise
-from nide.noise_model import NoiseSpec, _norm, gen_noise, theoretical_profile
+from nide.denoise import DenoiseConfig, denoise, select_threshold
+from nide.noise_model import NoiseSpec, _level_ratios, _norm, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
+from nide.wavelet import dwt_forward
 
 
 class TestNormalizedMse:
@@ -356,11 +357,17 @@ class TestCli:
                              "--noise", noise, "--sigma-policy", policy, "--out", str(out)]) == 0
                 z, g, lower, upper = np.loadtxt(out, delimiter=",", skiprows=1).T
                 last_in_band = z[np.flatnonzero((g >= lower) & (g <= upper))[-1]]
-                # emit_band_trace's realization, denoised with the same band
+                # emit_band_trace's realization, denoised with the same band; under a
+                # profile the trace is the standardized curve, and its T* the threshold
+                # before each level's r_j
                 scale = _norm(truth) * 10.0 ** (-snr / 20.0) / _norm(raw)
+                observed = raw * scale + truth
                 sigma = spec.sigma * scale if policy == "known" else None
-                config = DenoiseConfig(sigma=sigma, profile=profile)
-                threshold = denoise(raw * scale + truth, config).threshold
+                threshold = denoise(observed, DenoiseConfig(sigma=sigma, profile=profile)).threshold
+                if profile is not None:
+                    details = dwt_forward(observed, 5).detail_bands
+                    threshold = select_threshold(np.concatenate(
+                        [np.abs(b) / r for b, r in zip(details, _level_ratios(profile, 5))]), sigma)
                 assert last_in_band == float(f"{threshold:.6g}"), (signal, snr)
 
     def test_trace_json_rows_equal_the_csv_rows(self, tmp_path):

@@ -6,32 +6,30 @@ from scipy.special import erfinv
 
 from nide.baselines import denoise_with
 from nide.denoise import DenoiseConfig, denoise, select_threshold, soft_threshold
-from nide.noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise, theoretical_profile
+from nide.noise_model import (NoiseSpec, _level_ratios, calibrate_noise_to_snr, gen_noise,
+                              theoretical_profile)
 from nide.signals import gen_signal
 from nide.signature import CorrelationProfile, colored_band, white_band
-from nide.wavelet import dwt_forward
+from nide.wavelet import dwt_forward, dwt_inverse
 
-SCAN_PROFILES = {
-    "white": None,
-    "ar1(0.8)": theoretical_profile(NoiseSpec.ar1(0.8), 2047),
-    "ar1(-0.6)": theoretical_profile(NoiseSpec.ar1(-0.6), 2047),
-    "ma": theoretical_profile(NoiseSpec.ma([1.0, 0.5, 0.25]), 2047),
-    "rho=+1": CorrelationProfile(rho=np.array([1.0, 1.0, 0.5])),
-    "rho=-1": CorrelationProfile(rho=np.array([1.0, -1.0, 0.3, 1.0])),
-}
+SPECS = {"ar1(0.8)": NoiseSpec.ar1(0.8), "ar1(-0.6)": NoiseSpec.ar1(-0.6),
+         "ma": NoiseSpec.ma([1.0, 0.5, 0.25])}
+PROFILES = {name: theoretical_profile(spec, 2047) for name, spec in SPECS.items()}
 
 
-def full_band(a, sigma, n, lam, profile):
-    if profile is None or profile.active_lags.size == 0:
-        return white_band(a, sigma, n, lam)
-    return colored_band(a, sigma, profile, n, lam)
+def full_band(coeffs, sigma, lam, profile):
+    """The white band over the sorted detail magnitudes of ``coeffs``, each level
+    divided by its noise ratio under a ``profile``."""
+    ratios = np.ones(coeffs.levels) if profile is None else _level_ratios(profile, coeffs.levels)
+    a = np.sort(np.concatenate([np.abs(b) / r for b, r in zip(coeffs.detail_bands, ratios)]))
+    return white_band(a, sigma, a.size, lam)
 
 
-def reference_threshold(coeffs, sigma, n, lam, profile):
+def reference_threshold(coeffs, sigma, n, lam):
     """Last sorted |coefficient| whose midpoint position lies in the full band."""
     a = np.sort(np.abs(np.asarray(coeffs, dtype=float)))
     g_mid = (np.arange(1, a.size + 1) - 0.5) / a.size
-    inside = np.nonzero(full_band(a, sigma, n, lam, profile).contains(g_mid))[0]
+    inside = np.nonzero(white_band(a, sigma, n, lam).contains(g_mid))[0]
     return float(a[inside[-1]]) if inside.size else 0.0
 
 
@@ -161,8 +159,8 @@ class TestSelectThreshold:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: select_threshold([1.0, 2.0, 3.0], np.inf), "sigma must be finite"),
-        (lambda: select_threshold([1.0, 2.0], 1.0, lam=np.nan), "lam must be finite"),
-        (lambda: white_band([0.1, 0.2], 1.0, 10, np.inf), "lam must be finite"),
+        (lambda: select_threshold([1.0, 2.0], 1.0, lam=np.nan), "lam must lie in"),
+        (lambda: white_band([0.1, 0.2], 1.0, 10, np.inf), "lam must lie in"),
         (lambda: white_band([0.1], 1.0, 2.5, 4.5), "n must be an integer"),
         (lambda: DenoiseConfig(sigma=np.inf), "sigma must be finite"),
     ], ids=["select-sigma-inf", "select-lam-nan", "band-lam-inf", "band-n-fractional",
@@ -173,8 +171,20 @@ class TestSelectThreshold:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize("lam", [-1.0, 8.0 + 1e-12, 9.0, np.inf, np.nan])
+    def test_lambda_has_one_range(self, lam):
+        """Every entry that takes lambda rejects it outside [0, 8], the range the scan's
+        inverted white band is proven for, with one message."""
+        message = rf"^lam must lie in \[0, 8\], got {lam}$"
+        for call in (lambda: select_threshold(np.ones(4), 1.0, lam=lam),
+                     lambda: white_band([0.0, 1.0], 1.0, 10, lam),
+                     lambda: colored_band([0.0, 1.0], 1.0, PROFILES["ar1(0.8)"], 10, lam),
+                     lambda: DenoiseConfig(lam=lam)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_rejects_non_finite_input(self):
-        ar1 = SCAN_PROFILES["ar1(0.8)"]
+        ar1 = PROFILES["ar1(0.8)"]
         for call in (lambda: select_threshold([np.nan, 0.1, 0.2, 5.0], 1.0),
                      lambda: select_threshold([np.inf] + [0.1] * 20, 1.0),
                      lambda: white_band([0.1, np.nan], 1.0, 10, 4.5),
@@ -189,7 +199,6 @@ class TestBandScan:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        profile=st.sampled_from(sorted(SCAN_PROFILES)),
         size=st.integers(1, 3000),
         spikes=st.integers(0, 1200),
         amplitude=st.floats(0.0, 40.0),
@@ -197,42 +206,34 @@ class TestBandScan:
         sigma=st.floats(0.05, 20.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_full_band(self, profile, size, spikes, amplitude, lam, sigma, seed):
+    def test_matches_full_band(self, size, spikes, amplitude, lam, sigma, seed):
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(0.0, sigma, size)
         coeffs[: min(spikes, size)] += amplitude * sigma
-        prof = SCAN_PROFILES[profile]
-        expected = reference_threshold(coeffs, sigma, size, lam, prof)
-        assert select_threshold(coeffs, sigma, lam=lam, profile=prof) == expected
+        expected = reference_threshold(coeffs, sigma, size, lam)
+        assert select_threshold(coeffs, sigma, lam=lam) == expected
 
-    @pytest.mark.parametrize("profile", sorted(SCAN_PROFILES))
-    def test_all_in_band(self, profile):
+    def test_all_in_band(self):
         # Coefficients at the midpoint quantiles of |N(0, 1)|: the curve is F.
         m = 1000
         coeffs = np.sqrt(2.0) * erfinv((np.arange(1, m + 1) - 0.5) / m)
-        prof = SCAN_PROFILES[profile]
-        tstar = select_threshold(coeffs, 1.0, lam=4.5, profile=prof)
-        assert tstar == coeffs.max() == reference_threshold(coeffs, 1.0, m, 4.5, prof)
+        tstar = select_threshold(coeffs, 1.0, lam=4.5)
+        assert tstar == coeffs.max() == reference_threshold(coeffs, 1.0, m, 4.5)
 
-    @pytest.mark.parametrize("profile", sorted(SCAN_PROFILES))
-    def test_none_in_band(self, profile):
+    def test_none_in_band(self):
         # Every coefficient far above the noise: F = 1 and the band is {1}.
         coeffs = np.linspace(100.0, 200.0, 700)
-        prof = SCAN_PROFILES[profile]
-        assert select_threshold(coeffs, 1.0, lam=4.5, profile=prof) == 0.0
-        assert reference_threshold(coeffs, 1.0, 700, 4.5, prof) == 0.0
+        assert select_threshold(coeffs, 1.0, lam=4.5) == 0.0
+        assert reference_threshold(coeffs, 1.0, 700, 4.5) == 0.0
 
-    @pytest.mark.parametrize("profile", sorted(SCAN_PROFILES))
-    def test_threshold_several_blocks_deep(self, profile):
+    def test_threshold_several_blocks_deep(self):
         # 600 large coefficients on top of 1400 noise ones: the scan passes
-        # its pointwise blocks and reaches T* through the chunk certificates
-        # (white) or further pointwise blocks (colored).
+        # its first blocks and reaches T* further down.
         rng = np.random.default_rng(11)
         coeffs = rng.normal(0.0, 1.0, 2000)
         coeffs[:600] = rng.uniform(20.0, 60.0, 600)
-        prof = SCAN_PROFILES[profile]
-        tstar = select_threshold(coeffs, 1.0, lam=4.5, profile=prof)
-        assert tstar == reference_threshold(coeffs, 1.0, 2000, 4.5, prof)
+        tstar = select_threshold(coeffs, 1.0, lam=4.5)
+        assert tstar == reference_threshold(coeffs, 1.0, 2000, 4.5)
         assert np.count_nonzero(np.abs(coeffs) > tstar) >= 64 + 128 + 256
 
 
@@ -289,6 +290,41 @@ class TestDenoisePipeline:
         assert colored.threshold >= white.threshold  # wider band departs later
         assert colored.band is not None
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_colored_thresholds_stop_at_each_level_peak_and_leave_the_output(self, profile):
+        """Under a profile level j gets min(T* r_j, max |c_j|).  A threshold at or
+        above a level's largest magnitude zeroes the level either way, so the output
+        equals the unclipped shrink T* r_j in every bit, and no reported threshold
+        exceeds the largest detail magnitude."""
+        spec, prof = SPECS[profile], PROFILES[profile]
+        ratios, clipped = _level_ratios(prof, 5), 0
+        for seed, (name, snr) in enumerate([(s, snr) for s in ("blocks", "heavysine", "doppler")
+                                            for snr in (-20.0, 4.0, 14.0)]):
+            truth = gen_signal(name, 2048).samples
+            raw = gen_noise(spec, 2048, seed)
+            scale = np.linalg.norm(truth) * 10.0 ** (-snr / 20.0) / np.linalg.norm(raw)
+            x = truth + raw * scale
+            result = denoise(x, DenoiseConfig(sigma=scale, profile=prof))
+            coeffs = dwt_forward(x, 5)
+            tstar = select_threshold(np.concatenate(
+                [np.abs(b) / r for b, r in zip(coeffs.detail_bands, ratios)]), scale)
+            peaks = [np.abs(b).max() for b in coeffs.detail_bands]
+            clipped += any(tstar * r > peak for r, peak in zip(ratios, peaks))
+            for band, r in zip(coeffs.detail_bands, ratios):
+                soft_threshold(band, tstar * r, out=band)
+            assert np.array_equal(result.denoised, dwt_inverse(coeffs)), (name, snr)
+            assert result.threshold == max(min(tstar * r, peak) for r, peak in zip(ratios, peaks))
+            assert result.threshold <= max(peaks)
+        assert clipped > 0  # the clip is exercised
+
+    @pytest.mark.parametrize("rho", [[1.0, 1.0, 0.5], [1.0, -1.0, 0.3, 1.0]])
+    def test_profile_with_a_level_of_no_positive_variance_is_rejected(self, rho):
+        # rho_1 = 1 makes the finest details noise free; the second sequence is
+        # no autocorrelation and gives the second level a negative variance.
+        config = DenoiseConfig(sigma=1.0, profile=CorrelationProfile(rho=np.array(rho)))
+        with pytest.raises(ValueError, match=r"Haar level \d gets noise variance .*, not > 0"):
+            denoise(gen_noise(NoiseSpec.white(), 256, 1), config)
+
     def test_result_bookkeeping(self):
         truth = gen_signal("blocks", 2048).samples
         observed = truth + gen_noise(NoiseSpec.white(3.0), 2048, 5)
@@ -301,14 +337,15 @@ class TestDenoisePipeline:
         assert result.sigma_used > 0
         assert result.band.n == details.size
 
-    @pytest.mark.parametrize("profile", [None, SCAN_PROFILES["ar1(0.8)"]])
+    @pytest.mark.parametrize("profile", [None, *sorted(PROFILES)])
     def test_band_built_on_request_equals_full_band(self, profile):
+        # Under a profile the band is the white one over the standardized curve.
+        profile = PROFILES.get(profile)
         truth = gen_signal("blocks", 2048).samples
         observed = truth + gen_noise(NoiseSpec.white(1.0), 2048, 8)
         config = DenoiseConfig(sigma=1.0, profile=profile)
         result = denoise(observed, config)
-        a = np.sort(np.abs(dwt_forward(observed, 5).detail_values()))
-        expected = full_band(a, 1.0, a.size, 4.5, profile)
+        expected = full_band(dwt_forward(observed, 5), 1.0, 4.5, profile)
         band = result.band
         assert band is result.band  # built once, then cached
         for name in ("z_grid", "lower", "upper", "center"):

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nide.gaussian_stats import abs_noise_cdf
 from nide.noise_model import (
     SNR_DB_MIN,
     NoiseSpec,
+    _level_ratios,
     calibrate_noise_to_snr,
     estimate_sigma_mad,
     gen_noise,
     theoretical_profile,
 )
+from nide.signature import CorrelationProfile
+from nide.wavelet import dwt_forward
 
 
 class TestNoiseSpec:
@@ -75,6 +79,20 @@ class TestGenNoise:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             gen_noise(NoiseSpec.white(), 0, seed=0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be at least 0, got -1"),
+        ([3, 2.5], "seed must be an integer, got 2.5"),
+        ([0, -2], "seed must be at least 0, got -2"),
+        ("7", "seed must be an integer, got '7'"),
+    ])
+    @pytest.mark.parametrize("spec", [NoiseSpec.white(), NoiseSpec.ar1(0.8), NoiseSpec.ma([1.0, 0.5])],
+                             ids=["white", "ar1", "ma"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, spec, seed, message):
+        # One message, as ExperimentConfig and mc_validate give, not numpy's traceback.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_noise(spec, 8, seed)
 
     @pytest.mark.parametrize("spec", [
         NoiseSpec.white(), NoiseSpec.ar1(0.8), NoiseSpec.ar1(-0.6, 2.0), NoiseSpec.ma([1.0, 0.5, -0.2]),
@@ -154,6 +172,63 @@ class TestTheoreticalProfile:
         x = x - x.mean()
         sample = [np.dot(x[: x.size - k], x[k:]) / np.dot(x, x) for k in range(6)]
         assert np.allclose(sample, theoretical_profile(spec, 5).rho, atol=0.02)
+
+
+def haar_filter_variance(rho, j):
+    """h^T R h for the level-j Haar detail filter, with R built from ``rho``
+    (zero past its end) as a dense Toeplitz matrix."""
+    m = 2 ** (j - 1)
+    h = np.concatenate([np.full(m, 1.0), np.full(m, -1.0)]) / np.sqrt(2 * m)
+    r = np.zeros(2 * m)
+    r[: min(2 * m, rho.size)] = rho[: 2 * m]
+    R = r[np.abs(np.subtract.outer(np.arange(2 * m), np.arange(2 * m)))]
+    return h @ R @ h
+
+
+class TestLevelRatios:
+    @pytest.mark.parametrize("rho", [
+        theoretical_profile(NoiseSpec.ar1(0.8), 2047).rho,
+        theoretical_profile(NoiseSpec.ar1(-0.6), 2047).rho,
+        theoretical_profile(NoiseSpec.ma([1.0, 0.5, 0.25]), 2047).rho,
+        np.array([1.0, 0.5, 0.3]),  # shorter than every filter past the first level
+        np.array([1.0]),  # white: every ratio is 1
+    ], ids=["ar1(0.8)", "ar1(-0.6)", "ma", "short", "white"])
+    def test_equals_the_filter_quadratic_form(self, rho):
+        ratios = _level_ratios(CorrelationProfile(rho=rho), 9)
+        want = [haar_filter_variance(rho, j) for j in range(1, 10)]
+        assert np.allclose(ratios**2, want, rtol=0.0, atol=4e-15)
+
+    def test_ar1_values(self):
+        # The Haar detail std under ar1(0.8), finest to coarsest, in marginal sigmas.
+        ratios = _level_ratios(theoretical_profile(NoiseSpec.ar1(0.8), 2047), 5)
+        assert np.round(ratios, 3).tolist() == [0.447, 0.71, 1.163, 1.763, 2.322]
+
+    def test_standardized_pool_follows_the_white_model_only_with_each_levels_sigma(self):
+        """Pure ar1(0.8) noise with known sigma, N = 2048 at 5 levels, 2000 draws.  With
+        each level divided by sigma_j, the pooled curve's mean at z lies within 4 standard
+        errors of F(z).  Its variance is 1.0-1.26 times the white model's F (1 - F) / N
+        (coefficients of one draw stay correlated across and within levels, so a band of
+        lam = 4.5 acts like one of about 4.0 there); it is held to [0.9, 1.35].  Divided by
+        the marginal sigma, the mean lies hundreds of standard errors off F and the variance
+        leaves that range."""
+        spec, n, levels, runs = NoiseSpec.ar1(0.8), 2048, 5, 2000
+        coeffs = dwt_forward(gen_noise(spec, n, list(range(runs))), levels)
+        z = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5])
+        center = abs_noise_cdf(z, 1.0)
+
+        def moments(ratios):
+            pooled = np.concatenate([np.abs(b) / r for b, r in zip(coeffs.detail_bands, ratios)], axis=-1)
+            curve = np.stack([np.mean(pooled <= point, axis=-1) for point in z], axis=-1)
+            white_var = center * (1.0 - center) / pooled.shape[-1]
+            mean_error = (curve.mean(axis=0) - center) / np.sqrt(curve.var(axis=0, ddof=1) / runs)
+            return np.abs(mean_error), curve.var(axis=0, ddof=1) / white_var
+
+        errors, var_ratio = moments(_level_ratios(theoretical_profile(spec, n - 1), levels))
+        assert np.all(errors < 4.0), errors
+        assert np.all((0.9 <= var_ratio) & (var_ratio <= 1.35)), var_ratio
+        errors, var_ratio = moments(np.ones(levels))
+        assert np.all(errors > 30.0), errors
+        assert not np.all((0.9 <= var_ratio) & (var_ratio <= 1.35)), var_ratio
 
 
 class TestCalibrateNoise:

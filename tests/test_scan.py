@@ -20,9 +20,9 @@ from scipy.special import erfinv
 
 from nide.denoise import (SIGMA_FLOOR_RATIO, DenoiseConfig, _analyse, _nide_rule, _shrink,
                           select_threshold)
-from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
+from nide.noise_model import NoiseSpec, _level_ratios, gen_noise, theoretical_profile
 from nide.signals import gen_signal
-from nide.signature import colored_band, white_band
+from nide.signature import white_band
 from nide.wavelet import CoefficientSet, dwt_forward, dwt_inverse
 
 denoise_module = importlib.import_module("nide.denoise")
@@ -60,11 +60,11 @@ def curve(segments, m, sigma, lam, n, offset, signal_top=0):
     return np.sort(z)
 
 
-def reference(magnitudes, sigma, n, lam, profile):
+def reference(magnitudes, sigma, n, lam):
     """Last point of the sorted curve whose midpoint position lies in a band
     built pointwise over the whole curve, and that band."""
     a = np.sort(np.abs(magnitudes))
-    band = white_band(a, sigma, n, lam) if profile is None else colored_band(a, sigma, profile, n, lam)
+    band = white_band(a, sigma, n, lam)
     inside = np.flatnonzero(band.contains((np.arange(1, a.size + 1) - 0.5) / a.size))
     return (float(a[inside[-1]]) if inside.size else 0.0), band
 
@@ -77,20 +77,19 @@ def scrambled(z, seed):
 @settings(max_examples=120, deadline=None)
 @given(segments=SEGMENTS, m=st.one_of(st.integers(1, 2500), st.integers(2500, 20000)), sigma=SIGMAS, offset=OFFSETS,
        lam=st.sampled_from([0.0, 0.5, 2.0, 4.5, 8.0]), signal_top=st.sampled_from([0, 5, 200, 1000]),
-       colored=st.booleans(), table=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       table=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(segments=[("upper", 300), ("tie", 40), ("lower", 200), ("center", 7)], m=65536, sigma=1.0,
-         offset=0.0, lam=4.5, signal_top=1000, colored=False, table=True, seed=0)
+         offset=0.0, lam=4.5, signal_top=1000, table=True, seed=0)
 def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam, signal_top,
-                                                colored, table, seed):
-    # A white scan evaluates every point without a table: on the first scan of an
+                                                table, seed):
+    # A scan evaluates every point without a table: on the first scan of an
     # (N, lam), and on a curve too long for the budget; the second scan uses one.
-    profile = AR1 if colored and m <= 600 else None
     coeffs = scrambled(curve(segments, m, sigma, lam, m, offset, signal_top), seed)
-    expected, _ = reference(coeffs, sigma, m, lam, profile)
+    expected, _ = reference(coeffs, sigma, m, lam)
     budget, cache = (denoise_module._EDGE_CACHE_BYTES, denoise_module._edge_cache) if table else (0, {})
     with mock.patch.multiple(denoise_module, _EDGE_CACHE_BYTES=budget, _edge_cache=cache):
         for _ in range(2):
-            assert select_threshold(coeffs, sigma, lam=lam, profile=profile) == expected
+            assert select_threshold(coeffs, sigma, lam=lam) == expected
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1.0, 1e300])
@@ -112,7 +111,7 @@ def test_tied_chunk_on_band_edge(edge, offset, sigma):
     band = white_band(np.sort(z), sigma, m, 4.5)
     edges = band.upper[low] - g[low] if edge == "upper" else g[high] - band.lower[high]
     assert abs(edges) < 1e-11
-    expected, _ = reference(z, sigma, m, 4.5, None)
+    expected, _ = reference(z, sigma, m, 4.5)
     assert select_threshold(scrambled(z, 0), sigma, lam=4.5) == expected
 
 
@@ -146,7 +145,7 @@ def test_scan_deeper_than_earlier_scans_builds_nothing(monkeypatch):
     shallow = curve([("center", m)], m, 1.0, lam, m, 0.0, 5)
     deep = curve([("center", m)], m, 1.0, lam, m, 0.0, 1000)
     for z in (shallow, shallow, deep):
-        assert select_threshold(z, 1.0, lam=lam) == reference(z, 1.0, m, lam, None)[0]
+        assert select_threshold(z, 1.0, lam=lam) == reference(z, 1.0, m, lam)[0]
     assert calls == [(4, m)]
 
 
@@ -170,7 +169,7 @@ def test_threads_share_the_edge_tables(monkeypatch):
     cases = []
     for m, lam in ((2000, 4.5), (2500, 2.0), (1500, 4.5)):
         z = scrambled(curve([("upper", 300), ("tie", 20), ("lower", 200)], m, 1.0, lam, m, 0.0, 200), m)
-        cases.append((z, lam, reference(z, 1.0, m, lam, None)[0]))
+        cases.append((z, lam, reference(z, 1.0, m, lam)[0]))
     errors = []
 
     def scan(k):
@@ -236,15 +235,21 @@ def test_pipeline_equals_pointwise_band(kinds, known, colored, sigma, segments, 
     kept = np.count_nonzero(shrunk[:, : analysed.detail_values().shape[-1]], axis=-1)
     coeffs = dwt_forward(rows, LEVELS)
     m = N - (N >> LEVELS)
+    # Under the profile each level is divided by its noise ratio, then thresholded at T* r_j,
+    # or at its largest magnitude if that is lower.
+    ratios = _level_ratios(AR1, LEVELS) if colored else np.ones(LEVELS)
     for i in range(len(kinds)):
-        magnitudes = np.abs(coeffs.values[i, :m])
+        levels = [np.abs(band[i]) for band in coeffs.detail_bands]
         peak = np.abs(coeffs.values[i]).max()
         if not (used[i] > SIGMA_FLOOR_RATIO * peak and peak != 0.0):
             assert threshold[i] == 0.0 and bands[i] is None
             continue
-        expected, band = reference(magnitudes, used[i], m, config.lam, config.profile)
-        assert threshold[i] == expected
-        assert kept[i] == np.count_nonzero(magnitudes > expected)
+        magnitudes = np.concatenate([level / r for level, r in zip(levels, ratios)])
+        expected, band = reference(magnitudes, used[i], m, config.lam)
+        per_level = [min(expected * r, level.max()) if colored else expected
+                     for level, r in zip(levels, ratios)]
+        assert threshold[i] == max(per_level)
+        assert kept[i] == sum(np.count_nonzero(level > t) for level, t in zip(levels, per_level))
         got = bands[i]()
         for name in ("z_grid", "lower", "upper", "center"):
             assert np.array_equal(getattr(got, name), getattr(band, name)), name
@@ -282,7 +287,7 @@ def test_deep_white_row_with_a_table_skips_the_band_kernel(f_points, monkeypatch
     assert result.coefficients_kept > 20000
     assert f_points[0] == 0
     magnitudes = np.abs(dwt_forward(x, 5).values[:scope])
-    assert result.threshold == reference(magnitudes, result.sigma_used, scope, 4.5, None)[0]
+    assert result.threshold == reference(magnitudes, result.sigma_used, scope, 4.5)[0]
 
 
 @pytest.mark.parametrize("offset", [-1e-12, 0.0, 1e-12])
@@ -296,21 +301,27 @@ def test_white_row_with_its_candidate_in_the_margin_evaluates_one_block(f_points
                      curve([("center", m)], m, 1.0, lam, m, 0.0, 200),
                      curve([("center", m)], m, 0.7, lam, m, 0.0, 200)])
     sigma = np.array([1.0, 1.0, 0.7])
-    expected = [reference(row, s, m, lam, None)[0] for row, s in zip(rows, sigma)]
+    expected = [reference(row, s, m, lam)[0] for row, s in zip(rows, sigma)]
     monkeypatch.setattr(denoise_module, "_edge_cache", {})
     for scan in range(2):
         f_points[0] = 0
-        t = denoise_module._select(rows[:, ::-1].copy(), sigma, lam, None, np.arange(3))
+        t = denoise_module._select(rows[:, ::-1].copy(), sigma, lam, np.arange(3))
         assert t.tolist() == expected
     assert denoise_module._edge_cache[m, lam].shape == (4, m)
     assert f_points[0] == 128
 
 
-def test_shallow_ar1_row_stays_in_first_block(f_points):
-    # Pure ar1(0.8) noise with its known sigma: T* is among the top 8 points.
+def test_ar1_rows_scan_on_the_white_table(f_points, monkeypatch):
+    # Pure ar1(0.8) noise with its known sigma, standardized level by level: T* is
+    # among the top 8 points.  The first scan of its (N, lam) evaluates the first
+    # block only; from the second on the white edge table places every point.
     n = 2048
     profile = theoretical_profile(NoiseSpec.ar1(0.8), n - 1)
-    result = denoise_module.denoise(gen_noise(NoiseSpec.ar1(0.8), n, 3),
-                                    DenoiseConfig(sigma=1.0, profile=profile))
-    assert result.coefficients_kept < 8
-    assert 0 < f_points[0] <= 8  # the first block only
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    for scan, most in enumerate((8, 0, 0)):
+        f_points[0] = 0
+        result = denoise_module.denoise(gen_noise(NoiseSpec.ar1(0.8), n, 3 + scan),
+                                        DenoiseConfig(sigma=1.0, profile=profile))
+        assert result.coefficients_kept < 8
+        assert (0 < f_points[0] <= 8) if most else f_points[0] == 0
+    assert denoise_module._edge_cache[n - (n >> 5), 4.5].shape == (4, n - (n >> 5))

@@ -51,6 +51,26 @@ class TestEmpiricalSignature:
         assert np.allclose(out, [0.0, 2 / 3, 1.0])
 
 
+class TestConfidenceBand:
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 2.5}, "n must be an integer, got 2.5"),
+        ({"n": 0}, "n must be at least 1, got 0"),
+        ({"lam": -1.0}, r"lam must lie in \[0, 8\], got -1.0"),
+        ({"lam": np.inf}, r"lam must lie in \[0, 8\], got inf"),
+        ({"lam": np.nan}, r"lam must lie in \[0, 8\], got nan"),
+        ({"lower": [0.6]}, "band edges must satisfy"),
+        ({"lower": [-0.1]}, "band edges must satisfy"),
+        ({"upper": [0.4]}, "band edges must satisfy"),
+        ({"upper": [1.5]}, "band edges must satisfy"),
+        ({"center": [np.nan]}, "band edges must satisfy"),
+    ])
+    def test_rejects_a_bad_size_width_or_edge(self, fields, message):
+        good = {"z_grid": [0.0], "lower": [0.0], "upper": [1.0], "center": [0.5], "lam": 1.0, "n": 2}
+        ConfidenceBand(**good)
+        with pytest.raises(ValueError, match=message):
+            ConfidenceBand(**{**good, **fields})
+
+
 class TestWhiteBand:
     def test_degenerate_lambda_zero(self):
         z = np.linspace(0, 5, 64)
