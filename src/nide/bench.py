@@ -627,14 +627,13 @@ def _cmd_denoise_file(args) -> int:
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("input must be a nonempty single-column CSV of numbers")
     n = samples.size
-    target = max(1 << (n - 1).bit_length(), 2**args.levels)
+    target = 1 << (n - 1).bit_length()
+    cfg = DenoiseConfig(levels=args.levels, lam=args.lam, sigma=args.sigma,
+                        profile=_noise_profile(NoiseSpec.parse(args.noise), target))
+    # a mirror image keeps the finest band noise-like for the MAD sigma; zeros would not
+    result = denoise(np.pad(samples, (0, target - n), mode="symmetric"), cfg)
     if target != n:
         print(f"warning: mirror-padding input from {n} to {target} samples", file=sys.stderr)
-    # a mirror image keeps the finest band noise-like for the MAD sigma; zeros would not
-    padded = np.pad(samples, (0, target - n), mode="symmetric")
-    profile = _noise_profile(NoiseSpec.parse(args.noise), target)
-    cfg = DenoiseConfig(levels=args.levels, lam=args.lam, sigma=args.sigma, profile=profile)
-    result = denoise(padded, cfg)
     np.savetxt(args.out, result.denoised[:n], fmt="%.12g")
     _write_json(sidecar, {"threshold": result.threshold, "sigma_used": result.sigma_used,
                           "lambda": args.lam})

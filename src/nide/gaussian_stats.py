@@ -37,10 +37,10 @@ def _check_finite(values, what) -> None:
 
 
 def _check_count(least, **settings) -> None:
-    """Reject any count given that is not a Python or numpy integer, or is below ``least``,
-    by its name."""
+    """Reject any count given that is not a Python or numpy integer (a bool is not one,
+    though ``bool`` subclasses ``int``), or is below ``least``, by its name."""
     for name, value in settings.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -73,19 +73,14 @@ def abs_noise_cdf(z, sigma):
     _check_sigma(sigma)
     if not np.all(z >= 0):  # also false for NaN
         raise ValueError("z must be nonnegative and not NaN")
-    out = _abs_cdf(z, sigma, np.empty(np.broadcast_shapes(z.shape, np.shape(sigma))))
-    return float(out) if out.ndim == 0 else out
-
-
-def _abs_cdf(z, sigma, out):
-    """Unvalidated ``F(z)`` written into ``out``: ``(1 + erf(z / sigma / sqrt(2))) - 1``,
-    which is ``2 phi(z/sigma) - 1`` in every bit, since scaling by 2 and 0.5 is exact."""
-    np.divide(z, sigma, out=out)
+    # (1 + erf(z / sigma / sqrt(2))) - 1 is 2 phi(z/sigma) - 1 in every bit, since scaling
+    # by 2 and 0.5 is exact.  An explicit buffer: a 0-d divide result breaks erf(out=...).
+    out = np.divide(z, sigma, out=np.empty(np.broadcast_shapes(z.shape, np.shape(sigma))))
     out /= _SQRT2
     special.erf(out, out=out)
     out += 1.0
     out -= 1.0
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def shifted_abs_cdf(z, theta_bar, sigma):

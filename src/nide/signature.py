@@ -11,18 +11,18 @@ to [0, 1] for :func:`white_band`, :func:`colored_band` and the threshold scan.
 :func:`colored_variance_bound` is a time-domain model of correlated noise: an
 upper bound on the variance obtained by rotating each coefficient pair
 ``(V_i, V_j)`` into independent components with variances
-``sigma^2 (1 +/- rho_ij)``.  The ``appendixD`` Monte Carlo check tests it;
-``denoise`` no longer uses it, as it standardizes each Haar level by its own
-noise scale and runs the white band instead.
+``sigma^2 (1 +/- rho_ij)``, summed lag by lag.  The ``appendixD`` Monte Carlo
+check and the tests run it; no workload does, as ``denoise`` standardizes each
+Haar level by its own noise scale and runs the white band instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_stats import _abs_cdf, _check_count, _check_finite, _check_sigma, abs_noise_cdf
+from .gaussian_stats import _check_count, _check_finite, _check_sigma, abs_noise_cdf
 
 __all__ = [
     "ConfidenceBand",
@@ -44,24 +44,15 @@ RHO_TRUNCATION = 1e-6
 # threshold scan's inverted white band (``denoise._select``) is proven for.
 LAM_MAX = 8.0
 
-# Largest (lags x points) block the lag sum of the variance bound evaluates
-# at once.  Long profiles on long inputs are summed in slices of lags, whose
-# 512 KB buffers stay in cache: on a 63488-point grid, blocks of 2^18 and
-# 2^20 elements measured 25-60% slower.
-_LAG_BLOCK_ELEMENTS = 1 << 16
-
 
 @dataclass(frozen=True)
 class CorrelationProfile:
     """Normalized autocorrelation sequence ``rho[k] = R(k) / R(0)``.
 
     ``rho[0]`` must be 1 and every entry must be finite and lie in [-1, 1].
-    ``active_lags`` holds, ascending, the lags ``k >= 1`` with
-    ``|rho[k]| >= RHO_TRUNCATION``: the only lags the variance bound sums.
     """
 
     rho: np.ndarray
-    active_lags: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
@@ -76,9 +67,6 @@ class CorrelationProfile:
             raise ValueError("autocorrelation values must lie in [-1, 1]")
         rho = np.clip(rho, -1.0, 1.0)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(
-            self, "active_lags", np.flatnonzero(np.abs(rho[1:]) >= RHO_TRUNCATION) + 1
-        )
 
 
 @dataclass(frozen=True)
@@ -143,60 +131,16 @@ def _check_band_args(sigma, n, lam=0.0) -> None:
     _check_lam(lam)
 
 
-def _pair_cdf(root2z, spread, sigma, out):
-    """Rows ``F(sqrt(2) z / sqrt(spread_k))`` for ``spread = 1 +/- rho``, a
-    leading lag axis against ``root2z = sqrt(2) z``, written into ``out``; a
-    row is 1, the continuity limit, where ``spread_k`` is 0."""
-    live = spread > 0
-    np.divide(root2z, np.sqrt(np.where(live, spread, 1.0)), out=out)
-    _abs_cdf(out, sigma, out)
-    out[~live.ravel()] = 1.0
-    return out
-
-
-def _band_moments(z, sigma, n, profile=None):
-    """Band kernel: center ``F(z)`` and the curve variance (bound) at ``z``.
-
-    ``F`` is evaluated once.  A profile adds the pair terms of
-    :func:`colored_variance_bound` for its active lags below ``n``, evaluated
-    as one (lags x points) array per slice of lags in buffers reused across
-    slices, and added to the variance one lag at a time in ascending order,
-    so the sum is the same in every bit as a loop over the lags.  ``z`` may
-    have any shape and ``sigma`` broadcasts against it.  Arguments are not
-    validated here.
-    """
-    center = abs_noise_cdf(z, sigma)
-    var = center * (1.0 - center) / n
-    if profile is None:
-        return center, var
-    lags = profile.active_lags[: np.searchsorted(profile.active_lags, n)]
-    rows = max(1, _LAG_BLOCK_ELEMENTS // max(z.size, 1))
-    center_sq, root2z = center * center, _SQRT2 * z
-    # Row 0 holds the running variance, rows 1.. the pair terms of a slice.
-    acc = np.empty((min(rows, lags.size) + 1,) + center.shape)
-    other = np.empty_like(acc[1:])
-    acc[0] = var
-    for start in range(0, lags.size, rows):
-        k = lags[start : start + rows]
-        r = profile.rho[k].reshape((-1,) + (1,) * z.ndim)
-        terms = _pair_cdf(root2z, 1.0 + r, sigma, acc[1 : k.size + 1])
-        terms *= _pair_cdf(root2z, 1.0 - r, sigma, other[: k.size])
-        terms -= center_sq
-        terms *= (2.0 * (n - k) / n**2).reshape(r.shape)
-        np.add.accumulate(acc[: k.size + 1], axis=0, out=acc[: k.size + 1])
-        acc[0] = acc[k.size]
-    return center, acc[0]
-
-
 def _band_edges(z, sigma, n, lam, profile=None):
     """``(F(z), lower, upper)``: ``F +/- lam * sqrt(var)`` clamped to [0, 1], with the
     white ``var = F (1 - F) / n`` or, given a profile, :func:`colored_variance_bound`
     (see :func:`colored_band`).  ``z`` may have any shape and ``sigma`` broadcasts
     against it.  Arguments are not validated here."""
+    center = abs_noise_cdf(z, sigma)
     if profile is None:
-        center, var = _band_moments(z, sigma, n)
+        var = center * (1.0 - center) / n
     else:
-        center, var = abs_noise_cdf(z, sigma), colored_variance_bound(z, sigma, profile, n)
+        var = colored_variance_bound(z, sigma, profile, n)
     half = lam * np.sqrt(np.maximum(var, 0.0))
     return center, np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
 
@@ -247,7 +191,14 @@ def colored_variance_bound(z, sigma: float, profile: CorrelationProfile, n: int)
     _check_band_args(sigma, n)
     scalar = np.isscalar(z)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    _, var = _band_moments(z, sigma, n, profile)
+    center = abs_noise_cdf(z, sigma)
+    var = center * (1.0 - center) / n
+    root2z, center_sq = _SQRT2 * z, center * center
+    for k in np.flatnonzero(np.abs(profile.rho[1:n]) >= RHO_TRUNCATION) + 1:
+        r = profile.rho[k]
+        plus = abs_noise_cdf(root2z / np.sqrt(1.0 + r), sigma) if 1.0 + r > 0 else 1.0
+        minus = abs_noise_cdf(root2z / np.sqrt(1.0 - r), sigma) if 1.0 - r > 0 else 1.0
+        var += (plus * minus - center_sq) * (2.0 * (n - k) / n**2)
     return float(var[0]) if scalar else var
 
 

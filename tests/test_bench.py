@@ -486,6 +486,17 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("levels", ["8", "12", "70"])
+    def test_denoise_file_pads_only_to_the_next_power_of_two(self, tmp_path, capsys, levels):
+        # 100 samples pad to 128 whatever --levels says; more than 7 levels is rejected
+        # before anything is written, not met by padding to 2**levels.
+        infile, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        np.savetxt(infile, np.random.default_rng(0).normal(size=100))
+        rc = main(["denoise-file", "--in", str(infile), "--out", str(out), "--levels", levels])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: levels must be at most log2(N) = 7, got {levels}\n"
+        assert not out.exists()
+
     def test_trace_rejects_noise_free_input(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         rc = main(["trace", "--signal", "blocks", "--snr", "400", "--out", str(out)])

@@ -80,7 +80,7 @@ COUNTS = {
 
 
 @pytest.mark.parametrize("entry", COUNTS)
-@pytest.mark.parametrize("bad", [2.5, 2048.0, np.nan, "below the least"])
+@pytest.mark.parametrize("bad", [2.5, 2048.0, np.nan, True, "below the least"])
 def test_every_public_count_rejects_a_non_integer_or_a_value_below_its_least(entry, bad):
     name, call, least, _ = COUNTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be "):

@@ -26,7 +26,6 @@ from nide.signature import white_band
 from nide.wavelet import CoefficientSet, dwt_forward, dwt_inverse
 
 denoise_module = importlib.import_module("nide.denoise")
-signature_module = importlib.import_module("nide.signature")
 
 N, LEVELS = 512, 5
 AR1 = theoretical_profile(NoiseSpec.ar1(0.8), N - 1)
@@ -257,16 +256,16 @@ def test_pipeline_equals_pointwise_band(kinds, known, colored, sigma, segments, 
 
 @pytest.fixture
 def f_points(monkeypatch):
-    """Number of points the scan evaluates F at exactly: through the band
-    kernel, which every white or colored band calls once per point."""
+    """Number of points the scan evaluates F at exactly: through ``_band_edges``,
+    its only call of the exact band, once per point."""
     count = [0]
-    kernel = signature_module._band_moments
+    band_edges = denoise_module._band_edges
 
     def counted(z, *args, **kwargs):
         count[0] += np.size(z)
-        return kernel(z, *args, **kwargs)
+        return band_edges(z, *args, **kwargs)
 
-    monkeypatch.setattr(signature_module, "_band_moments", counted)
+    monkeypatch.setattr(denoise_module, "_band_edges", counted)
     return count
 
 

@@ -186,12 +186,18 @@ class TestCorrelationProfile:
             CorrelationProfile(rho=np.array([0.9, 0.5]))
         with pytest.raises(ValueError):
             CorrelationProfile(rho=np.array([1.0, 1.4]))
-        prof = CorrelationProfile(rho=np.array([1.0, 0.5, 0.25]))
-        assert prof.active_lags.tolist() == [1, 2]
-        assert CorrelationProfile(rho=np.array([1.0])).active_lags.size == 0
-        mixed = CorrelationProfile(rho=np.array([1.0, 1e-7, -0.5, 0.0, 1.0 + 1e-13]))
-        assert mixed.active_lags.tolist() == [2, 4]
-        assert CorrelationProfile(rho=np.array([1.0, 9e-7, -9e-7])).active_lags.size == 0
+        assert CorrelationProfile(rho=np.array([1.0, 1.0 + 1e-13])).rho[1] == 1.0
+
+    def test_bound_truncates_small_and_out_of_range_lags(self):
+        z = np.linspace(0.0, 4.0, 41)
+        F = abs_noise_cdf(z, 1.3)
+        # every lag below RHO_TRUNCATION = 1e-6: exactly the white variance
+        small = CorrelationProfile(rho=np.array([1.0, 9e-7, -9e-7]))
+        assert np.array_equal(colored_variance_bound(z, 1.3, small, 64), F * (1.0 - F) / 64)
+        # a lag at k >= n adds nothing: lag 2 is out of range at n = 2
+        far = CorrelationProfile(rho=np.array([1.0, 0.0, 0.9]))
+        assert np.array_equal(colored_variance_bound(z, 1.3, far, 2), F * (1.0 - F) / 2)
+        assert np.all(colored_variance_bound(z[1:-1], 1.3, far, 3) > F[1:-1] * (1.0 - F[1:-1]) / 3)
 
     @pytest.mark.parametrize("rho", [[1.0, np.nan, 0.5], [np.nan], [1.0, -np.inf]])
     def test_rejects_non_finite_rho(self, rho):
@@ -200,8 +206,8 @@ class TestCorrelationProfile:
 
 
 def per_lag_variance_bound(z, sigma, profile, n):
-    """The variance bound as one pass per lag: the reference the vectorized
-    kernel must match in every bit."""
+    """The variance bound as one pass per lag, written out independently: the
+    reference ``colored_variance_bound`` must match in every bit."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     F = abs_noise_cdf(z, sigma)
     var = F * (1.0 - F) / n
@@ -231,7 +237,7 @@ class TestColoredVarianceBound:
             (theoretical_profile(NoiseSpec.ma([1.0, 0.5, 0.25]), 2047).rho, 2048, 300),
             (np.array([1.0, 1.0, -1.0, 0.4, 1e-7, -0.2]), 5, 257),
             (np.array([1.0, 1.0, -1.0, 0.4, 1e-7, -0.2]), 3, 10),
-            # 1374 active lags x 4096 points: summed in many slices of lags
+            # 1374 active lags x 4096 points
             (theoretical_profile(NoiseSpec.ar1(0.99), 4095).rho, 4096, 4096),
         ],
     )
