@@ -61,18 +61,30 @@ Z_MAX = 4.0  # top of appendixD's and coverage's default z grid
 # Largest (trials x N) array the paired-trial loop denoises in one call: 64
 # trials at N = 2048, so the reference 100 trials run as two even blocks of 50.
 # Each block pays a fixed cost per signal, SNR and arm, and its (trials x N)
-# temporaries grow with it.  Measured with perfbench (8 s runs, seeds
-# 911-913, median calls/s and peak RSS; white-matrix | ar1-matrix), with even
-# blocks for each cap and, as a control, full blocks with a short last one:
-#   2^15, 7 blocks of 14-15:  16.8k, 61.5-61.9 MB | 11.3k, 61.6-61.9 MB
-#   2^16, 4 blocks of 25:     20.7k, 62.1-62.6 MB | 12.9k, 62.4-62.8 MB
-#   2^17, 2 blocks of 50:     23.5k, 65.2-65.8 MB | 14.3k, 64.6-64.7 MB
-#   2^18, 1 block of 100:     25.3k, 69.7-70.2 MB | 14.9k, 68.1 MB
-#   2^16, 32+32+32+4:         21.0k, 63.5-63.8 MB | 12.9k, 63.6 MB
-#   2^17, 64+36:              23.8k, 66.4-67.0 MB | 14.6k, 65.3-65.7 MB
-# 2^18 is faster still, but its peak RSS is 10% above 32+32+32+4's, the most
-# BENCHMARK.json allows.
+# temporaries grow with it.  Measured with perfbench under the loop's ufunc buffer
+# (_UFUNC_BUFFER; 8 s runs, seeds 911-913, the caps alternating within each seed, median
+# calls/s and peak RSS; white-matrix | ar1-matrix):
+#   2^16, 4 blocks of 25:     25.9k, 62.0-62.3 MB | 22.1k, 62.4-62.7 MB
+#   2^17, 2 blocks of 50:     33.7k, 64.2-64.8 MB | 26.5k, 64.7-65.0 MB
+#   2^18, 1 block of 100:     32.6k, 68.4-68.5 MB | 28.6k, 68.5-68.7 MB
+# 2^18 is no faster on white and 8% faster on ar1, for 6% more peak RSS, a cost
+# that grows with N while the gain does not.
 _TRIAL_BLOCK_ELEMENTS = 1 << 17
+
+# numpy's ufunc buffer, in elements, while the paired-trial loop runs (numpy's default is
+# 8192).  A ufunc over row slices of a (50, 2048) block, with a broadcast operand such as a
+# per-row (50, 1) threshold or scale, or with an output that overlaps an input, can run
+# through numpy's buffered iteration, and then costs more per element the larger the
+# buffer.  Per element, on one shared 2-vCPU host, at 8192 against 1024:
+# np.clip of a (50, 1024) level slice to a (50, 1) bound 2.5-3.8 ns against 0.5-1.0, and
+# soft_threshold's in-place subtract on the (50, 1984) slice of every detail 1.1-1.5 against
+# 0.4-0.6; the 64-wide coarsest level's clip takes 4-6 either way.  So every shrink pays,
+# the per-level ones of SURE, Bayes and nide under a profile most.  Median run_experiment
+# calls/s against 8192, white | ar1(0.8) matrix, N = 2048, 100 trials:
+#   256: +21% | +25%   512: +24% | +21%   1024: +27% | +26%
+#   2048: +26% | +23%  4096: +8% | +5%
+# No arithmetic changes, so every score is the same in every bit.
+_UFUNC_BUFFER = 1024
 
 
 def _fmt(x: float) -> str:
@@ -217,25 +229,27 @@ def _paired_mse(config: ExperimentConfig, arms):
     mses = {(name, snr, key): np.empty(trials) for name in truths for snr in snrs for key in arms}
     noises = gen_noise(noise, n, [_trial_seed(seed, t) for t in range(trials)])
     count = -(-trials // max(1, _TRIAL_BLOCK_ELEMENTS // n))
-    for i in range(count):
-        start, stop = trials * i // count, trials * (i + 1) // count
-        raw = noises[start:stop]
-        raw_norm = _norm(raw)
-        for name, truth in truths.items():
-            truth_norm = _norm(truth)
-            for snr in snrs:
-                scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
-                observed = raw * scale[:, None]
-                observed += truth
-                sigma = noise.sigma * scale if config.sigma_policy == "known" else None
-                coeffs, used = _analyse(observed, config.levels, sigma)
-                out = np.empty_like(coeffs.values)
-                for key, (cfg, rule) in arms.items():
-                    _shrink(coeffs, rule(coeffs, used, cfg)[0], out)
-                    # normalized_mse's arithmetic, in the buffer the next arm overwrites
-                    np.subtract(out, thetas[name], out=out)
-                    np.multiply(out, out, out=out)
-                    mses[name, snr, key][start:stop] = np.sum(out, axis=-1) / theta_sq[name]
+    with np.errstate():  # restores the caller's buffer size on leaving (numpy >= 2.0)
+        np.setbufsize(_UFUNC_BUFFER)
+        for i in range(count):
+            start, stop = trials * i // count, trials * (i + 1) // count
+            raw = noises[start:stop]
+            raw_norm = _norm(raw)
+            for name, truth in truths.items():
+                truth_norm = _norm(truth)
+                for snr in snrs:
+                    scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
+                    observed = raw * scale[:, None]
+                    observed += truth
+                    sigma = noise.sigma * scale if config.sigma_policy == "known" else None
+                    coeffs, used = _analyse(observed, config.levels, sigma)
+                    out = np.empty_like(coeffs.values)
+                    for key, (cfg, rule) in arms.items():
+                        _shrink(coeffs, rule(coeffs, used, cfg)[0], out)
+                        # normalized_mse's arithmetic, in the buffer the next arm overwrites
+                        np.subtract(out, thetas[name], out=out)
+                        np.multiply(out, out, out=out)
+                        mses[name, snr, key][start:stop] = np.sum(out, axis=-1) / theta_sq[name]
     return mses
 
 

@@ -56,8 +56,11 @@ class NoiseSpec:
                 raise ValueError("ar1 coefficient must satisfy |a| < 1")
         if self.kind == "ma":
             taps = np.atleast_1d(np.asarray(self.ma_taps, dtype=float))
-            if taps.size == 0 or not np.any(taps) or not np.all(np.isfinite(taps)):
-                raise ValueError(f"ma taps must be a nonempty, nonzero, finite vector, got {taps}")
+            with np.errstate(over="ignore", under="ignore"):
+                energy = np.sum(taps**2)  # gen_noise and theoretical_profile divide by it
+            if not 0.0 < energy < np.inf:  # so no tap is NaN or infinite, and one is nonzero
+                raise ValueError(f"ma taps' sum of squares must be finite and positive, got "
+                                 f"{energy:g} for taps {taps}")
             object.__setattr__(self, "ma_taps", taps)
 
     @classmethod

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nide.baselines
+import nide.bench
 from nide.baselines import _RULES, denoise_with, sure_threshold
 from nide.bench import (ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, normalized_mse,
                         run_experiment)
@@ -373,3 +374,43 @@ def test_one_analysis_per_stack(monkeypatch):
                                   trials=trials, seed=1, n=n)
         _paired_mse(config, arms)
         assert calls == [(b, n) for b in blocks for _ in range(4)]
+
+
+@pytest.mark.parametrize("noise, policy", [(NoiseSpec.white(), "mad"),
+                                           (NoiseSpec.ar1(0.8), "known")])
+def test_ufunc_buffer_changes_no_score(monkeypatch, noise, policy):
+    """The paired-trial loop's ufunc buffer changes how numpy iterates, not what it
+    computes: run_experiment's rows and lambda_sweep's means are the same in every bit
+    under numpy's default buffer and under the shipped one."""
+    config = ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0), trials=6,
+                              seed=5, n=2048, noise=noise, sigma_policy=policy)
+    sweep = dict(trials=6, seed=5, n=2048, noise=noise, sigma_policy=policy)
+    runs = []
+    for size in (8192, nide.bench._UFUNC_BUFFER):  # numpy's default, then the shipped one
+        monkeypatch.setattr(nide.bench, "_UFUNC_BUFFER", size)
+        runs.append((run_experiment(config).rows,
+                     lambda_sweep("blocks", 8.0, [3.0, 4.5], **sweep)))
+    assert runs[0] == runs[1]
+
+
+def test_ufunc_buffer_is_scoped_to_the_loop():
+    """The loop sets its buffer only while it runs: after run_experiment, and after an
+    arm whose rule raises mid-loop, the caller's buffer size and error state are back."""
+    seen = []
+
+    def failing(coeffs, sigma, config):
+        seen.append(np.getbufsize())
+        if len(seen) == 2:
+            raise RuntimeError("rule failed")
+        return _RULES["visu"](coeffs, sigma, config)
+
+    config = ExperimentConfig(signals=("blocks",), snr_db=(4.0, 8.0), trials=4, seed=2, n=512)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.setbufsize(4096)
+        caller = np.getbufsize(), np.geterr()
+        run_experiment(config)
+        assert (np.getbufsize(), np.geterr()) == caller
+        with pytest.raises(RuntimeError, match="rule failed"):
+            _paired_mse(config, {"failing": (failing, LAM)})
+        assert (np.getbufsize(), np.geterr()) == caller
+    assert seen == [nide.bench._UFUNC_BUFFER] * 2

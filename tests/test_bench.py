@@ -526,6 +526,7 @@ class TestCli:
         ["mc", "--check", "appendixB", "--runs", "5", "--z", "nan"],
         ["mc", "--check", "appendixB", "--runs", "5", "--z", ","],
         ["bench", "--noise", "ma:1,nan", "--trials", "1"],
+        ["bench", "--noise", "ma:1,1e308", "--trials", "1"],
         ["mc", "--check", "appendixA", "--runs", "200", "--n", "256", "--z", "-1"],
         ["mc", "--check", "appendixB", "--runs", "5", "--z", "0.5,inf"],
         ["mc", "--check", "appendixC", "--runs", "5", "--z=-0.5,1"],
@@ -567,6 +568,8 @@ class TestCli:
         assert not out.exists()
         if "--seed" in argv:
             assert "seed" in err and "-1" in err
+        if "--noise" in argv and argv[argv.index("--noise") + 1].startswith("ma:"):
+            assert "ma taps" in err
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--trials", "1", "--snr", "8", "--length", "256"],

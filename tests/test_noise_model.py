@@ -46,6 +46,14 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match=field):
             make()
 
+    @pytest.mark.parametrize("taps, energy", [([1.0, 1e308], "inf"), ([1e-200, 1e-200], "0")])
+    def test_rejects_taps_whose_squares_overflow_or_underflow(self, taps, energy):
+        """Finite, nonzero taps whose sum of squares is inf or 0 would give zero or NaN
+        noise; they are rejected, and the message names the taps."""
+        with pytest.raises(ValueError, match=rf"sum of squares .* got {energy} for taps \[") as err:
+            NoiseSpec.ma(taps)
+        assert str(np.asarray(taps)) in str(err.value)
+
 
 class TestGenNoise:
     def test_deterministic(self):
