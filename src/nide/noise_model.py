@@ -2,9 +2,10 @@
 robust median-based noise-scale estimator.
 
 Colored noise comes in two flavours: a first-order autoregressive process
-(``ar1``) and a finite moving average (``ma``).  Generators always rescale so
-the stationary marginal variance equals ``sigma**2``, which keeps the
-signature band center comparable across noise kinds.  ``gen_noise`` takes
+(``ar1``) and a finite moving average (``ma``).  Every kind filters one draw of
+Gaussian innovations; white noise is the one-tap filter ``[1]``.  Generators
+always rescale so the stationary marginal variance equals ``sigma**2``, which
+keeps the signature band center comparable across noise kinds.  ``gen_noise`` takes
 one seed or a sequence of them; a sequence gives one row per seed, each the
 row its seed gives alone, so a Monte Carlo loop can draw all its trials in
 one call.
@@ -13,7 +14,7 @@ one call.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,29 +40,31 @@ class NoiseSpec:
     """Noise description: kind plus marginal standard deviation.
 
     ``kind`` is one of ``white``, ``ar1`` (with coefficient ``ar_coeff`` in
-    (-1, 1)) or ``ma`` (with tap vector ``ma_taps``).
+    (-1, 1)) or ``ma`` (with a 1-D tap sequence ``ma_taps``, kept as a tuple of
+    floats so that specs compare and hash by value).
     """
 
     kind: str
     sigma: float = 1.0
     ar_coeff: float | None = None
-    ma_taps: np.ndarray | None = field(default=None)
+    ma_taps: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("white", "ar1", "ma"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         _check_sigma(self.sigma)
-        if self.kind == "ar1":
-            if self.ar_coeff is None or not abs(self.ar_coeff) < 1:
-                raise ValueError("ar1 coefficient must satisfy |a| < 1")
+        if self.kind == "ar1" and (self.ar_coeff is None or not abs(self.ar_coeff) < 1):
+            raise ValueError("ar1 coefficient must satisfy |a| < 1")
         if self.kind == "ma":
             taps = np.atleast_1d(np.asarray(self.ma_taps, dtype=float))
+            if taps.ndim != 1:
+                raise ValueError(f"ma taps must be a 1-D sequence, got shape {taps.shape}")
             with np.errstate(over="ignore", under="ignore"):
                 energy = np.sum(taps**2)  # gen_noise and theoretical_profile divide by it
             if not 0.0 < energy < np.inf:  # so no tap is NaN or infinite, and one is nonzero
                 raise ValueError(f"ma taps' sum of squares must be finite and positive, got "
                                  f"{energy:g} for taps {taps}")
-            object.__setattr__(self, "ma_taps", taps)
+            object.__setattr__(self, "ma_taps", tuple(taps.tolist()))
 
     @classmethod
     def white(cls, sigma: float = 1.0) -> "NoiseSpec":
@@ -84,18 +87,14 @@ class NoiseSpec:
         if text.startswith("ar1:"):
             return cls.ar1(float(text[4:]))
         if text.startswith("ma:"):
-            taps = [float(t) for t in text[3:].split(",") if t]
-            return cls.ma(taps)
+            return cls.ma([float(t) for t in text[3:].split(",") if t])
         raise ValueError(f"cannot parse noise spec {text!r}")
 
     def describe(self) -> str:
         """Inverse of :meth:`parse` (sigma not included)."""
-        if self.kind == "white":
-            return "white"
         if self.kind == "ar1":
             return f"ar1:{self.ar_coeff:g}"
-        taps = ",".join(f"{t:g}" for t in self.ma_taps)
-        return f"ma:{taps}"
+        return "ma:" + ",".join(f"{t:g}" for t in self.ma_taps) if self.kind == "ma" else "white"
 
 
 def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
@@ -113,16 +112,18 @@ def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
         _check_count(0, seed=s)
     rngs = [np.random.default_rng(s) for s in seeds]
     out = np.empty((len(rngs), n))
-    if spec.kind == "white":
-        for row, rng in zip(out, rngs):
-            row[:] = rng.normal(0.0, spec.sigma, n)
-    elif spec.kind == "ar1":
-        a = spec.ar_coeff
-        innovation_std = spec.sigma * np.sqrt(1.0 - a * a)
-        prev = np.empty(len(rngs))
-        for i, rng in enumerate(rngs):  # the innovations, then the start value y[-1]
-            out[i] = rng.normal(0.0, innovation_std, n)
+    taps = np.array(spec.ma_taps if spec.kind == "ma" else (1.0,))  # white and ar1 filter by [1]
+    a = spec.ar_coeff if spec.kind == "ar1" else 0.0
+    innovation_std = spec.sigma * np.sqrt(1.0 - a * a) / np.sqrt(np.sum(taps**2))
+    prev = np.empty(len(rngs))
+    for i, rng in enumerate(rngs):  # the innovations, then an ar1 start value y[-1]
+        e = rng.normal(0.0, innovation_std, n + taps.size - 1)
+        # ma: y[t] = sum_k taps[k] e[t-k].  Convolving by [1] is exact but slower, so white
+        # and ar1 rows skip it; a one-tap ma filter such as [2] is still applied.
+        out[i] = np.convolve(e, taps, mode="valid") if spec.kind == "ma" else e
+        if spec.kind == "ar1":
             prev[i] = rng.normal(0.0, spec.sigma)
+    if spec.kind == "ar1":
         # y[k] = e[k] + a*y[k-1], rounding the product and then the sum, one step at a
         # time across every row, in place.
         t = np.empty_like(prev)
@@ -130,31 +131,19 @@ def gen_noise(spec: NoiseSpec, n: int, seed: int | Sequence[int]) -> np.ndarray:
             np.multiply(prev, a, out=t)
             np.add(t, cur, out=cur)
             prev = cur
-    else:
-        # ma: y[t] = sum_k taps[k] e[t-k], innovations scaled for marginal sigma
-        taps = spec.ma_taps
-        innovation_std = spec.sigma / np.sqrt(np.sum(taps**2))
-        for row, rng in zip(out, rngs):
-            row[:] = np.convolve(rng.normal(0.0, innovation_std, n + taps.size - 1), taps,
-                                 mode="valid")
     return out[0] if single else out
 
 
 def theoretical_profile(spec: NoiseSpec, max_lag: int) -> CorrelationProfile:
     """Exact normalized autocorrelation of ``spec`` up to ``max_lag``."""
     _check_count(0, max_lag=max_lag)
-    lags = np.arange(max_lag + 1)
-    if spec.kind == "white":
-        rho = np.zeros(max_lag + 1)
-        rho[0] = 1.0
-    elif spec.kind == "ar1":
-        rho = spec.ar_coeff ** lags.astype(float)
-    else:
-        taps = spec.ma_taps
-        rho = np.zeros(max_lag + 1)
-        r0 = np.sum(taps**2)
-        for k in range(min(max_lag, taps.size - 1) + 1):
-            rho[k] = np.sum(taps[: taps.size - k] * taps[k:]) / r0
+    if spec.kind == "ar1":
+        return CorrelationProfile(rho=spec.ar_coeff ** np.arange(max_lag + 1.0))
+    taps = np.array(spec.ma_taps if spec.kind == "ma" else (1.0,))  # white is the filter [1]
+    rho = np.zeros(max_lag + 1)
+    r0 = np.sum(taps**2)
+    for k in range(min(max_lag, taps.size - 1) + 1):
+        rho[k] = np.sum(taps[: taps.size - k] * taps[k:]) / r0
     return CorrelationProfile(rho=rho)
 
 

@@ -60,7 +60,6 @@ def _raw_signal(name: str, n: int) -> np.ndarray:
         f += np.sin(np.pi * (n * 0.6902) * t)
         f += np.sin(np.pi * t * (n * 0.125 * t))
         return f
-    raise ValueError(f"unknown signal name {name!r}; choose from {SIGNAL_NAMES}")
 
 
 def canonical_name(name: str) -> str:

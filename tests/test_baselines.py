@@ -42,6 +42,10 @@ class TestVisuThreshold:
         with pytest.raises(ValueError, match="sigma must be finite"):
             visu_threshold(64, sigma)
 
+    def test_rejects_negative_sigma(self):
+        with pytest.raises(ValueError, match=r"^sigma must be nonnegative, got -1.0$"):
+            visu_threshold(64, -1.0)
+
 
 class TestSureThreshold:
     def test_minimizer_is_argmin_over_candidates(self):
@@ -135,6 +139,13 @@ class TestBayesThreshold:
         # inf would otherwise read the band as pure noise and zero it
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
             bayes_threshold(np.array([0.5, -1.0, 2.0]), sigma)
+
+
+@pytest.mark.parametrize("rule", [sure_threshold, bayes_threshold, sure_minimizer])
+@pytest.mark.parametrize("band", [np.empty(0), np.empty((3, 0))], ids=["1-D", "rows"])
+def test_empty_band_is_rejected(rule, band):
+    with pytest.raises(ValueError, match="^band must be nonempty$"):
+        rule(band, 1.0)
 
 
 @pytest.mark.parametrize("rule", [sure_threshold, bayes_threshold])

@@ -100,6 +100,15 @@ class TestRunExperiment:
                 high = result.mean_mse(signal, method, 14.0)
                 assert high < low, (signal, method)
 
+    def test_mean_mse_of_a_missing_cell_names_it(self):
+        result = run_experiment(ExperimentConfig(signals=("blocks",), snr_db=(8.0,), methods=("visu",),
+                                                 trials=1, n=256, levels=4))
+        assert result.mean_mse("blocks", "visu", 8) == result.rows[0].mean_mse
+        for cell in (("blocks", "sure", 8.0), ("blocks", "visu", 4.0), ("doppler", "visu", 8.0)):
+            with pytest.raises(KeyError) as err:
+                result.mean_mse(*cell)
+            assert err.value.args == (cell,)
+
     def test_accepts_historical_signal_spelling(self):
         config = ExperimentConfig(signals=("HeaviSine",), snr_db=(8.0,))
         assert config.signals == ("heavysine",)

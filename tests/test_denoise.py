@@ -363,6 +363,15 @@ class TestDenoisePipeline:
             denoise(observed)
 
     @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
+    def test_rejects_a_2d_input(self, method):
+        observed = gen_noise(NoiseSpec.white(1.0), 64, [1, 2])
+        message = r"^observed must be a 1-D sample vector, got shape \(2, 64\)$"
+        with pytest.raises(ValueError, match=message):
+            denoise_with(method, observed)
+        with pytest.raises(ValueError, match=message):
+            denoise(observed)
+
+    @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
     def test_samples_whose_haar_sums_overflow_are_rejected(self, method):
         # Blocks at a peak of 1.7e308: (x[2i] + x[2i+1]) overflows to inf.
         truth = gen_signal("blocks", 2048).samples

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nide.bench import ExperimentConfig
 from nide.gaussian_stats import abs_noise_cdf
 from nide.noise_model import (
     SNR_DB_MIN,
@@ -53,6 +55,33 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match=rf"sum of squares .* got {energy} for taps \[") as err:
             NoiseSpec.ma(taps)
         assert str(np.asarray(taps)) in str(err.value)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: NoiseSpec("pink"), "^unknown noise kind 'pink'$"),
+        (lambda: NoiseSpec.ma([[1.0, 0.5], [0.2, 0.1]]), r"^ma taps must be a 1-D sequence, got shape \(2, 2\)$"),
+        (lambda: NoiseSpec.ma(np.ones((1, 3))), r"^ma taps must be a 1-D sequence, got shape \(1, 3\)$"),
+    ], ids=["unknown-kind", "2-D-taps", "row-of-taps"])
+    def test_rejection_messages(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_ma_specs_compare_and_hash_by_value(self):
+        """MA taps are kept as a tuple of floats: specs built from a list, an array or
+        parsed text compare equal and hash alike, and so do experiments that hold them."""
+        spec = NoiseSpec.ma([1.0, 0.5])
+        assert spec.ma_taps == (1.0, 0.5) and all(type(t) is float for t in spec.ma_taps)
+        for same in (NoiseSpec.ma(np.array([1.0, 0.5])), NoiseSpec.ma((1, 0.5)), NoiseSpec.parse("ma:1,0.5")):
+            assert same == spec and hash(same) == hash(spec)
+        for other in (NoiseSpec.ma([1.0, 0.25]), NoiseSpec.ma([1.0, 0.5, 0.0]), NoiseSpec.ma([1.0, 0.5], 2.0),
+                      NoiseSpec.white(), NoiseSpec.ar1(0.5)):
+            assert other != spec
+        assert NoiseSpec.ma(2.0).ma_taps == (2.0,)
+        assert len({spec, NoiseSpec.ma([1.0, 0.5]), NoiseSpec.ma([1.0, 0.25])}) == 2
+        config = ExperimentConfig(signals=("blocks",), snr_db=(8.0,), noise=spec, sigma_policy="known")
+        assert config == ExperimentConfig(signals=("blocks",), snr_db=(8.0,), noise=NoiseSpec.ma([1.0, 0.5]),
+                                          sigma_policy="known")
+        assert config != ExperimentConfig(signals=("blocks",), snr_db=(8.0,), noise=NoiseSpec.ma([1.0, 0.25]),
+                                          sigma_policy="known")
 
 
 class TestGenNoise:
@@ -130,6 +159,31 @@ class TestGenNoise:
             want[k] = e[k] + a * want[k - 1]
         got = gen_noise(NoiseSpec.ar1(a, sigma), 300, seed=seed)
         assert got.tobytes() == want.tobytes()
+
+
+# The first 16 hex digits of the SHA-256 of gen_noise(spec, 2048, 7), of
+# gen_noise(spec, 2048, [1, 2, 3]) and of theoretical_profile(spec, 2047).rho, each as
+# native float64 bytes.  ma:2 draws at std 1/2 and doubles, so its noise equals white's in
+# every bit; drawn at std 1/2 without the filter, it would not.
+NOISE_PINS = {
+    "white": (NoiseSpec.white(), ("611d9f6475a5feb7", "c2bfabf724068e54", "9e97833609b18418")),
+    "white-sigma3": (NoiseSpec.white(3.0), ("2e183e2e147fdb50", "cb43b6ab9c92c4da", "9e97833609b18418")),
+    "ar1(0.8)": (NoiseSpec.ar1(0.8), ("16cadd8536480b0a", "4358f29963dc15f1", "80e6a355f176d84a")),
+    "ar1(-0.6)": (NoiseSpec.ar1(-0.6), ("061880d53e15d5fc", "1458eb077a972c09", "58567cd53a828470")),
+    "ma(1,0.5,0.25)": (NoiseSpec.ma([1.0, 0.5, 0.25]),
+                       ("1fa064d2145fe759", "e673fbd1d5d668f7", "28dc2cb708c0e086")),
+    "ma:2": (NoiseSpec.parse("ma:2"), ("611d9f6475a5feb7", "c2bfabf724068e54", "9e97833609b18418")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_PINS))
+def test_noise_and_profile_bits_are_pinned(name):
+    """Every noise kind draws and correlates in the same bits as recorded: a change to how
+    a kind is drawn or filtered (a one-tap filter skipped, an innovation scale rounded
+    another way, the AR start value drawn first) moves a digest."""
+    spec, pins = NOISE_PINS[name]
+    arrays = (gen_noise(spec, 2048, 7), gen_noise(spec, 2048, [1, 2, 3]), theoretical_profile(spec, 2047).rho)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays) == pins
 
 
 _SCIPY_SIGNAL_PROBE = """

@@ -63,6 +63,8 @@ class TestConfidenceBand:
         ({"upper": [0.4]}, "band edges must satisfy"),
         ({"upper": [1.5]}, "band edges must satisfy"),
         ({"center": [np.nan]}, "band edges must satisfy"),
+        ({"lower": [0.0, 0.0]}, "^z_grid, lower, center, upper must have equal shapes$"),
+        ({"z_grid": [[0.0]]}, "^z_grid, lower, center, upper must have equal shapes$"),
     ])
     def test_rejects_a_bad_size_width_or_edge(self, fields, message):
         good = {"z_grid": [0.0], "lower": [0.0], "upper": [1.0], "center": [0.5], "lam": 1.0, "n": 2}
@@ -105,6 +107,8 @@ class TestWhiteBand:
             white_band([0.0, 1.0], 1.0, 0, 4.5)
         with pytest.raises(ValueError):
             white_band([1.0, 0.5], 1.0, 100, 4.5)  # not ascending
+        with pytest.raises(ValueError, match="^z_grid must be nonnegative$"):
+            white_band([-0.5, 1.0], 1.0, 100, 4.5)
 
     def test_per_z_coverage_in_clt_region(self):
         # Pointwise coverage at lam=4.5 in the region where the normal
@@ -187,6 +191,11 @@ class TestCorrelationProfile:
         with pytest.raises(ValueError):
             CorrelationProfile(rho=np.array([1.0, 1.4]))
         assert CorrelationProfile(rho=np.array([1.0, 1.0 + 1e-13])).rho[1] == 1.0
+
+    @pytest.mark.parametrize("rho", [[], np.empty(0), [[1.0, 0.5]]], ids=["list", "array", "2-D"])
+    def test_rejects_an_empty_or_2d_rho(self, rho):
+        with pytest.raises(ValueError, match="^rho must be a nonempty 1-D sequence$"):
+            CorrelationProfile(rho=rho)
 
     def test_bound_truncates_small_and_out_of_range_lags(self):
         z = np.linspace(0.0, 4.0, 41)
