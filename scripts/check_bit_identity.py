@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the results of a fixed sweep of ``denoise`` calls,
-one over the baseline rules on the same inputs, and one over the output
-files of a fixed set of ``nide`` command lines.
+one over the baseline rules on the same inputs, one over the per-trial scores
+of the paired-trial loop, and one over the output files of a fixed set of
+``nide`` command lines.
 
 The first digest covers, for every call, the threshold, the kept count,
 sigma and the denoised output, and for every seventh call the on-request
 band (grid, lower, upper and center).  The second (``baselines sha256``)
 covers the same fields of ``denoise_with`` for visu, sure and bayes, once
 per input, sigma policy and method, as the baselines do not read lambda.
-The third (``harness sha256``) covers the files that ``bench``,
-``lambda-sweep``, ``trace``, ``mc`` and ``denoise-file`` write; after it, one
-line per file gives the first 12 hex digits of that file's own SHA-256, so a
-harness digest that moves names the files that moved.  Two checkouts that
+The third (``paired sha256``) covers the per-trial scores of every method that
+``nide.bench._paired_mse`` returns, in full precision, on two small matrices
+(``PAIRED``): white noise with MAD sigma and ar1(0.8) with known sigma.  The
+command-line tables keep six digits, so only this digest shows a change that
+moves a score in its last bits.  The fourth (``harness sha256``) covers the
+files that ``bench``, ``lambda-sweep``, ``trace``, ``mc`` and ``denoise-file``
+write; after it, one line per file gives the first 12 hex digits of that
+file's own SHA-256, so a harness digest that moves names the files that moved.  Two checkouts that
 print the same digests give the same results in every bit on these runs.
 
 The script checks its own output against the digests recorded in
@@ -32,8 +37,8 @@ with known sigma), ``lambda-sweep`` as CSV and JSON, a white ``trace`` as
 CSV and JSON and an ar1 one as CSV, the JSON report of every ``mc`` check on
 its default grid and the coverage rows as CSV, and ``denoise-file`` (output
 and report) on a 1500-sample input, which it mirror-pads to 2048: blocks
-plus unit white noise that the script writes.  All three take 17-19 s on
-one core of a shared 2-vCPU x86-64 host.
+plus unit white noise that the script writes.  All four take 5.6-5.7 s
+(two runs) on one core of a shared 2-vCPU x86-64 host.
 
 The script runs BLAS on one thread, set before numpy is imported: at
 N >= 16384 ``np.linalg.norm`` rounds differently when multi-threaded, which
@@ -55,8 +60,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pins)
 
-from nide.baselines import BASELINE_METHODS, denoise_with
-from nide.bench import MC_CHECKS, main as nide_main
+from nide.baselines import _RULES, BASELINE_METHODS, denoise_with
+from nide.bench import MC_CHECKS, ExperimentConfig, _paired_mse, main as nide_main
 from nide.denoise import DenoiseConfig, denoise
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
@@ -71,6 +76,13 @@ SNRS = (0.0, 4.0, 14.0, 30.0)
 LAMBDAS = (2.0, 4.5, 7.0)
 SIGMAS = ("mad", "known")
 BAND_EVERY = 7
+
+# The paired-trial matrices: N = 2048, every method, 20 trials.
+PAIRED = tuple(
+    ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0), noise=noise, trials=20,
+                     seed=11, sigma_policy=policy)
+    for noise, policy in ((NoiseSpec.white(), "mad"), (NoiseSpec.ar1(0.8), "known"))
+)
 
 _BENCH = ["bench", "--signal", "blocks,heavysine,doppler", "--snr", "4,14", "--trials", "40"]
 _SWEEP = ["lambda-sweep", "--signal", "bumps", "--trials", "40"]
@@ -90,10 +102,11 @@ HARNESS = (
     ("denoise.csv", ["denoise-file", "--in", NOISY]),
 )
 
-# The recorded digests: sweep, baselines and harness, then each harness file's own.
+# The recorded digests: sweep, baselines, paired and harness, then each harness file's own.
 EXPECTED = {
     "sha256": "6cb32d6e28da18990bcd74a6dcc02f9b797a9e87cfce5a44a8e6dcadd1d4a8c8",
     "baselines sha256": "ee4f7d7bf88e4a2d6d5a8b13d13eae4481072865500d4fe25e4da62dc2c9b48a",
+    "paired sha256": "5ab1ef777052be8683d7deea00960297ca83b8ae91c6dac1f4030b23da31cd46",
     "harness sha256": "abd1378e5da2b606dd7831c30b09e72ea8acfd5ad87b10523a3454f8082280bc",
 }
 EXPECTED_FILES = {
@@ -169,6 +182,18 @@ def baselines(digest) -> int:
     return calls
 
 
+def paired(digest) -> int:
+    """Feed the per-trial scores of every ``PAIRED`` matrix, cell by sorted cell, to
+    ``digest``; returns the number of scores."""
+    scores = 0
+    for config in PAIRED:
+        mses = _paired_mse(config, {m: (_RULES[m], config.lam) for m in config.methods})
+        for key in sorted(mses):
+            _feed(digest, mses[key])
+            scores += mses[key].size
+    return scores
+
+
 def noisy_blocks() -> np.ndarray:
     """The first 1500 samples of blocks (N = 2048) plus unit white noise, seed 3."""
     truth = gen_signal("blocks", 2048).samples[:1500]
@@ -218,6 +243,10 @@ def main(argv=None) -> int:
     calls = baselines(digest)
     digests["baselines sha256"] = digest.hexdigest()
     print(f"baselines sha256 {digest.hexdigest()}  calls={calls}")
+    digest = hashlib.sha256()
+    scores = paired(digest)
+    digests["paired sha256"] = digest.hexdigest()
+    print(f"paired sha256 {digest.hexdigest()}  scores={scores}")
     digest = hashlib.sha256()
     files = harness(digest)
     digests["harness sha256"] = digest.hexdigest()

@@ -7,10 +7,10 @@ The white runs estimate the noise scale from the finest detail band; the
 colored runs hand every method the true marginal scale, since the
 finest-band median estimator is biased once the noise is correlated.
 
-Takes about 1 s at the default 100 trials (1.0-1.1 s over five runs on a
+Takes under 1 s at the default 100 trials (0.77-0.84 s over ten runs on a
 shared 2-vCPU machine with Python 3.11 and numpy 2.4.6, of which the white
-matrix takes 0.22-0.33 s and the ar1 matrix 0.29-0.41 s over ten runs); use
---trials to shorten.  Each table is printed with its matrix's wall time.  Tables go to
+matrix takes 0.16-0.18 s and the ar1 matrix 0.19-0.23 s); use --trials to
+shorten.  Each table is printed with its matrix's wall time.  Tables go to
 --out-dir, by default results/ in the working directory.
 """
 

@@ -38,7 +38,8 @@ def _squares(sigma) -> np.ndarray:
 
 
 def _rows(band, sigma):
-    """``band`` as ``(rows, n)`` and one positive sigma up to ``_SIGMA_MAX`` per row, validated."""
+    """``band`` as ``(rows, n)``, one positive sigma up to ``_SIGMA_MAX`` per row, validated,
+    and the sigmas' :func:`_squares`."""
     band = np.asarray(band, dtype=float)
     if band.shape[-1] == 0:
         raise ValueError("band must be nonempty")
@@ -46,7 +47,7 @@ def _rows(band, sigma):
     _check_sigma(sigma)
     if sigma.max(initial=0.0) > _SIGMA_MAX:
         raise ValueError(f"sigma must be at most {_SIGMA_MAX:.6g} (its square overflows), got {sigma.max():.6g}")
-    return band.reshape(-1, band.shape[-1]), sigma
+    return band.reshape(-1, band.shape[-1]), sigma, _squares(sigma)
 
 
 def visu_threshold(n: int, sigma):
@@ -80,9 +81,25 @@ def sure_minimizer(band, sigma):
     if not np.isfinite(ns2).all():
         raise ValueError(f"n sigma^2 must be finite, got sigma up to {np.max(sigma):.6g} at n = {n}")
     k = np.arange(n + 1)  # number of |x| <= candidate (ties share the value)
-    risks = ns2 - 2.0 * s2 * k + (cumsq + (n - k) * candidates**2)
+    # ns2 - 2 s2 k + (cumsq + (n - k) candidates^2), each operation in that order, in two buffers
+    lead, risks = np.multiply(2.0 * s2, k), np.multiply(candidates, candidates)
+    np.add(cumsq, np.multiply(n - k, risks, out=risks), out=risks)
+    np.add(np.subtract(ns2, lead, out=lead), risks, out=risks)
     best = np.take_along_axis(candidates, np.argmin(risks, axis=-1)[..., None], axis=-1)[..., 0]
     return float(best) if best.ndim == 0 else best
+
+
+def _sure_rows(rows, sigma, s2):
+    """:func:`sure_threshold` of validated ``(rows, n)`` and their sigmas; ``s2`` is not
+    read, as the risk search squares the sigmas of the dense rows itself."""
+    n = rows.shape[-1]
+    t = visu_threshold(n, sigma)
+    with np.errstate(over="ignore"):  # a sigma far below the band: inf energy reads as dense
+        energy_excess = (np.sum((rows / sigma[:, None]) ** 2, axis=-1) - n) / n
+    dense = ~(energy_excess <= np.log2(n) ** 1.5 / np.sqrt(n))
+    if dense.any():  # the risk search runs only where its result is used
+        t[dense] = np.minimum(sure_minimizer(rows[dense], sigma[dense]), t[dense])
+    return t
 
 
 def sure_threshold(band, sigma):
@@ -94,15 +111,22 @@ def sure_threshold(band, sigma):
     universal threshold is used instead.  The result is always capped at the
     universal threshold.
     """
-    rows, sigma = _rows(band, sigma)
-    n = rows.shape[-1]
-    t = visu_threshold(n, sigma)
-    with np.errstate(over="ignore"):  # a sigma far below the band: inf energy reads as dense
-        energy_excess = (np.sum((rows / sigma[:, None]) ** 2, axis=-1) - n) / n
-    dense = ~(energy_excess <= np.log2(n) ** 1.5 / np.sqrt(n))
-    if dense.any():  # the risk search runs only where its result is used
-        t[dense] = np.minimum(sure_minimizer(rows[dense], sigma[dense]), t[dense])
+    t = _sure_rows(*_rows(band, sigma))
     return float(t[0]) if np.ndim(band) == 1 else t.reshape(np.shape(band)[:-1])
+
+
+def _bayes_rows(rows, sigma, s2):
+    """:func:`bayes_threshold` of validated ``(rows, n)``, their sigmas and their
+    squares ``s2``."""
+    with np.errstate(over="ignore"):  # checked below
+        variance = np.mean(rows**2, axis=-1)  # detail bands are zero mean
+    if np.isinf(variance).any():
+        raise ValueError(_SQUARES_OVERFLOW)
+    sigma_x = np.sqrt(np.maximum(variance - s2, 0.0))
+    noise_only = sigma_x == 0.0
+    t = s2 / np.where(noise_only, 1.0, sigma_x)
+    t[noise_only] = np.max(np.abs(rows[noise_only]), axis=-1)
+    return t
 
 
 def bayes_threshold(band, sigma):
@@ -114,16 +138,7 @@ def bayes_threshold(band, sigma):
     pure noise: the threshold is ``max |band|``, which zeroes it.  A row whose
     squares sum past the largest float is rejected with ``ValueError``.
     """
-    rows, sigma = _rows(band, sigma)
-    s2 = _squares(sigma)
-    with np.errstate(over="ignore"):  # checked below
-        variance = np.mean(rows**2, axis=-1)  # detail bands are zero mean
-    if np.isinf(variance).any():
-        raise ValueError(_SQUARES_OVERFLOW)
-    sigma_x = np.sqrt(np.maximum(variance - s2, 0.0))
-    noise_only = sigma_x == 0.0
-    t = s2 / np.where(noise_only, 1.0, sigma_x)
-    t[noise_only] = np.max(np.abs(rows[noise_only]), axis=-1)
+    t = _bayes_rows(*_rows(band, sigma))
     return float(t[0]) if np.ndim(band) == 1 else t.reshape(np.shape(band)[:-1])
 
 
@@ -134,19 +149,18 @@ def _visu_rule(coeffs, sigma, config):
     return visu_threshold(coeffs.values.shape[-1], sigma)[..., None], None
 
 
-def _level_rule(threshold, coeffs, sigma, config):
-    """Pipeline rule of a per-level threshold: ``threshold(band, sigma)`` per row and
-    detail level, from sigma floored at the smallest normal float."""
-    sigma = np.maximum(sigma, np.finfo(float).tiny)
-    return np.stack([threshold(b, sigma) for b in coeffs.detail_bands], axis=-1), None
+def _level_rule(kernel, coeffs, sigma, config):
+    """Pipeline rule of a per-level threshold: ``kernel(band, sigma, sigma^2)`` per row and
+    detail level, from sigma floored at the smallest normal float, checked and squared once
+    for every level."""
+    _, sigma, s2 = _rows(coeffs.detail_values(), np.maximum(sigma, np.finfo(float).tiny))
+    return np.stack([kernel(b, sigma, s2) for b in coeffs.detail_bands], axis=-1), None
 
 
 # The one table from method name to threshold rule: (coeffs, sigma, config) -> (thresholds,
-# band factories).  The lambdas look up the module's sure_threshold and bayes_threshold at
-# each call, so a tracer that wraps them sees the calls.
+# band factories).
 _RULES = {"nide": _nide_rule, "visu": _visu_rule,
-          "sure": partial(_level_rule, lambda b, s: sure_threshold(b, s)),
-          "bayes": partial(_level_rule, lambda b, s: bayes_threshold(b, s))}
+          "sure": partial(_level_rule, _sure_rows), "bayes": partial(_level_rule, _bayes_rows)}
 BASELINE_METHODS = tuple(_RULES)[1:]  # every method but nide
 
 

@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import _RULES
-from .denoise import DenoiseConfig, _analyse, _shrink, denoise
+from .denoise import DenoiseConfig, _noise_scale, _shrink, _transform, denoise
 from .noise_model import SNR_DB_MIN, NoiseSpec, _check_snr, _norm, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
 from .signature import colored_variance_bound, empirical_signature, white_band
-from .wavelet import dwt_forward
+from .wavelet import CoefficientSet, dwt_forward
 from .gaussian_stats import _check_count, abs_noise_cdf, shifted_abs_cdf
 
 __all__ = [
@@ -215,9 +215,12 @@ def _paired_mse(config: ExperimentConfig, arms):
     arm, so comparisons are paired.
     The trials run in the fewest blocks of at most ``_TRIAL_BLOCK_ELEMENTS`` samples, as
     equal as possible (100 trials at N = 2048 as 50 + 50); every row is denoised on its own,
-    so the split changes no score.  Each block is analysed once per signal and SNR; every arm
-    shrinks it into one buffer and is scored there on coefficients, with no inverse: that
-    needs an orthonormal transform.
+    so the split changes no score.  Each block of noise is checked and transformed once
+    (:func:`~nide.denoise._transform`).  The Haar transform is linear, so at every signal
+    and SNR the observed coefficients are formed as ``W(noise) * scale + W(truth)``, in one
+    buffer the cells share; that rounds apart from transforming ``noise * scale + truth``
+    only in the last bits.  Every arm shrinks them into a second buffer and is scored there
+    on coefficients, with no inverse: that needs an orthonormal transform.
     """
     n, noise, trials, snrs, seed = config.n, config.noise, config.trials, config.snr_db, config.seed
     profile = _noise_profile(noise, n)
@@ -234,16 +237,16 @@ def _paired_mse(config: ExperimentConfig, arms):
         for i in range(count):
             start, stop = trials * i // count, trials * (i + 1) // count
             raw = noises[start:stop]
-            raw_norm = _norm(raw)
+            raw_norm, unit = _norm(raw), _transform(raw, config.levels).values
+            coeffs, out = CoefficientSet(np.empty_like(unit), config.levels), np.empty_like(unit)
             for name, truth in truths.items():
                 truth_norm = _norm(truth)
                 for snr in snrs:
                     scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
-                    observed = raw * scale[:, None]
-                    observed += truth
+                    np.multiply(unit, scale[:, None], out=coeffs.values)
+                    coeffs.values += thetas[name]
                     sigma = noise.sigma * scale if config.sigma_policy == "known" else None
-                    coeffs, used = _analyse(observed, config.levels, sigma)
-                    out = np.empty_like(coeffs.values)
+                    used = _noise_scale(coeffs, sigma)
                     for key, (cfg, rule) in arms.items():
                         _shrink(coeffs, rule(coeffs, used, cfg)[0], out)
                         # normalized_mse's arithmetic, in the buffer the next arm overwrites

@@ -79,6 +79,13 @@ class DenoiseConfig:
         if self.sigma is not None:
             _check_sigma(self.sigma)
 
+    @cached_property
+    def level_ratios(self) -> np.ndarray | None:
+        """The noise ratios r_j of ``profile`` at the detail levels (see
+        :func:`~nide.noise_model._level_ratios`), worked out on first read and kept for
+        every later call with this config; None without a profile."""
+        return None if self.profile is None else _level_ratios(self.profile, self.levels)
+
 
 @dataclass
 class DenoiseResult:
@@ -225,10 +232,8 @@ def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam) -> fl
     return float(_select(a, np.asarray([sigma], dtype=float), lam, np.arange(1))[0])
 
 
-def _analyse(observed, levels: int, sigma=None):
-    """Magnitude check, transform and noise scale of every row of ``observed``, shape
-    ``(rows, N)``; sigma is ``sigma`` (one, or one per row) if given, else the MAD
-    estimate of the finest details.  Returns the coefficients and sigma.
+def _transform(observed, levels: int) -> CoefficientSet:
+    """Magnitude check and transform of every row of ``observed``, shape ``(rows, N)``.
 
     Every sum the forward and inverse transforms form, with the details shrunk or
     not, stays below 2.2 sqrt(N) times the largest sample magnitude, so samples up
@@ -241,10 +246,14 @@ def _analyse(observed, levels: int, sigma=None):
         _check_finite(observed, "observed samples")
         raise ValueError(f"observed samples must be at most {limit:.6g} in magnitude at N = {n}, "
                          "or the Haar transform overflows")
-    coeffs = dwt_forward(observed, levels)
-    if sigma is None:
-        return coeffs, estimate_sigma_mad(coeffs.detail_bands[0])
-    return coeffs, np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1])
+    return dwt_forward(observed, levels)
+
+
+def _noise_scale(coeffs: CoefficientSet, sigma=None) -> np.ndarray:
+    """The noise scale of every row of ``coeffs``: ``sigma`` (one, or one per row) if
+    given, else the MAD estimate of the finest details."""
+    return (estimate_sigma_mad(coeffs.detail_bands[0]) if sigma is None
+            else np.broadcast_to(np.asarray(sigma, dtype=float), coeffs.values.shape[:-1]))
 
 
 def _shrink(coeffs, t, out) -> None:
@@ -265,7 +274,7 @@ def _nide_rule(coeffs, sigma, config):
     negligible next to its largest coefficient passes through: 0, no band.
 
     Under a ``config.profile`` each detail level j is divided by its noise ratio
-    r_j = sigma_j / sigma (:func:`~nide.noise_model._level_ratios`), so every pooled
+    r_j = sigma_j / sigma (:attr:`DenoiseConfig.level_ratios`), so every pooled
     coefficient has noise scale sigma, and the white scan's T* gives level j the threshold
     ``min(T* r_j, max |c_j|)``: at or above the level's largest magnitude it zeroes the
     level either way, so the clip changes no output and no threshold exceeds the details."""
@@ -276,14 +285,13 @@ def _nide_rule(coeffs, sigma, config):
     if config.profile is not None:  # each detail level divided by its noise ratio, in place
         levels = CoefficientSet(magnitude, coeffs.levels).detail_bands
         peaks = np.stack([level.max(axis=-1) for level in levels], axis=-1)
-        r = _level_ratios(config.profile, coeffs.levels)
-        a /= np.repeat(r, [level.shape[-1] for level in levels])
+        a /= np.repeat(config.level_ratios, [level.shape[-1] for level in levels])
     t = _select(a, sigma, config.lam, np.flatnonzero(live))[:, None]
     bands = [
         partial(_sorted_band, curve, s, config.lam) if ok else None
         for curve, ok, s in zip(a, live.tolist(), sigma.tolist())
     ]
-    return (t if config.profile is None else np.minimum(t * r, peaks)), bands
+    return (t if config.profile is None else np.minimum(t * config.level_ratios, peaks)), bands
 
 
 def _sorted_band(curve, sigma, lam):
@@ -295,13 +303,15 @@ def _sorted_band(curve, sigma, lam):
 
 
 def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:
-    """One signal through :func:`_analyse`, ``rule``, :func:`_shrink` in place and
-    :func:`dwt_inverse`.  ``rule(coeffs, sigma, config)`` returns per-row thresholds (see
-    :func:`_shrink`) and per-row band factories, or None; sigma is reported as analysed."""
+    """One signal through :func:`_transform`, :func:`_noise_scale`, ``rule``, :func:`_shrink`
+    in place and :func:`dwt_inverse`.  ``rule(coeffs, sigma, config)`` returns per-row
+    thresholds (see :func:`_shrink`) and per-row band factories, or None; sigma is reported
+    as analysed."""
     observed = np.asarray(observed, dtype=float)
     if observed.ndim > 1:
         raise ValueError(f"observed must be a 1-D sample vector, got shape {observed.shape}")
-    coeffs, sigma = _analyse(observed[None], config.levels, config.sigma)
+    coeffs = _transform(observed[None], config.levels)
+    sigma = _noise_scale(coeffs, config.sigma)
     t, bands = rule(coeffs, sigma, config)
     _shrink(coeffs, t, coeffs.values)
     return DenoiseResult(float(t.max()), dwt_inverse(coeffs)[0],

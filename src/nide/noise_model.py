@@ -41,7 +41,8 @@ class NoiseSpec:
 
     ``kind`` is one of ``white``, ``ar1`` (with coefficient ``ar_coeff`` in
     (-1, 1)) or ``ma`` (with a 1-D tap sequence ``ma_taps``, kept as a tuple of
-    floats so that specs compare and hash by value).
+    floats so that specs compare and hash by value).  A field that the kind does
+    not read is rejected, so two specs that draw the same noise compare equal.
     """
 
     kind: str
@@ -52,6 +53,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("white", "ar1", "ma"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name, reader in (("ar_coeff", "ar1"), ("ma_taps", "ma")):
+            if self.kind != reader and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} noise does not read {name}; only {reader} noise does")
         _check_sigma(self.sigma)
         if self.kind == "ar1" and (self.ar_coeff is None or not abs(self.ar_coeff) < 1):
             raise ValueError("ar1 coefficient must satisfy |a| < 1")

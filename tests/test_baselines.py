@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nide.baselines
 from nide.baselines import (
     _RULES,
     bayes_threshold,
@@ -11,9 +14,10 @@ from nide.baselines import (
     sure_threshold,
     visu_threshold,
 )
-from nide.denoise import DenoiseConfig, _analyse
+from nide.denoise import DenoiseConfig, _noise_scale, _transform
 from nide.noise_model import NoiseSpec, calibrate_noise_to_snr, gen_noise
 from nide.signals import gen_signal
+from nide.wavelet import CoefficientSet
 
 
 def sure_risk(band, sigma: float, t: float) -> float:
@@ -169,7 +173,8 @@ def test_thresholds_scale_with_the_input_until_the_squares_overflow(method):
     x = gen_signal("blocks", 2048).samples + 2 * np.random.default_rng(0).normal(size=2048)
 
     def thresholds(scale):
-        coeffs, sigma = _analyse(x[None] * scale, DenoiseConfig.levels)
+        coeffs = _transform(x[None] * scale, DenoiseConfig.levels)
+        sigma = _noise_scale(coeffs)
         return _RULES[method](coeffs, sigma, DenoiseConfig())[0][0]
 
     np.testing.assert_allclose(thresholds(1e100), thresholds(1.0) * 1e100, rtol=1e-12)
@@ -193,6 +198,72 @@ def test_denoise_with_rejects_a_sigma_whose_square_overflows():
         denoise_with("bayes", x)
     for method in ("nide", "visu"):
         assert np.isfinite(denoise_with(method, x).denoised).all()
+
+
+TINY = np.finfo(float).tiny
+# A row's noise scale b, then each row kind's coefficients in units of b: "sparse" passes
+# SURE's sparsity test, "dense" fails it, "noise-only" has a variance below Bayes's sigma^2.
+SCALES = (1.0, 5.682141868614868, 0.3808171146238585)
+
+
+def level_stack(rng, n, kinds, scales):
+    rows = []
+    for kind, b in zip(kinds, scales):
+        row = b * rng.standard_normal(n) * (0.5 if kind == "noise-only" else 1.0)
+        if kind == "dense":
+            row[rng.choice(n, n // 8, replace=False)] += 12.0 * b
+        rows.append(np.zeros(n) if kind == "zero" else row)
+    return np.array(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.sampled_from([64, 512, 2048]),
+    rows=st.lists(st.tuples(st.sampled_from(["sparse", "dense", "noise-only", "zero"]),
+                            st.sampled_from(SCALES),
+                            st.sampled_from(["scale", 0.0, TINY / 4, TINY])), min_size=1, max_size=6),
+)
+def test_per_level_rules_equal_the_band_rules_level_by_level(seed, n, rows):
+    """``_RULES["sure"]`` and ``_RULES["bayes"]`` check sigma once and run one kernel per
+    level; every threshold equals that of ``sure_threshold`` and ``bayes_threshold`` on the
+    level's band, stacked and row by row, in every bit, sigma below the smallest normal
+    float included (the rules floor it there)."""
+    kinds, scales, given_sigma = zip(*rows)
+    values = level_stack(np.random.default_rng(seed), n, kinds, scales)
+    sigma = np.array([b if s == "scale" else s for b, s in zip(scales, given_sigma)])
+    coeffs = CoefficientSet(values, 5)
+    floored = np.maximum(sigma, TINY)
+    for method, threshold in (("sure", sure_threshold), ("bayes", bayes_threshold)):
+        t, bands = _RULES[method](coeffs, sigma, DenoiseConfig())
+        assert bands is None and t.shape == (len(rows), 5)
+        for j, band in enumerate(coeffs.detail_bands):
+            assert np.array_equal(t[:, j], threshold(band, floored)), (method, j)
+            for i, row in enumerate(band):
+                assert threshold(row, float(floored[i])) == t[i, j]
+
+
+_NAN_SIGMA = r"^sigma must be finite and positive, got \[nan\]$"
+_BIG_SIGMA = r"^sigma must be at most 1.34078e\+154 \(its square overflows\), got 1e\+155$"
+
+
+@pytest.mark.parametrize("method, threshold", [("sure", sure_threshold), ("bayes", bayes_threshold)])
+def test_per_level_rules_check_sigma_once_with_the_band_rules_messages(monkeypatch, method, threshold):
+    x = gen_noise(NoiseSpec.white(), 256, 4)
+    coeffs = CoefficientSet(np.stack([x, 2 * x]), 5)
+    checks, check = [], nide.baselines._check_sigma
+    monkeypatch.setattr(nide.baselines, "_check_sigma", lambda s: checks.append(s) or check(s))
+    _RULES[method](coeffs, np.array([1.0, 2.0]), DenoiseConfig())
+    assert len(checks) == 1
+    for sigma, message in ((np.nan, _NAN_SIGMA), (1e155, _BIG_SIGMA)):
+        with pytest.raises(ValueError, match=message):
+            _RULES[method](CoefficientSet(x[None], 5), np.array([sigma]), DenoiseConfig())
+        with pytest.raises(ValueError, match=message):
+            threshold(x[None], np.array([sigma]))
+    with pytest.raises(ValueError, match=r"^sigma must be finite and positive, got nan$"):
+        denoise_with(method, x, DenoiseConfig(sigma=np.nan))
+    with pytest.raises(ValueError, match=_BIG_SIGMA):
+        denoise_with(method, x, DenoiseConfig(sigma=1e155))
 
 
 class TestDenoiseWith:

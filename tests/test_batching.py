@@ -5,7 +5,9 @@ replaced, kept here verbatim in substance: Python-float sigma, per-level
 rules on 1-D bands, the threshold from a band built over the whole sorted
 curve, and the per-trial benchmark loop.  Every comparison is exact, except
 that of the benchmark's coefficient-domain scores with time-domain errors,
-which agree to rounding while the transform is orthonormal.
+which agree to rounding while the transform is orthonormal, and with the
+per-trial loop that transforms observed samples, not noise (linearity holds
+to rounding).
 """
 
 import importlib
@@ -25,7 +27,7 @@ import nide.bench
 from nide.baselines import _RULES, denoise_with, sure_threshold
 from nide.bench import (ExperimentConfig, _paired_mse, _trial_seed, lambda_sweep, normalized_mse,
                         run_experiment)
-from nide.denoise import SORTED_TOP, DenoiseConfig, _analyse, _shrink
+from nide.denoise import SORTED_TOP, DenoiseConfig, _noise_scale, _shrink, _transform
 from nide.noise_model import NoiseSpec, _level_ratios, _norm, gen_noise, theoretical_profile
 from nide.signals import SIGNAL_NAMES, gen_signal
 from nide.signature import white_band
@@ -149,7 +151,8 @@ def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, snrs)
     for method in METHODS:
         config = DenoiseConfig(levels=LEVELS, lam=LAM,
                                profile=profile if method == "nide" else None)
-        coeffs, used = _analyse(rows, LEVELS, sigmas)
+        coeffs = _transform(rows, LEVELS)
+        used = _noise_scale(coeffs, sigmas)
         t, bands = _RULES[method](coeffs, used, config)
         values = np.empty_like(coeffs.values)
         _shrink(coeffs, t, values)
@@ -178,8 +181,8 @@ def test_stack_equals_single_rows_and_scalar_reference(seed, noise, known, snrs)
                 assert kept[deep] > SORTED_TOP
 
 
-def per_trial_arms(config):
-    """``(key, observed, cfg, truth)`` of every trial and arm, in the order of
+def per_trial_cells(config):
+    """``(key, raw noise, scale, cfg, truth)`` of every trial and arm, in the order of
     the benchmark's per-trial loop before trials were batched."""
     profile = None
     if config.noise.kind != "white":
@@ -192,23 +195,35 @@ def per_trial_arms(config):
             truth_norm = _norm(truth)
             for snr in config.snr_db:
                 scale = truth_norm * 10.0 ** (-snr / 20.0) / raw_norm
-                observed = truth + raw_noise * scale
                 sigma = config.noise.sigma * scale if config.sigma_policy == "known" else None
                 for method in config.methods:
                     cfg = DenoiseConfig(levels=config.levels, lam=config.lam, sigma=sigma,
                                         profile=profile if method == "nide" else None)
-                    yield (name, snr, method), observed, cfg, truth
+                    yield (name, snr, method), raw_noise, scale, cfg, truth
 
 
-def ref_trial_mses(config):
-    """The benchmark's per-trial loop: each trial analysed and shrunk alone and
-    scored on its coefficients against those of the truth."""
+def per_trial_arms(config):
+    """``(key, observed, cfg, truth)`` of every trial and arm, as :func:`per_trial_cells`."""
+    for key, raw_noise, scale, cfg, truth in per_trial_cells(config):
+        yield key, truth + raw_noise * scale, cfg, truth
+
+
+def ref_trial_mses(config, from_noise):
+    """The benchmark's per-trial loop: each trial analysed and shrunk alone and scored on
+    its coefficients against those of the truth.  The observed coefficients are formed as
+    ``W(noise) * scale + W(truth)`` when ``from_noise``, as the benchmark forms them, and
+    else transformed from the observed samples."""
     mses = {}
-    for key, observed, cfg, truth in per_trial_arms(config):
-        coeffs, used = _analyse(observed[None], cfg.levels, cfg.sigma)
+    for key, raw_noise, scale, cfg, truth in per_trial_cells(config):
+        theta = dwt_forward(truth, cfg.levels).values
+        if from_noise:
+            values = _transform(raw_noise[None], cfg.levels).values * scale + theta
+            coeffs = CoefficientSet(values, cfg.levels)
+        else:
+            coeffs = _transform((truth + raw_noise * scale)[None], cfg.levels)
+        used = _noise_scale(coeffs, cfg.sigma)
         values = np.empty_like(coeffs.values)
         _shrink(coeffs, _RULES[key[2]](coeffs, used, cfg)[0], values)
-        theta = dwt_forward(truth, cfg.levels).values
         mse = float(np.sum((values[0] - theta) ** 2)) / _norm(theta) ** 2
         mses.setdefault(key, []).append(mse)
     return {key: np.array(values) for key, values in mses.items()}
@@ -223,12 +238,16 @@ PAIRED_CONFIGS = [
 
 
 def test_paired_trials_equal_the_per_trial_loop():
+    """Exactly the per-trial loop that forms each trial's coefficients from its noise's
+    transform, and to rounding the one that transforms the observed samples."""
     for config in PAIRED_CONFIGS:
-        want = ref_trial_mses(config)
+        want = ref_trial_mses(config, from_noise=True)
+        observed = ref_trial_mses(config, from_noise=False)
         got = _paired_mse(config, {m: (_RULES[m], config.lam) for m in config.methods})
-        assert got.keys() == want.keys()
+        assert got.keys() == want.keys() == observed.keys()
         for key in want:
             assert np.array_equal(got[key], want[key]), key
+            np.testing.assert_allclose(got[key], observed[key], rtol=1e-13, atol=0, err_msg=str(key))
         for row in run_experiment(config).rows:
             values = want[(row.signal, row.snr_db, row.method)]
             assert row.mean_mse == float(np.mean(values))
@@ -357,15 +376,15 @@ def test_sure_searches_only_dense_rows(seed, n, dense):
 
 
 def test_one_analysis_per_stack(monkeypatch):
-    """_paired_mse transforms each block of trials once per signal and SNR,
-    whatever the number of arms, in the fewest blocks of at most
-    _TRIAL_BLOCK_ELEMENTS samples, made as equal as possible."""
+    """_paired_mse transforms each block of trials once, whatever the number of
+    signals, SNRs and arms, in the fewest blocks of at most _TRIAL_BLOCK_ELEMENTS
+    samples, made as equal as possible."""
     module = importlib.import_module("nide.denoise")
     forward, calls = module.dwt_forward, []
     monkeypatch.setattr(module, "dwt_forward",
                         lambda x, levels: calls.append(x.shape) or forward(x, levels))
     arms = {m: (_RULES[m], LAM) for m in METHODS} | {"nide 3": (_RULES["nide"], 3.0)}
-    # (trials, N): the blocks, each transformed once per signal and SNR (2 x 2).
+    # (trials, N): the blocks, each transformed once for all 2 x 2 signals and SNRs.
     # The reference 100 trials at N = 2048 run as two blocks of 50, with no
     # short tail; at N = 4096 a block holds at most 32 trials, so 70 run as 23, 23, 24.
     for (trials, n), blocks in {(100, 2048): [50, 50], (70, 4096): [23, 23, 24]}.items():
@@ -373,7 +392,34 @@ def test_one_analysis_per_stack(monkeypatch):
         config = ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0),
                                   trials=trials, seed=1, n=n)
         _paired_mse(config, arms)
-        assert calls == [(b, n) for b in blocks for _ in range(4)]
+        assert calls == [(b, n) for b in blocks]
+
+
+@pytest.mark.parametrize("noise, calls", [(NoiseSpec.white(), 0), (NoiseSpec.ar1(0.8), 1)],
+                         ids=("white", "ar1"))
+def test_level_ratios_are_computed_once_per_colored_nide_arm(monkeypatch, noise, calls):
+    """Each arm's config works out the noise ratios once, however many blocks, signals and
+    SNRs the loop runs; only nide reads them, so a colored run_experiment call computes
+    them once, and a sweep once per band width."""
+    module = importlib.import_module("nide.denoise")
+    ratios, seen = module._level_ratios, []
+    monkeypatch.setattr(module, "_level_ratios",
+                        lambda profile, levels: seen.append(levels) or ratios(profile, levels))
+    config = ExperimentConfig(signals=("blocks", "heavysine"), snr_db=(4.0, 14.0), noise=noise,
+                              trials=70, seed=1, n=4096, sigma_policy="known")
+    run_experiment(config)
+    assert seen == [LEVELS] * calls
+    seen.clear()
+    lambda_sweep("blocks", 8.0, [3.0, 4.5], trials=70, seed=1, n=4096, noise=noise)
+    assert seen == [LEVELS] * 2 * calls
+
+
+def test_level_ratios_are_kept_with_the_config():
+    config = DenoiseConfig(levels=LEVELS, profile=theoretical_profile(NoiseSpec.ar1(0.8), N - 1))
+    assert config.level_ratios is config.level_ratios
+    assert np.array_equal(config.level_ratios, _level_ratios(config.profile, LEVELS))
+    assert DenoiseConfig(levels=LEVELS).level_ratios is None
+    assert config == replace(config) and "level_ratios" not in repr(config)
 
 
 @pytest.mark.parametrize("noise, policy", [(NoiseSpec.white(), "mad"),

@@ -60,7 +60,14 @@ class TestNoiseSpec:
         (lambda: NoiseSpec("pink"), "^unknown noise kind 'pink'$"),
         (lambda: NoiseSpec.ma([[1.0, 0.5], [0.2, 0.1]]), r"^ma taps must be a 1-D sequence, got shape \(2, 2\)$"),
         (lambda: NoiseSpec.ma(np.ones((1, 3))), r"^ma taps must be a 1-D sequence, got shape \(1, 3\)$"),
-    ], ids=["unknown-kind", "2-D-taps", "row-of-taps"])
+        # a field the kind does not read, named in the message
+        (lambda: NoiseSpec("white", ma_taps=[1.0, 0.5]), "^white noise does not read ma_taps; only ma noise does$"),
+        (lambda: NoiseSpec("ar1", ar_coeff=0.5, ma_taps=[[1, 2]]),
+         "^ar1 noise does not read ma_taps; only ma noise does$"),
+        (lambda: NoiseSpec("white", ar_coeff=0.9), "^white noise does not read ar_coeff; only ar1 noise does$"),
+        (lambda: NoiseSpec("ma", ar_coeff=0.0, ma_taps=[1.0]), "^ma noise does not read ar_coeff; only ar1 noise does$"),
+    ], ids=["unknown-kind", "2-D-taps", "row-of-taps", "white-with-taps", "ar1-with-taps",
+            "white-with-coefficient", "ma-with-coefficient"])
     def test_rejection_messages(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfinv
 
-from nide.denoise import (SIGMA_FLOOR_RATIO, DenoiseConfig, _analyse, _nide_rule, _shrink,
-                          select_threshold)
+from nide.denoise import (SIGMA_FLOOR_RATIO, DenoiseConfig, _nide_rule, _noise_scale, _shrink,
+                          _transform, select_threshold)
 from nide.noise_model import NoiseSpec, _level_ratios, gen_noise, theoretical_profile
 from nide.signals import gen_signal
 from nide.signature import white_band
@@ -153,7 +153,8 @@ def test_scan_with_only_passthrough_rows_records_nothing(monkeypatch):
     # _select has no live row, so it never asks for a table.
     monkeypatch.setattr(denoise_module, "_edge_cache", {})
     rows = np.stack([np.zeros(N), gen_noise(NoiseSpec.white(), N, 1)])
-    analysed, used = _analyse(rows, LEVELS, [1.0, 1e-300])
+    analysed = _transform(rows, LEVELS)
+    used = _noise_scale(analysed, [1.0, 1e-300])
     t, bands = _nide_rule(analysed, used, DenoiseConfig(levels=LEVELS))
     assert t.ravel().tolist() == [0.0, 0.0] and bands == [None, None]
     assert denoise_module._edge_cache == {}
@@ -226,7 +227,8 @@ def test_pipeline_equals_pointwise_band(kinds, known, colored, sigma, segments, 
     rows = dwt_inverse(CoefficientSet(values, LEVELS))
     config = DenoiseConfig(levels=LEVELS, profile=AR1 if colored else None)
     sigmas = np.full(len(kinds), sigma) if known else None
-    analysed, used = _analyse(rows, LEVELS, sigmas)
+    analysed = _transform(rows, LEVELS)
+    used = _noise_scale(analysed, sigmas)
     t, bands = _nide_rule(analysed, used, config)
     shrunk = np.empty_like(analysed.values)
     _shrink(analysed, t, shrunk)
