@@ -33,8 +33,6 @@ from .signals import SIGNAL_NAMES, TestSignal, gen_signal
 from .signature import (
     ConfidenceBand,
     CorrelationProfile,
-    colored_band,
-    colored_variance_bound,
     empirical_signature,
     white_band,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "abs_noise_cdf",
     "bayes_threshold",
     "calibrate_noise_to_snr",
-    "colored_band",
-    "colored_variance_bound",
     "denoise",
     "denoise_with",
     "dwt_forward",

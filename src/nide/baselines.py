@@ -24,22 +24,16 @@ __all__ = [
     "BASELINE_METHODS",
 ]
 
-_SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # above it, _squares raises OverflowError
+_SIGMA_MAX = float(np.sqrt(np.finfo(float).max))  # above it, sigma^2 overflows
 
 # A rule whose squares of the band sum to inf would return a wrong threshold without a word.
 _SQUARES_OVERFLOW = "the squares of the band sum past the largest float; scale the input down"
 
 
-def _squares(sigma) -> np.ndarray:
-    """``sigma**2`` elementwise with Python's float power, which can round
-    differently from numpy's array square; the scalar rules used the former."""
-    sigma = np.asarray(sigma, dtype=float)
-    return np.array([s**2 for s in sigma.ravel().tolist()]).reshape(sigma.shape)
-
-
 def _rows(band, sigma):
     """``band`` as ``(rows, n)``, one positive sigma up to ``_SIGMA_MAX`` per row, validated,
-    and the sigmas' :func:`_squares`."""
+    and the sigmas' squares by ``np.float_power``, which rounds as Python's ``**`` does
+    (numpy's array square can differ in the last bit)."""
     band = np.asarray(band, dtype=float)
     if band.shape[-1] == 0:
         raise ValueError("band must be nonempty")
@@ -47,7 +41,7 @@ def _rows(band, sigma):
     _check_sigma(sigma)
     if sigma.max(initial=0.0) > _SIGMA_MAX:
         raise ValueError(f"sigma must be at most {_SIGMA_MAX:.6g} (its square overflows), got {sigma.max():.6g}")
-    return band.reshape(-1, band.shape[-1]), sigma, _squares(sigma)
+    return band.reshape(-1, band.shape[-1]), sigma, np.float_power(sigma, 2.0)
 
 
 def visu_threshold(n: int, sigma):
@@ -72,8 +66,8 @@ def sure_minimizer(band, sigma):
     if n == 0:
         raise ValueError("band must be nonempty")
     sigma = np.asarray(sigma, dtype=float)
-    s2 = _squares(sigma)[..., None] if np.all(np.abs(sigma) <= _SIGMA_MAX) else np.inf  # NaN too
     with np.errstate(over="ignore"):  # checked below
+        s2 = np.float_power(sigma, 2.0)[..., None]
         sq = np.concatenate([np.zeros(band.shape[:-1] + (1,)), np.sort(band**2, axis=-1)], axis=-1)
         candidates, cumsq, ns2 = np.sqrt(sq), np.cumsum(sq, axis=-1), n * s2
     if np.isinf(cumsq[..., -1]).any():

@@ -32,7 +32,7 @@ from .baselines import _RULES
 from .denoise import DenoiseConfig, _noise_scale, _shrink, _transform, denoise
 from .noise_model import SNR_DB_MIN, NoiseSpec, _check_snr, _norm, gen_noise, theoretical_profile
 from .signals import canonical_name, gen_signal
-from .signature import colored_variance_bound, empirical_signature, white_band
+from .signature import _check_lam, colored_variance_bound, empirical_signature, white_band
 from .wavelet import CoefficientSet, dwt_forward
 from .gaussian_stats import _check_count, abs_noise_cdf, shifted_abs_cdf
 
@@ -168,6 +168,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         _check_count(1, trials=self.trials, n=self.n, levels=self.levels)
         _check_count(0, seed=self.seed)
+        object.__setattr__(self, "lam", _check_lam(self.lam))
         if self.sigma_policy not in SIGMA_POLICIES:
             raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}")
 
@@ -319,7 +320,7 @@ def lambda_sweep(signal: str, snr_db: float, lambdas, **experiment):
     if "lam" in experiment:
         raise TypeError("lambda_sweep() takes its band widths from lambdas, not lam")
     config = ExperimentConfig(signals=(signal,), snr_db=(snr_db,), methods=("nide",), **experiment)
-    lambdas = _distinct("lambdas", map(float, lambdas))
+    lambdas = _distinct("lambdas", map(_check_lam, lambdas))
     mses = _paired_mse(config, {l: (_RULES["nide"], l) for l in lambdas})
     return [(l, *_mean_std(mses[config.signals[0], config.snr_db[0], l])) for l in lambdas]
 
@@ -411,7 +412,7 @@ def _check_shifted_mean(runs, seed, *, n=2048, z=None):
         mc_mean = float((shifted <= z).mean())
         H = shifted_abs_cdf(float(z), THETA, 1.0)
         se = np.sqrt(max(H * (1.0 - H), 1e-30) / (runs * n))
-        dev = abs(mc_mean - H) / se if se > 0 else 0.0
+        dev = abs(mc_mean - H) / se
         row_ok = bool(dev <= 5.0)
         ok &= row_ok
         rows.append(

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfinv
 
-from .gaussian_stats import _check_count, _check_finite, _check_sigma
+from .gaussian_stats import _check_count, _check_finite, _check_real, _check_sigma
 from .noise_model import _level_ratios, estimate_sigma_mad
 from .signature import (
     ConfidenceBand,
@@ -75,8 +75,9 @@ class DenoiseConfig:
 
     def __post_init__(self):
         _check_count(1, levels=self.levels)
-        _check_lam(self.lam)
+        object.__setattr__(self, "lam", _check_lam(self.lam))
         if self.sigma is not None:
+            object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
             _check_sigma(self.sigma)
 
     @cached_property
@@ -228,8 +229,9 @@ def select_threshold(coeffs, sigma: float, lam: float = DenoiseConfig.lam) -> fl
     a = np.abs(coeffs.ravel())[None]
     if a.size == 0:
         raise ValueError("coefficient vector must be nonempty")
+    sigma = _check_real(sigma, "sigma")
     _check_band_args(sigma, a.size, lam)
-    return float(_select(a, np.asarray([sigma], dtype=float), lam, np.arange(1))[0])
+    return float(_select(a, np.asarray([sigma]), lam, np.arange(1))[0])
 
 
 def _transform(observed, levels: int) -> CoefficientSet:

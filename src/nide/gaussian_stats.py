@@ -46,6 +46,14 @@ def _check_count(least, **settings) -> None:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _check_real(value, name) -> float:
+    """``value`` as a Python float, if it is a Python or numpy int or float; a bool (though
+    ``bool`` subclasses ``int``), a string, a sequence or an array is rejected by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_sigma(sigma) -> None:
     """Reject any noise scale in ``sigma`` that is not finite and positive (a NaN fails both)."""
     sigma = np.asarray(sigma, dtype=float)

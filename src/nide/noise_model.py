@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_stats import _check_count, _check_finite, _check_sigma
+from .gaussian_stats import _check_count, _check_finite, _check_real, _check_sigma
 from .signature import CorrelationProfile
 
 __all__ = [
@@ -56,6 +56,7 @@ class NoiseSpec:
         for name, reader in (("ar_coeff", "ar1"), ("ma_taps", "ma")):
             if self.kind != reader and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} noise does not read {name}; only {reader} noise does")
+        object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
         _check_sigma(self.sigma)
         if self.kind == "ar1" and (self.ar_coeff is None or not abs(self.ar_coeff) < 1):
             raise ValueError("ar1 coefficient must satisfy |a| < 1")

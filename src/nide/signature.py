@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_stats import _check_count, _check_finite, _check_sigma, abs_noise_cdf
+from .gaussian_stats import _SQRT2, _check_count, _check_finite, _check_real, _check_sigma, abs_noise_cdf
 
 __all__ = [
     "ConfidenceBand",
@@ -32,8 +32,6 @@ __all__ = [
     "colored_band",
     "colored_variance_bound",
 ]
-
-_SQRT2 = np.sqrt(2.0)
 
 # Correlations with magnitude below this contribute a pair covariance that is
 # O(rho^2) and utterly negligible next to F(1-F)/N; skipping them keeps the
@@ -120,9 +118,12 @@ def empirical_signature(z, samples):
     return float(out) if np.isscalar(z) else out
 
 
-def _check_lam(lam) -> None:
+def _check_lam(lam) -> float:
+    """``lam`` as a Python float, if it is a real number in [0, ``LAM_MAX``]."""
+    lam = _check_real(lam, "lam")
     if not 0.0 <= lam <= LAM_MAX:  # a NaN fails too
         raise ValueError(f"lam must lie in [0, {LAM_MAX:g}], got {lam}")
+    return lam
 
 
 def _check_band_args(sigma, n, lam=0.0) -> None:

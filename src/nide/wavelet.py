@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_stats import _check_count
+from .gaussian_stats import _SQRT2, _check_count
 
 __all__ = ["CoefficientSet", "dwt_forward", "dwt_inverse"]
-
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass

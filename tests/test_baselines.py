@@ -70,7 +70,7 @@ class TestSureThreshold:
         assert sure_risk(band, 1.0, t) <= min(grid_risks) + 1e-9
 
     @pytest.mark.parametrize("sigma", [1e154, np.sqrt(np.finfo(float).max), 1e155, np.inf, np.nan,
-                                       [1.0, 1e154]])
+                                       [1.0, 1e154], [1.0, np.nan]])
     def test_minimizer_rejects_a_sigma_whose_n_sigma_squared_overflows(self, sigma):
         # 4 sigma^2 overflows at 1e154 although sigma^2 does not; at 1e150 it is finite
         band = np.array([1.0, 2.0, 3.0, 4.0])

@@ -42,8 +42,16 @@ NOISES = {
     "ma": NoiseSpec.ma([1.0, 0.5, 0.25]),
 }
 # Known noise scales whose square Python's float power and numpy's array
-# square round differently.
+# square round differently; the rules square sigma with np.float_power, which
+# rounds as Python's float power does.
 TRAP_SIGMAS = (5.682141868614868, 0.3808171146238585, 4.151589366717423)
+
+
+def test_float_power_squares_as_python_does():
+    rng = np.random.default_rng(0)
+    sigmas = np.concatenate([TRAP_SIGMAS, 10.0 ** rng.uniform(-150.0, 150.0, 100_000)])
+    assert np.float_power(sigmas, 2.0).tolist() == [s**2 for s in sigmas.tolist()]
+    assert np.float_power(TRAP_SIGMAS, 2.0).tolist() != np.square(TRAP_SIGMAS).tolist()
 
 
 def ref_visu(n, s):

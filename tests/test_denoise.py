@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import erfinv
 
 from nide.baselines import denoise_with
+from nide.bench import ExperimentConfig
 from nide.denoise import DenoiseConfig, denoise, select_threshold, soft_threshold
 from nide.noise_model import (NoiseSpec, _level_ratios, calibrate_noise_to_snr, gen_noise,
                               theoretical_profile)
@@ -179,7 +180,8 @@ class TestSelectThreshold:
         for call in (lambda: select_threshold(np.ones(4), 1.0, lam=lam),
                      lambda: white_band([0.0, 1.0], 1.0, 10, lam),
                      lambda: colored_band([0.0, 1.0], 1.0, PROFILES["ar1(0.8)"], 10, lam),
-                     lambda: DenoiseConfig(lam=lam)):
+                     lambda: DenoiseConfig(lam=lam),
+                     lambda: ExperimentConfig(signals=("blocks",), snr_db=(8.0,), lam=lam)):
             with pytest.raises(ValueError, match=message):
                 call()
 

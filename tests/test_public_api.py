@@ -7,8 +7,8 @@ import pytest
 
 import nide
 from nide.baselines import denoise_with, visu_threshold
-from nide.bench import ExperimentConfig, mc_validate
-from nide.denoise import DenoiseConfig, denoise
+from nide.bench import ExperimentConfig, lambda_sweep, mc_validate
+from nide.denoise import DenoiseConfig, denoise, select_threshold
 from nide.noise_model import NoiseSpec, gen_noise, theoretical_profile
 from nide.signals import gen_signal
 from nide.signature import white_band
@@ -91,3 +91,54 @@ def test_every_public_count_rejects_a_non_integer_or_a_value_below_its_least(ent
 def test_every_public_count_accepts_a_numpy_integer(entry):
     _, call, _, good = COUNTS[entry]
     call(np.int64(good))
+
+
+# Every scalar real setting: (name, call with that setting); each accepts 2.
+REALS = {
+    "DenoiseConfig.sigma": ("sigma", lambda v: DenoiseConfig(sigma=v)),
+    "DenoiseConfig.lam": ("lam", lambda v: DenoiseConfig(lam=v)),
+    "NoiseSpec.sigma": ("sigma", lambda v: NoiseSpec.white(v)),
+    "ExperimentConfig.lam": ("lam", lambda v: _experiment(lam=v)),
+    "select_threshold.sigma": ("sigma", lambda v: select_threshold([1.0, 2.0], v)),
+    "select_threshold.lam": ("lam", lambda v: select_threshold([1.0, 2.0], 1.0, v)),
+    "white_band.lam": ("lam", lambda v: white_band([0.0, 1.0], 1.0, 100, v)),
+    "lambda_sweep.lambdas": ("lam", lambda v: lambda_sweep("blocks", 8.0, [v], trials=1, n=64)),
+}
+# The settings kept on a config: reads the stored value back.
+STORED = {
+    "DenoiseConfig.sigma": lambda v: DenoiseConfig(sigma=v).sigma,
+    "DenoiseConfig.lam": lambda v: DenoiseConfig(lam=v).lam,
+    "NoiseSpec.sigma": lambda v: NoiseSpec.white(v).sigma,
+    "ExperimentConfig.lam": lambda v: _experiment(lam=v).lam,
+}
+
+
+@pytest.mark.parametrize("entry", REALS)
+@pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), [1.0], "1.0", True],
+                         ids=["array", "list", "string", "bool"])
+def test_every_scalar_setting_rejects_what_is_not_a_real_number(entry, bad):
+    name, call = REALS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", REALS)
+@pytest.mark.parametrize("as_numpy", [np.float64, np.int64], ids=["float64", "int64"])
+def test_every_scalar_setting_accepts_a_numpy_number(entry, as_numpy):
+    _, call = REALS[entry]
+    call(as_numpy(2))
+
+
+@pytest.mark.parametrize("entry", STORED)
+@pytest.mark.parametrize("value", [np.float64(2.0), np.int64(2), np.float32(2.0), 2],
+                         ids=["float64", "int64", "float32", "int"])
+def test_every_stored_scalar_setting_is_a_python_float(entry, value):
+    stored = STORED[entry](value)
+    assert type(stored) is float and stored == 2.0
+
+
+@pytest.mark.parametrize("make", [lambda s: DenoiseConfig(sigma=s), NoiseSpec.white],
+                         ids=["DenoiseConfig", "NoiseSpec"])
+def test_a_numpy_sigma_compares_and_hashes_as_its_float(make):
+    assert make(np.float64(2)) == make(2.0)
+    assert hash(make(np.float64(2))) == hash(make(2.0))

@@ -2,6 +2,7 @@
 ``check_bit_identity.py``, the run pairing of ``bench_trajectory.py`` and the
 line counts of ``code_lines.py``."""
 
+import hashlib
 import importlib.util
 import os
 from pathlib import Path
@@ -74,6 +75,13 @@ class TestMoved:
             f"moved: file sweep.csv abcdef012345 (recorded {recorded['sweep.csv']})",
             f"moved: file trace-ar1.csv None (recorded {recorded['trace-ar1.csv']})",
         ]
+
+
+def test_paired_digest_is_the_recorded_one(bit_identity):
+    # The six-digit tables cannot show a score that moves in its last bits; this digest can.
+    digest = hashlib.sha256()
+    bit_identity.paired(digest)
+    assert digest.hexdigest() == bit_identity.EXPECTED["paired sha256"]
 
 
 DECLARED = [
