@@ -34,7 +34,7 @@ from .noise_model import SNR_DB_MIN, NoiseSpec, _check_snr, _norm, gen_noise, th
 from .signals import canonical_name, gen_signal
 from .signature import _check_lam, colored_variance_bound, empirical_signature, white_band
 from .wavelet import CoefficientSet, dwt_forward
-from .gaussian_stats import _check_count, abs_noise_cdf, shifted_abs_cdf
+from .gaussian_stats import _check_count, _check_real, abs_noise_cdf, shifted_abs_cdf
 
 __all__ = [
     "ExperimentConfig",
@@ -160,7 +160,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "signals", _distinct("signals", map(canonical_name, self.signals)))
-        object.__setattr__(self, "snr_db", _distinct("snr_db", map(float, self.snr_db)))
+        snrs = (_check_real(snr, "snr_db") for snr in self.snr_db)
+        object.__setattr__(self, "snr_db", _distinct("snr_db", snrs))
         _check_snr(self.snr_db)
         object.__setattr__(self, "methods", _distinct("methods", self.methods))
         for m in self.methods:

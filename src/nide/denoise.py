@@ -40,8 +40,9 @@ __all__ = [
 # as zero: the band degenerates to a line and thresholding must be skipped.
 SIGMA_FLOOR_RATIO = 1e-12
 
-# Points in the first block of the top-down band scan, each further block twice
-# as long; only the top SORTED_TOP points (four blocks) are sorted up front.
+# Points in the first block of the top-down band scan.  Blocks double within the top
+# SORTED_TOP points (four blocks, and the first points sorted) and grow eight times
+# below them, where each further sort takes 32 times the points already sorted.
 SCAN_BLOCK = 8
 SORTED_TOP = 15 * SCAN_BLOCK
 
@@ -160,13 +161,17 @@ def _select(a, sigma, lam, rows) -> np.ndarray:
     """Thresholds for the rows ``rows`` of ``a`` (absolute coefficients, shape
     ``(rows, N)``, each row with the band over its N points) with per-row noise
     scales ``sigma``, positive on ``rows`` and not checked here; the other rows get 0.
-    ``a`` is reordered in place: every row is partitioned at N - ``SORTED_TOP`` with
-    its top sorted, and the rest is sorted when the row's scan reaches it.
+    ``a`` is reordered in place, no deeper than the scans read: each row of ``rows``
+    ends in its largest values sorted ascending, at least as many as its scan read,
+    above the rest in no order.  They are sorted in chunks, each partitioned out of the
+    rest and sorted: first ``SORTED_TOP`` points, then 32 times those already sorted,
+    or the whole rest when that is smaller.  The other rows are left as given.
 
     Membership is tested at the midpoint position (m - 1/2) / N: at m / N the top
     point is always in the clamped band, so a curve that left it would report its
     maximum as "in band".  T* is the *last* in-band point, so the scan runs from the
-    top down in blocks of ``SCAN_BLOCK``, twice that, ... points, up to the first
+    top down in blocks of ``SCAN_BLOCK``, twice that, ... points within ``SORTED_TOP``
+    and eight times the last below it (each cut at the sorted depth), up to the first
     block with an in-band point.  A white point is placed by its ``z / sigma``
     against the table of :func:`_white_edges`, looked up once per call: outside the
     widened band it is out, and a row whose first point inside that lies inside the
@@ -180,17 +185,20 @@ def _select(a, sigma, lam, rows) -> np.ndarray:
     F, the band edges and the table are evaluated to about 1e-15.
     """
     n, t = a.shape[-1], np.zeros(a.shape[0])
-    unsorted = max(n - SORTED_TOP, 0)
-    a.partition(unsorted, axis=-1)
-    a[..., unsorted:].sort(axis=-1)
-    stop, size, s = 0, SCAN_BLOCK, sigma[rows, None]
+    stop, size, s, done = 0, SCAN_BLOCK, sigma[rows, None], 0  # done: points sorted on top
     edges = _white_edges(n, float(lam)) if rows.size else None
     while stop < n and rows.size:
-        if stop >= n - unsorted:  # in place, as a fancy-index copy costs twice a sort
-            for part in [a[:, :unsorted]] if rows.size == a.shape[0] else [a[i, :unsorted] for i in rows]:
-                part.sort(axis=-1)
-            unsorted = 0
-        top, stop, size = stop, min(stop + size, n - unsorted), 2 * size
+        if stop == done:  # every sorted point read: the next chunk of the rest goes on top
+            rest = n - done
+            chunk = min(max(SORTED_TOP, 32 * done), rest)
+            # in place, as a fancy-index copy costs twice a sort
+            for part in [a[:, :rest]] if rows.size == a.shape[0] else [a[i, :rest] for i in rows]:
+                if chunk < rest:
+                    part.partition(rest - chunk, axis=-1)
+                part[..., rest - chunk:].sort(axis=-1)
+            done += chunk
+        top, stop = stop, min(stop + size, done)
+        size *= 2 if stop < SORTED_TOP else 8
         z, r = a[:, ::-1][rows, top:stop], np.arange(rows.size)  # descending
         if edges is None:  # exact: the rows the table cannot decide
             exact, inside = r, np.empty(z.shape, bool)
@@ -244,7 +252,7 @@ def _transform(observed, levels: int) -> CoefficientSet:
     observed = np.asarray(observed, dtype=float)
     n = observed.shape[-1]
     limit = np.finfo(float).max / (4.0 * np.sqrt(max(n, 1)))
-    if not np.abs(observed).max(initial=0.0) <= limit:  # NaN fails too
+    if not max(-observed.min(initial=0.0), observed.max(initial=0.0)) <= limit:  # NaN fails too
         _check_finite(observed, "observed samples")
         raise ValueError(f"observed samples must be at most {limit:.6g} in magnitude at N = {n}, "
                          "or the Haar transform overflows")
@@ -317,7 +325,7 @@ def _one(observed, config: DenoiseConfig, rule) -> DenoiseResult:
     t, bands = rule(coeffs, sigma, config)
     _shrink(coeffs, t, coeffs.values)
     return DenoiseResult(float(t.max()), dwt_inverse(coeffs)[0],
-                         int(np.count_nonzero(coeffs.detail_values())), float(sigma[0]),
+                         int(np.count_nonzero(coeffs.detail_values() != 0.0)), float(sigma[0]),
                          bands[0] if bands else None)
 
 

@@ -58,8 +58,10 @@ class NoiseSpec:
                 raise ValueError(f"{self.kind} noise does not read {name}; only {reader} noise does")
         object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma"))
         _check_sigma(self.sigma)
-        if self.kind == "ar1" and (self.ar_coeff is None or not abs(self.ar_coeff) < 1):
-            raise ValueError("ar1 coefficient must satisfy |a| < 1")
+        if self.kind == "ar1":
+            object.__setattr__(self, "ar_coeff", _check_real(self.ar_coeff, "ar_coeff"))
+            if not abs(self.ar_coeff) < 1:
+                raise ValueError("ar1 coefficient must satisfy |a| < 1")
         if self.kind == "ma":
             taps = np.atleast_1d(np.asarray(self.ma_taps, dtype=float))
             if taps.ndim != 1:

@@ -1,3 +1,6 @@
+import importlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from nide.noise_model import (NoiseSpec, _level_ratios, calibrate_noise_to_snr, 
 from nide.signals import gen_signal
 from nide.signature import CorrelationProfile, colored_band, white_band
 from nide.wavelet import dwt_forward, dwt_inverse
+
+denoise_module = importlib.import_module("nide.denoise")
 
 SPECS = {"ar1(0.8)": NoiseSpec.ar1(0.8), "ar1(-0.6)": NoiseSpec.ar1(-0.6),
          "ma": NoiseSpec.ma([1.0, 0.5, 0.25])}
@@ -327,6 +332,23 @@ class TestDenoisePipeline:
         with pytest.raises(ValueError, match=r"Haar level \d gets noise variance .*, not > 0"):
             denoise(gen_noise(NoiseSpec.white(), 256, 1), config)
 
+    @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
+    @pytest.mark.parametrize("observed", [np.zeros(256), np.full(256, -3.25), np.resize([-0.0, 0.0], 256),
+                                          gen_noise(NoiseSpec.white(1.0), 256, 6)],
+                             ids=["zeros", "constant", "signed-zeros", "noise"])
+    def test_kept_count_is_the_nonzero_shrunk_details(self, method, observed, monkeypatch):
+        # Exact zeros, -0.0 and the +0.0 that soft thresholding makes of shrunk
+        # negatives all count as dropped, as numpy counts the float values.
+        shrunk = []
+        inverse = denoise_module.dwt_inverse
+        monkeypatch.setattr(denoise_module, "dwt_inverse",
+                            lambda coeffs: shrunk.append(coeffs.detail_values().copy()) or inverse(coeffs))
+        result = denoise(observed) if method == "nide" else denoise_with(method, observed)
+        assert result.coefficients_kept == np.count_nonzero(shrunk[0])
+        if observed.std() > 0:  # the noise: most details shrink to zero, negatives to +0.0
+            zeros = shrunk[0][shrunk[0] == 0.0]
+            assert zeros.size > 100 and not np.signbit(zeros).any()
+
     def test_result_bookkeeping(self):
         truth = gen_signal("blocks", 2048).samples
         observed = truth + gen_noise(NoiseSpec.white(3.0), 2048, 5)
@@ -357,12 +379,16 @@ class TestDenoisePipeline:
     @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_samples(self, method, bad):
-        observed = gen_noise(NoiseSpec.white(1.0), 256, 2)
-        observed[17] = bad
-        with pytest.raises(ValueError, match="must be finite"):
-            denoise_with(method, observed)
-        with pytest.raises(ValueError, match="must be finite"):
-            denoise(observed)
+        # The first, a middle and the last sample; alone, and beside a sample past
+        # the magnitude limit of either sign.
+        message = r"^observed samples must be finite; found 1 NaN or infinite value\(s\)$"
+        for where, huge in ((17, 0.0), (0, 0.0), (255, 0.0), (17, 1e308), (17, -1e308)):
+            observed = gen_noise(NoiseSpec.white(1.0), 256, 2)
+            observed[[where, 100]] = bad, huge
+            with pytest.raises(ValueError, match=message):
+                denoise_with(method, observed)
+            with pytest.raises(ValueError, match=message):
+                denoise(observed)
 
     @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
     def test_rejects_a_2d_input(self, method):
@@ -375,10 +401,20 @@ class TestDenoisePipeline:
 
     @pytest.mark.parametrize("method", ["nide", "visu", "sure", "bayes"])
     def test_samples_whose_haar_sums_overflow_are_rejected(self, method):
-        # Blocks at a peak of 1.7e308: (x[2i] + x[2i+1]) overflows to inf.
+        # Blocks at a peak of 1.7e308, where (x[2i] + x[2i+1]) overflows to inf, of
+        # either sign, and noise with one sample of either sign just past the limit.
+        limit = np.finfo(float).max / (4.0 * np.sqrt(2048))
+        message = (rf"^observed samples must be at most {re.escape(f'{limit:.6g}')} in magnitude "
+                   r"at N = 2048, or the Haar transform overflows$")
         truth = gen_signal("blocks", 2048).samples
-        with pytest.raises(ValueError, match="Haar transform overflows"):
-            denoise_with(method, truth * (1.7e308 / np.abs(truth).max()))
+        noise = gen_noise(NoiseSpec.white(1.0), 2048, 3)
+        for x in (truth * (1.7e308 / np.abs(truth).max()), truth * (-1.7e308 / np.abs(truth).max()),
+                  np.where(np.arange(2048) == 9, np.nextafter(limit, np.inf), noise),
+                  np.where(np.arange(2048) == 2047, -np.nextafter(limit, np.inf), noise)):
+            with pytest.raises(ValueError, match=message):
+                denoise_with(method, x)
+            with pytest.raises(ValueError, match=message):
+                denoise(x)
 
     @pytest.mark.parametrize("method", ["nide", "visu"])
     def test_samples_at_the_magnitude_limit_give_finite_output(self, method):

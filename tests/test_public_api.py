@@ -93,23 +93,28 @@ def test_every_public_count_accepts_a_numpy_integer(entry):
     call(np.int64(good))
 
 
-# Every scalar real setting: (name, call with that setting); each accepts 2.
+# Every scalar real setting: (name, call with that setting, a value it accepts, which
+# must be a whole number so it can be given as an int64 too).
 REALS = {
-    "DenoiseConfig.sigma": ("sigma", lambda v: DenoiseConfig(sigma=v)),
-    "DenoiseConfig.lam": ("lam", lambda v: DenoiseConfig(lam=v)),
-    "NoiseSpec.sigma": ("sigma", lambda v: NoiseSpec.white(v)),
-    "ExperimentConfig.lam": ("lam", lambda v: _experiment(lam=v)),
-    "select_threshold.sigma": ("sigma", lambda v: select_threshold([1.0, 2.0], v)),
-    "select_threshold.lam": ("lam", lambda v: select_threshold([1.0, 2.0], 1.0, v)),
-    "white_band.lam": ("lam", lambda v: white_band([0.0, 1.0], 1.0, 100, v)),
-    "lambda_sweep.lambdas": ("lam", lambda v: lambda_sweep("blocks", 8.0, [v], trials=1, n=64)),
+    "DenoiseConfig.sigma": ("sigma", lambda v: DenoiseConfig(sigma=v), 2),
+    "DenoiseConfig.lam": ("lam", lambda v: DenoiseConfig(lam=v), 2),
+    "NoiseSpec.sigma": ("sigma", lambda v: NoiseSpec.white(v), 2),
+    "NoiseSpec.ar_coeff": ("ar_coeff", lambda v: NoiseSpec.ar1(v), 0),  # |a| < 1
+    "ExperimentConfig.lam": ("lam", lambda v: _experiment(lam=v), 2),
+    "ExperimentConfig.snr_db": ("snr_db", lambda v: ExperimentConfig(("blocks",), (v,)), 2),
+    "select_threshold.sigma": ("sigma", lambda v: select_threshold([1.0, 2.0], v), 2),
+    "select_threshold.lam": ("lam", lambda v: select_threshold([1.0, 2.0], 1.0, v), 2),
+    "white_band.lam": ("lam", lambda v: white_band([0.0, 1.0], 1.0, 100, v), 2),
+    "lambda_sweep.lambdas": ("lam", lambda v: lambda_sweep("blocks", 8.0, [v], trials=1, n=64), 2),
 }
 # The settings kept on a config: reads the stored value back.
 STORED = {
     "DenoiseConfig.sigma": lambda v: DenoiseConfig(sigma=v).sigma,
     "DenoiseConfig.lam": lambda v: DenoiseConfig(lam=v).lam,
     "NoiseSpec.sigma": lambda v: NoiseSpec.white(v).sigma,
+    "NoiseSpec.ar_coeff": lambda v: NoiseSpec.ar1(v).ar_coeff,
     "ExperimentConfig.lam": lambda v: _experiment(lam=v).lam,
+    "ExperimentConfig.snr_db": lambda v: ExperimentConfig(("blocks",), (v,)).snr_db[0],
 }
 
 
@@ -117,7 +122,7 @@ STORED = {
 @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), [1.0], "1.0", True],
                          ids=["array", "list", "string", "bool"])
 def test_every_scalar_setting_rejects_what_is_not_a_real_number(entry, bad):
-    name, call = REALS[entry]
+    name, call, _ = REALS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
         call(bad)
 
@@ -125,16 +130,17 @@ def test_every_scalar_setting_rejects_what_is_not_a_real_number(entry, bad):
 @pytest.mark.parametrize("entry", REALS)
 @pytest.mark.parametrize("as_numpy", [np.float64, np.int64], ids=["float64", "int64"])
 def test_every_scalar_setting_accepts_a_numpy_number(entry, as_numpy):
-    _, call = REALS[entry]
-    call(as_numpy(2))
+    _, call, good = REALS[entry]
+    call(as_numpy(good))
 
 
 @pytest.mark.parametrize("entry", STORED)
-@pytest.mark.parametrize("value", [np.float64(2.0), np.int64(2), np.float32(2.0), 2],
+@pytest.mark.parametrize("as_type", [np.float64, np.int64, np.float32, int],
                          ids=["float64", "int64", "float32", "int"])
-def test_every_stored_scalar_setting_is_a_python_float(entry, value):
-    stored = STORED[entry](value)
-    assert type(stored) is float and stored == 2.0
+def test_every_stored_scalar_setting_is_a_python_float(entry, as_type):
+    good = REALS[entry][2]
+    stored = STORED[entry](as_type(good))
+    assert type(stored) is float and stored == good
 
 
 @pytest.mark.parametrize("make", [lambda s: DenoiseConfig(sigma=s), NoiseSpec.white],

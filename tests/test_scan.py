@@ -79,15 +79,31 @@ def scrambled(z, seed):
        table=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(segments=[("upper", 300), ("tie", 40), ("lower", 200), ("center", 7)], m=65536, sigma=1.0,
          offset=0.0, lam=4.5, signal_top=1000, table=True, seed=0)
+# T* in each chunk of the stepped sort at N = 65536 (the top 120, then 3,840 points,
+# then the whole rest), as the last point, or nowhere; and at N = 2^18 in a chunk that
+# is not the whole rest (126,720 points below the first 3,960).
+@example(segments=[("center", 1)], m=65536, sigma=1.0, offset=0.0, lam=4.5, signal_top=60,
+         table=True, seed=1)
+@example(segments=[("center", 1)], m=65536, sigma=7.5, offset=0.0, lam=4.5, signal_top=3000,
+         table=True, seed=2)
+@example(segments=[("center", 1)], m=65536, sigma=1.0, offset=0.0, lam=4.5, signal_top=20000,
+         table=True, seed=3)
+@example(segments=[("center", 1)], m=65536, sigma=1.0, offset=0.0, lam=4.5, signal_top=65535,
+         table=True, seed=4)
+@example(segments=[("signal", 1)], m=65536, sigma=1.0, offset=0.0, lam=4.5, signal_top=0,
+         table=True, seed=5)
+@example(segments=[("center", 1)], m=1 << 18, sigma=1.0, offset=0.0, lam=4.5, signal_top=50000,
+         table=True, seed=6)
 def test_select_threshold_equals_pointwise_band(segments, m, sigma, offset, lam, signal_top,
                                                 table, seed):
     # A scan evaluates every point without a table: on the first scan of an
-    # (N, lam), and on a curve too long for the budget; the second scan uses one.
+    # (N, lam), and on a curve too long for the budget; the second scan builds
+    # one and the third reads it.
     coeffs = scrambled(curve(segments, m, sigma, lam, m, offset, signal_top), seed)
     expected, _ = reference(coeffs, sigma, m, lam)
-    budget, cache = (denoise_module._EDGE_CACHE_BYTES, denoise_module._edge_cache) if table else (0, {})
-    with mock.patch.multiple(denoise_module, _EDGE_CACHE_BYTES=budget, _edge_cache=cache):
-        for _ in range(2):
+    budget = denoise_module._EDGE_CACHE_BYTES if table else 0
+    with mock.patch.multiple(denoise_module, _EDGE_CACHE_BYTES=budget, _edge_cache={}):
+        for _ in range(3):
             assert select_threshold(coeffs, sigma, lam=lam) == expected
 
 
@@ -256,6 +272,52 @@ def test_pipeline_equals_pointwise_band(kinds, known, colored, sigma, segments, 
             assert np.array_equal(getattr(got, name), getattr(band, name)), name
 
 
+@pytest.mark.parametrize("company", ["alone", "beside-early-stops", "beside-a-passthrough"])
+@pytest.mark.parametrize("depth", [60, 3000, 20000, "last", "none"])
+def test_stepped_sort_in_a_stack_equals_pointwise_band(depth, company, monkeypatch):
+    # A row at N = 65536 whose T* lies in the sorted top, in the first partitioned
+    # chunk, in the whole rest, at its last point, or nowhere.  It is scanned alone,
+    # beside two rows that stop in the first block, so that every later sort runs row
+    # by row, or beside one of those and a zero row that passes through, so that the
+    # first sort does too.  The first scan of the (N, lam) has no table, the second
+    # builds it and the third reads it; every T* and band is the pointwise one.
+    n = 65536
+    m = n - (n >> LEVELS)
+    top = {"last": m - 1, "none": 0}.get(depth, depth)
+    values = np.random.default_rng(7).normal(0.0, 1.0, (3, n))
+    values[0, :m] = scrambled(curve([("signal" if depth == "none" else "center", 1)], m, 1.0, 4.5, m,
+                                    0.0, top), 8)
+    for i in (1, 2):
+        values[i, :m] = scrambled(curve([("center", 1)], m, 1.0, 4.5, m, 0.0, 3), i)
+    if company == "beside-a-passthrough":
+        values[2] = 0.0
+    stack = values[:1] if company == "alone" else values
+    live = [row.any() for row in stack]
+    expected = [reference(row[:m], 1.0, m, 4.5) if ok else (0.0, None) for row, ok in zip(stack, live)]
+    monkeypatch.setattr(denoise_module, "_edge_cache", {})
+    for scan in range(3):
+        t, bands = _nide_rule(CoefficientSet(stack, LEVELS), np.ones(len(stack)),
+                              DenoiseConfig(levels=LEVELS))
+        assert t.ravel().tolist() == [threshold for threshold, _ in expected]
+        for factory, (_, band) in zip(bands, expected):
+            assert (factory is None) == (band is None)
+            if band is not None:
+                got = factory()
+                for name in ("z_grid", "lower", "upper", "center"):
+                    assert np.array_equal(getattr(got, name), getattr(band, name)), name
+    # Each live row ends in its largest values sorted, down to the end of the chunk
+    # that holds T* (120, 120 + 32 x 120 or all points), over the rest in no order.
+    a = np.abs(stack[:, :m])
+    denoise_module._select(a, np.ones(len(stack)), 4.5, np.flatnonzero(live))
+    chunks = (denoise_module.SORTED_TOP, 33 * denoise_module.SORTED_TOP, m)
+    for row, ok, read in zip(a, live, [m if depth == "none" else top + 1, 4, 4]):
+        if ok:
+            done = next(end for end in chunks if end >= read)
+            assert np.array_equal(row[m - done:], np.sort(row)[m - done:])
+            assert row[: m - done].max(initial=0.0) <= row[m - done]
+            assert np.all(np.diff(row) >= 0) == (done == m)
+
+
 @pytest.fixture
 def f_points(monkeypatch):
     """Number of points the scan evaluates F at exactly: through ``_band_edges``,
@@ -295,8 +357,9 @@ def test_deep_white_row_with_a_table_skips_the_band_kernel(f_points, monkeypatch
 def test_white_row_with_its_candidate_in_the_margin_evaluates_one_block(f_points, monkeypatch, offset):
     # Three rows under 200 signal points: the first has its point 200 from the top
     # within 1e-12 of the band's lower edge, the others have it on F.  On the second
-    # scan the table exists, and only the first row's block at 120 .. 247 goes
-    # through the band kernel; every T* is the pointwise one.
+    # scan the table exists, and only the first row's block at 120 .. 631 (eight times
+    # the last block of the sorted top) goes through the band kernel; every T* is the
+    # pointwise one.
     m, lam = 2048, 4.5
     rows = np.array([curve([("center", m - 201), ("lower", 1), ("signal", 200)], m, 1.0, lam, m, offset),
                      curve([("center", m)], m, 1.0, lam, m, 0.0, 200),
@@ -309,7 +372,7 @@ def test_white_row_with_its_candidate_in_the_margin_evaluates_one_block(f_points
         t = denoise_module._select(rows[:, ::-1].copy(), sigma, lam, np.arange(3))
         assert t.tolist() == expected
     assert denoise_module._edge_cache[m, lam].shape == (4, m)
-    assert f_points[0] == 128
+    assert f_points[0] == 512
 
 
 def test_ar1_rows_scan_on_the_white_table(f_points, monkeypatch):
