@@ -104,9 +104,9 @@ HARNESS = (
 
 # The recorded digests: sweep, baselines, paired and harness, then each harness file's own.
 EXPECTED = {
-    "sha256": "6cb32d6e28da18990bcd74a6dcc02f9b797a9e87cfce5a44a8e6dcadd1d4a8c8",
-    "baselines sha256": "ee4f7d7bf88e4a2d6d5a8b13d13eae4481072865500d4fe25e4da62dc2c9b48a",
-    "paired sha256": "5ab1ef777052be8683d7deea00960297ca83b8ae91c6dac1f4030b23da31cd46",
+    "sha256": "bd0978b33410dae787535df35c06e2740fd4931fe28a9f65642f99226d3d90b7",
+    "baselines sha256": "42e02c0d442b8b4c4e41f0303b30ab48f599a032690536b2fbd002ce187f59c8",
+    "paired sha256": "d829943feb48cc2b56a1a84ba844820467624ea383364149ab379e498bf1e1de",
     "harness sha256": "abd1378e5da2b606dd7831c30b09e72ea8acfd5ad87b10523a3454f8082280bc",
 }
 EXPECTED_FILES = {

@@ -1,9 +1,18 @@
 """Orthonormal multilevel Haar transform for dyadic-length signals.
 
-The analysis pair is ``a = (x[2i] + x[2i+1]) / sqrt(2)``,
-``d = (x[2i] - x[2i+1]) / sqrt(2)``, applied recursively to the
-approximation.  The transform is orthonormal, so coefficient energy equals
-signal energy and white Gaussian noise stays white with the same variance.
+The analysis pair is ``a = (x[2i] + x[2i+1]) * c``,
+``d = (x[2i] - x[2i+1]) * c``, applied recursively to the approximation,
+and the synthesis pair forms ``(a + d) * c`` and ``(a - d) * c``, with
+``c`` = 0.7071067811865475, the double nearest ``1 / fl(sqrt(2))``.  The two
+transforms take about a third of a ``denoise`` call at N = 65536, and a multiply
+costs about a third of a division per element.  No multiply rounds as a
+division by a constant does for every input; this ``c`` gives the quotient's
+double for about 87% of inputs and is never more than 1 ulp from it, where
+``np.sqrt(0.5)``, one ulp above, agrees for about 15% and can be 2 ulp off.
+``c`` lies below ``1 / sqrt(2)``, so no sum exceeds the bound that the
+magnitude check of ``denoise._transform`` relies on.  The transform is
+orthonormal, so coefficient energy equals signal energy and white Gaussian
+noise stays white with the same variance.
 Both directions act on the last axis, so a ``(rows, N)`` stack of signals
 is transformed in one call.
 """
@@ -17,6 +26,8 @@ import numpy as np
 from .gaussian_stats import _SQRT2, _check_count
 
 __all__ = ["CoefficientSet", "dwt_forward", "dwt_inverse"]
+
+_INV_SQRT2 = 1.0 / _SQRT2
 
 
 @dataclass
@@ -74,9 +85,9 @@ def dwt_forward(signal, levels: int) -> CoefficientSet:
     for band in coeffs.detail_bands:
         even, odd = approx[..., 0::2], approx[..., 1::2]
         np.subtract(even, odd, out=band)
-        band /= _SQRT2
+        band *= _INV_SQRT2
         approx = np.add(even, odd)
-        approx /= _SQRT2
+        approx *= _INV_SQRT2
     coeffs.approx_band[...] = approx
     return coeffs
 
@@ -88,6 +99,6 @@ def dwt_inverse(coeffs: CoefficientSet) -> np.ndarray:
         out = np.empty(approx.shape[:-1] + (2 * approx.shape[-1],))
         np.add(approx, detail, out=out[..., 0::2])
         np.subtract(approx, detail, out=out[..., 1::2])
-        out /= _SQRT2
+        out *= _INV_SQRT2
         approx = out
     return approx

@@ -318,6 +318,20 @@ def test_stepped_sort_in_a_stack_equals_pointwise_band(depth, company, monkeypat
             assert np.all(np.diff(row) >= 0) == (done == m)
 
 
+def test_stepped_sort_leaves_each_rows_largest_values_on_top():
+    # A partition leaves the left part's largest value just below kth in most rows
+    # (numpy sorts a small window around kth), so a partition one place off would
+    # still put the right values on top.  In about 1 in 200 rows of noise the window
+    # starts at kth and the largest left value lies far from it: 2,000 rows at
+    # N = 2048, where the first chunk is partitioned out of a 1,984-point rest.
+    n = 2048
+    m = n - (n >> LEVELS)
+    a = np.abs(np.random.default_rng(5).normal(size=(2000, m)))
+    expected = np.sort(a, axis=-1)[:, m - denoise_module.SORTED_TOP:]
+    denoise_module._select(a, np.ones(len(a)), 4.5, np.arange(len(a)))
+    assert np.array_equal(a[:, m - denoise_module.SORTED_TOP:], expected)
+
+
 @pytest.fixture
 def f_points(monkeypatch):
     """Number of points the scan evaluates F at exactly: through ``_band_edges``,

@@ -20,6 +20,65 @@ def test_single_pair_analysis():
     assert np.allclose(coeffs.detail_bands[0], [np.sqrt(2.0)])
 
 
+# Each level scales its sums and differences by this double, the one nearest
+# 1 / fl(sqrt(2)); np.sqrt(0.5) is one ulp above it.
+C = 0.7071067811865475
+PIN_N = 64
+PIN_KINDS = ("decades", "signed-zeros", "subnormal", "near-limit")
+
+
+def pin_samples(kind, shape):
+    """Samples of ``shape`` (last axis ``PIN_N``): normals spread over 26 decades,
+    signed zeros among unit values, subnormals and the smallest normals, or values at
+    up to the magnitude limit that ``denoise._transform`` accepts at ``PIN_N``."""
+    rng = np.random.default_rng(PIN_KINDS.index(kind))
+    size = int(np.prod(shape))
+    sign = rng.choice([-1.0, 1.0], size)
+    if kind == "decades":
+        x = rng.normal(size=size) * 10.0 ** rng.uniform(-13.0, 13.0, size)
+    elif kind == "signed-zeros":
+        x = sign * rng.choice([0.0, 0.0, 1.0, 0.5], size)
+    elif kind == "subnormal":
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.where(rng.random(size) < 0.8, rng.integers(-2**40, 2**40, size) * tiny,
+                     sign * np.finfo(float).tiny)
+    else:
+        limit = np.finfo(float).max / (4.0 * np.sqrt(PIN_N))
+        x = sign * limit * rng.choice([1.0, 1.0, np.nextafter(1.0, 0.0), 0.5], size)
+    return x.reshape(shape)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(PIN_N,), (5, PIN_N)])
+@pytest.mark.parametrize("kind", PIN_KINDS)
+def test_each_analysis_level_multiplies_by_one_over_root_two(kind, shape):
+    x = pin_samples(kind, shape)
+    coeffs = dwt_forward(x, 6)
+    approx = x
+    for band in coeffs.detail_bands:
+        even, odd = approx[..., 0::2], approx[..., 1::2]
+        assert same_bits(band, (even - odd) * C)
+        approx = (even + odd) * C
+    assert same_bits(coeffs.approx_band, approx)
+    assert np.isfinite(coeffs.values).all()
+
+
+@pytest.mark.parametrize("shape", [(PIN_N,), (5, PIN_N)])
+@pytest.mark.parametrize("kind", PIN_KINDS)
+def test_each_synthesis_level_multiplies_by_one_over_root_two(kind, shape):
+    coeffs = CoefficientSet(pin_samples(kind, shape), 6)
+    approx = coeffs.approx_band
+    for detail in reversed(coeffs.detail_bands):
+        out = np.empty(approx.shape[:-1] + (2 * approx.shape[-1],))
+        out[..., 0::2] = (approx + detail) * C
+        out[..., 1::2] = (approx - detail) * C
+        approx = out
+    assert same_bits(dwt_inverse(coeffs), approx)
+
+
 def test_energy_preservation():
     rng = np.random.default_rng(0)
     x = rng.normal(size=2048)
